@@ -12,6 +12,7 @@ from .augment import (
     AugmentConfig,
     AugmentedBatch,
     Augmenter,
+    Batch,
     activation_apply,
     init_augmenter,
     layer_norm,
@@ -62,7 +63,6 @@ from .harness import (
 from .linalg import SvdResult, pinv, rank, rank_ratio, svd
 from .model import (
     AopuModel,
-    DualState,
     StepReport,
     dual,
     forward,

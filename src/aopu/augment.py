@@ -102,11 +102,17 @@ class AugmentConfig:
 
 
 @dataclass(frozen=True)
-class AugmentedBatch:
-    """One augmented mini-batch with its targets and rank diagnostics."""
+class Batch:
+    """One augmented mini-batch with its targets: what a model step consumes."""
 
     x_tilde: np.ndarray
     y: np.ndarray
+
+
+@dataclass(frozen=True)
+class AugmentedBatch(Batch):
+    """A :class:`Batch` with the rank diagnostics of :meth:`Augmenter.augment_batch`."""
+
     rank: int
     rr: float
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .augment import AugmentedBatch, Augmenter
+from .augment import Augmenter, Batch
 from .errors import DivergenceError, InvalidInputError, UndefinedConditionalError
 from .model import StepReport, forward, loss_value
 
@@ -53,19 +53,32 @@ class RvflnnModel:
     def forward(self, x_tilde) -> np.ndarray:
         return forward(x_tilde, self.w_tilde)
 
-    def step(self, batch: AugmentedBatch) -> StepReport:
-        pre_loss = loss_value(batch.y, self.forward(batch.x_tilde))
-        grad = mse_gradient(batch.x_tilde, batch.y, self.w_tilde)
+    def step(self, batch: Batch) -> StepReport:
+        """One Adam update on the plain MSE gradient.
+
+        The update takes no factorization, so the rank ratio it reports (and
+        any :class:`DivergenceError` carries) comes from a separate rank of
+        ``x_tilde``.
+        """
+        xt = linalg.as_matrix(batch.x_tilde, "x_tilde")
+        rank = linalg.rank(xt)
+        rr = rank / xt.shape[1]
+        pre_loss = loss_value(batch.y, self.forward(xt))
+        grad = mse_gradient(xt, batch.y, self.w_tilde)
         if not np.isfinite(pre_loss) or not np.all(np.isfinite(grad)):
             raise DivergenceError(
-                f"non-finite update on batch with rank ratio {batch.rr:.4f}",
-                rank_ratio=batch.rr,
+                f"non-finite update on batch with rank ratio {rr:.4f}",
+                rank_ratio=rr,
             )
-        adam_step(self, grad)
+        try:
+            adam_step(self, grad)
+        except DivergenceError as exc:
+            raise DivergenceError(str(exc), rank_ratio=rr) from exc
         return StepReport(
             loss=pre_loss,
-            rank_ratio=batch.rr,
+            rank_ratio=rr,
             grad_norm=float(np.linalg.norm(grad)),
+            rank=rank,
         )
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augment import AugmentConfig, Augmenter, init_augmenter
+from .augment import AugmentConfig, Augmenter, Batch, init_augmenter
 from .baselines import RvflnnModel
 from .data import (
     Dataset,
@@ -253,13 +253,15 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
         for feats, targs in batches(
             train, config.bs, shuffle=True, seed=epoch_seed, drop_last=True
         ):
-            batch = augmenter.augment_batch(feats, targs)
-            rr_seen.append(batch.rr)
+            # the step reports the rank ratio off its own factorization, so no
+            # separate rank is taken here (augment_batch would take one)
+            batch = Batch(x_tilde=augmenter.augment(feats), y=targs)
             try:
-                model.step(batch)
+                rr_seen.append(model.step(batch).rank_ratio)
             except DivergenceError as exc:
                 diverged = True
                 divergence_rr = exc.rank_ratio
+                rr_seen.append(divergence_rr)
                 break
             iteration += 1
             if iteration % CURVE_EVERY == 0:

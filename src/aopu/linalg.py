@@ -1,4 +1,5 @@
-"""Dense matrix primitives: SVD, thresholded pseudo-inverse, rank, rank ratio.
+"""Dense matrix primitives: SVD, one-sided factorization, thresholded
+pseudo-inverse, rank, rank ratio.
 
 Matrices are plain 2-D float64 ``numpy`` arrays (row-major). All functions are
 pure and never mutate their inputs, so they are safe to call concurrently.
@@ -49,46 +50,64 @@ class SvdResult:
         return (self.u * self.s) @ self.v.T
 
 
-def svd(a) -> SvdResult:
-    """Thin SVD of a dense matrix.
+def _lapack_svd(m: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of a validated matrix, or its singular values alone.
 
     Falls back from the divide-and-conquer LAPACK driver to the slower but
     more robust one-sided Jacobi-free ``gesvd`` driver; if both fail a
     :class:`NumericalError` is raised.
     """
-    m = as_matrix(a)
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         try:
-            u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+            return scipy.linalg.svd(
+                m, full_matrices=False, compute_uv=compute_uv, lapack_driver="gesvd"
+            )
         except Exception as exc:  # pragma: no cover - second driver rarely fails
             raise NumericalError(f"SVD did not converge for shape {m.shape}") from exc
+
+
+def svd(a) -> SvdResult:
+    """Thin SVD of a dense matrix; ``gesvd`` backs up the default LAPACK driver."""
+    u, s, vt = _lapack_svd(as_matrix(a))
     return SvdResult(u=u, s=s, v=vt.T)
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values only (descending), with the same fallback as :func:`svd`."""
-    m = as_matrix(a)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError:
-        try:
-            return scipy.linalg.svd(m, compute_uv=False, lapack_driver="gesvd")
-        except Exception as exc:  # pragma: no cover
-            raise NumericalError(f"SVD did not converge for shape {m.shape}") from exc
+    return _lapack_svd(as_matrix(a), compute_uv=False)
 
 
-def _inverted_singular_values(s: np.ndarray, shape, rtol) -> np.ndarray:
+def factor_columns(m: np.ndarray):
+    """Singular values and right singular vectors of ``m`` from one factorization.
+
+    Factors the smaller side: a tall matrix is reduced to the triangle of an
+    R-only Householder QR, whose SVD has the same singular values and right
+    singular vectors; a wide or square one gets a thin SVD directly. Returns
+    ``(s, v)`` with ``s`` descending and ``v`` of shape (cols, min(rows, cols)).
+    ``m`` must already be a validated float64 matrix (see :func:`as_matrix`).
+    """
+    if m.shape[0] > m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
+    _, s, vt = _lapack_svd(m)
+    return s, vt.T
+
+
+def _cutoff(s: np.ndarray, shape, rtol) -> float:
+    """Absolute singular-value threshold ``rtol * s_max`` for a matrix of ``shape``."""
     if rtol is None:
         rtol = default_rtol(shape)
     if rtol < 0:
         raise InvalidInputError(f"tolerance must be >= 0, got {rtol}")
-    smax = s[0] if s.size else 0.0
-    cutoff = rtol * smax
+    return rtol * (s[0] if s.size else 0.0)
+
+
+def _inverted_singular_values(s: np.ndarray, shape, rtol) -> np.ndarray:
+    keep = s > _cutoff(s, shape, rtol)
     # guard the division: masked entries are zeroed afterwards anyway
-    safe = np.where(s > cutoff, s, 1.0)
-    return np.where(s > cutoff, 1.0 / safe, 0.0)
+    safe = np.where(keep, s, 1.0)
+    return np.where(keep, 1.0 / safe, 0.0)
 
 
 def pinv(a, rtol=None) -> np.ndarray:
@@ -103,20 +122,21 @@ def pinv(a, rtol=None) -> np.ndarray:
     return (res.v * sinv) @ res.u.T
 
 
+def count_rank(s: np.ndarray, shape, rtol=None) -> int:
+    """Numerical rank of a ``shape`` matrix from its descending singular values.
+
+    Counts the values strictly above ``rtol * s_max`` (default cutoff
+    ``max(shape) * eps``); an all-zero spectrum has rank 0.
+    """
+    return int(np.count_nonzero(s > _cutoff(s, shape, rtol)))
+
+
 def rank(a, rtol=None) -> int:
     """Numerical rank: count of singular values strictly above the cutoff."""
     m = as_matrix(a)
     if min(m.shape) == 0:
         return 0
-    s = singular_values(m)
-    if rtol is None:
-        rtol = default_rtol(m.shape)
-    if rtol < 0:
-        raise InvalidInputError(f"tolerance must be >= 0, got {rtol}")
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * smax))
+    return count_rank(singular_values(m), m.shape, rtol)
 
 
 def rank_ratio(x_tilde, batch: int | None = None, rtol=None) -> float:

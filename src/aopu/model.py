@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .augment import AugmentedBatch, Augmenter
+from .augment import Augmenter, Batch
 from .errors import DivergenceError, InvalidInputError
 
 
@@ -40,21 +40,74 @@ def dual(x_tilde, w) -> np.ndarray:
     return xt @ forward(xt, w)
 
 
+def _check_shapes(xt, y, name: str, m) -> None:
+    """``m`` (dual image or weights) must have one row per feature of ``xt``;
+    ``y``, when given, one row per sample and one column per output."""
+    if m.shape[0] != xt.shape[0]:
+        raise InvalidInputError(
+            f"{name} has {m.shape[0]} rows, x_tilde has {xt.shape[0]} feature rows"
+        )
+    if y is not None and y.shape != (xt.shape[1], m.shape[1]):
+        raise InvalidInputError(
+            f"y has shape {y.shape}, expected {(xt.shape[1], m.shape[1])}"
+        )
+
+
+def _factor(xt: np.ndarray):
+    """Rank of ``x_tilde`` and the retained eigenpairs of its column Gram.
+
+    One factorization of ``x_tilde`` (:func:`linalg.factor_columns`) yields
+    its singular values, whose count above ``max(d+h, b) * eps * s_max`` is
+    the rank, and its right singular vectors ``v``. The Gram eigenvalues are
+    taken as the Rayleigh quotients ``||x_tilde @ v_i||^2`` rather than
+    ``s_i**2``, which keeps exact instances exact. Eigenpairs at or below
+    ``b * eps * lam_max`` are dropped, the cutoff a pseudo-inverse of the b×b
+    Gram applies, so ``pinv(x_tilde.T @ x_tilde) = v @ diag(1/lam) @ v.T``
+    without the Gram being built.
+    """
+    s, v = linalg.factor_columns(xt)
+    xv = xt @ v
+    lam = np.einsum("ij,ij->j", xv, xv)
+    b = xt.shape[1]
+    keep = lam > linalg.default_rtol((b, b)) * lam.max(initial=0.0)
+    return linalg.count_rank(s, xt.shape), v[:, keep], lam[keep]
+
+
+def _gram_solve(v, lam, m) -> np.ndarray:
+    """``pinv(x_tilde.T @ x_tilde) @ m`` from the eigenpairs of :func:`_factor`."""
+    return v @ ((v.T @ m) / lam[:, None])
+
+
+def _update(xt, y, d):
+    """Reconstruction, truncated gradient and rank of one batch.
+
+    The single kernel behind :func:`reconstruct`, :func:`truncated_gradient`
+    and :meth:`AopuModel.step`; it takes validated arrays.
+    """
+    rank, v, lam = _factor(xt)
+    recon = _gram_solve(v, lam, xt.T @ d)
+    grad = -(2.0 / xt.shape[1]) * (xt @ _gram_solve(v, lam, y - recon))
+    return recon, grad, rank
+
+
 def reconstruct(x_tilde, dual_matrix) -> np.ndarray:
     """Recover batch outputs from a dual image: ``pinv(x.T x) @ (x.T @ D)``.
 
     On a column-full-rank, well-conditioned batch this reproduces
     :func:`forward` to working precision; near-singular batches amplify
-    round-off through the reciprocal singular values.
+    round-off through the reciprocal Gram eigenvalues.
     """
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     dm = linalg.as_matrix(dual_matrix, "dual")
-    if dm.shape[0] != xt.shape[0]:
-        raise InvalidInputError(
-            f"dual has {dm.shape[0]} rows, x_tilde has {xt.shape[0]} feature rows"
-        )
-    gram = linalg.column_gram(xt)
-    return linalg.pinv(gram) @ (xt.T @ dm)
+    _check_shapes(xt, None, "dual", dm)
+    _, v, lam = _factor(xt)
+    return _gram_solve(v, lam, xt.T @ dm)
+
+
+def _squared_error(y, recon) -> float:
+    # overflow to inf is meaningful here: it is what divergence detection sees
+    with np.errstate(over="ignore"):
+        return float(np.sum((y - recon) ** 2) / y.shape[0])
 
 
 def loss_value(y, recon) -> float:
@@ -63,10 +116,7 @@ def loss_value(y, recon) -> float:
     rm = np.asarray(recon, dtype=np.float64)
     if ym.shape != rm.shape:
         raise InvalidInputError(f"shape mismatch: y {ym.shape} vs recon {rm.shape}")
-    b = ym.shape[0]
-    # overflow to inf is meaningful here: it is what divergence detection sees
-    with np.errstate(over="ignore"):
-        return float(np.sum((ym - rm) ** 2) / b)
+    return _squared_error(ym, rm)
 
 
 def truncated_gradient(x_tilde, y, dual_matrix) -> np.ndarray:
@@ -78,10 +128,8 @@ def truncated_gradient(x_tilde, y, dual_matrix) -> np.ndarray:
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     ym = linalg.as_matrix(y, "y")
     dm = linalg.as_matrix(dual_matrix, "dual")
-    b = xt.shape[1]
-    gram_inv = linalg.pinv(linalg.column_gram(xt))
-    resid = ym - gram_inv @ (xt.T @ dm)
-    return -(2.0 / b) * xt @ (gram_inv @ resid)
+    _check_shapes(xt, ym, "dual", dm)
+    return _update(xt, ym, dm)[1]
 
 
 def natural_gradient_reference(x_tilde, y, w) -> np.ndarray:
@@ -99,28 +147,25 @@ def natural_gradient_reference(x_tilde, y, w) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DualState:
-    """Dual image together with the batch it was computed from."""
-
-    matrix: np.ndarray
-    x_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepReport:
-    """Pre-step loss, batch rank ratio and gradient norm for one update."""
+    """Pre-step loss, batch rank, rank ratio and gradient norm for one update.
+
+    The rank and rank ratio are read off the factorization the step itself
+    takes.
+    """
 
     loss: float
     rank_ratio: float
     grad_norm: float
+    rank: int
 
 
 class AopuModel:
     """Trackable parameter plus augmentation handle and update hyperparameters.
 
     ``step`` mutates the weights and must be externally serialized
-    (single-writer); ``forward``/``dual`` on a fixed weight snapshot are safe
-    to call concurrently.
+    (single-writer); ``forward`` on a fixed weight snapshot is safe to call
+    concurrently.
     """
 
     kind = "aopu"
@@ -143,28 +188,32 @@ class AopuModel:
     def forward(self, x_tilde) -> np.ndarray:
         return forward(x_tilde, self.w_tilde)
 
-    def dual(self, x_tilde) -> DualState:
-        xt = linalg.as_matrix(x_tilde, "x_tilde")
-        return DualState(matrix=dual(xt, self.w_tilde), x_tilde=xt)
-
-    def step(self, batch: AugmentedBatch) -> StepReport:
+    def step(self, batch: Batch) -> StepReport:
         """Apply one truncated-gradient update ``w <- w - lr * grad``.
 
-        Non-finite loss or gradient aborts the step before any weight change
-        and surfaces a :class:`DivergenceError` carrying the batch rank ratio.
+        Validates the batch and the weights once, then factors ``x_tilde``
+        once for the loss, the gradient and the reported rank ratio. A
+        non-finite loss or gradient aborts the step before any weight change
+        and surfaces a :class:`DivergenceError` carrying that rank ratio.
         """
-        xt, y = batch.x_tilde, batch.y
-        d = dual(xt, self.w_tilde)
-        pre_loss = loss_value(y, reconstruct(xt, d))
-        grad = truncated_gradient(xt, y, d)
+        xt = linalg.as_matrix(batch.x_tilde, "x_tilde")
+        y = linalg.as_matrix(batch.y, "y")
+        w = linalg.as_matrix(self.w_tilde, "w")
+        _check_shapes(xt, y, "w", w)
+        # the dual image, associated as in dual(), so the update equals
+        # lr * truncated_gradient(x, y, dual(x, w)) bit for bit
+        recon, grad, rank = _update(xt, y, xt @ (xt.T @ w))
+        rr = rank / xt.shape[1]
+        pre_loss = _squared_error(y, recon)
         if not np.isfinite(pre_loss) or not np.all(np.isfinite(grad)):
             raise DivergenceError(
-                f"non-finite update on batch with rank ratio {batch.rr:.4f}",
-                rank_ratio=batch.rr,
+                f"non-finite update on batch with rank ratio {rr:.4f}",
+                rank_ratio=rr,
             )
-        self.w_tilde = self.w_tilde - self.lr * grad
+        self.w_tilde = w - self.lr * grad
         return StepReport(
             loss=pre_loss,
-            rank_ratio=batch.rr,
+            rank_ratio=rr,
             grad_norm=float(np.linalg.norm(grad)),
+            rank=rank,
         )

@@ -78,6 +78,36 @@ def _rel_err(got, want) -> float:
 
 
 # ---------------------------------------------------------------------------
+# reference formulas of the update kernel
+# ---------------------------------------------------------------------------
+
+
+def reconstruct_reference(x_tilde, dual_matrix) -> np.ndarray:
+    """``pinv(x.T x) @ (x.T @ D)`` through an explicit Gram and its own SVD.
+
+    The textbook form of :func:`aopu.model.reconstruct`, kept as an oracle
+    for the single-factorization kernel.
+    """
+    xt = linalg.as_matrix(x_tilde, "x_tilde")
+    dm = linalg.as_matrix(dual_matrix, "dual")
+    return linalg.pinv(linalg.column_gram(xt)) @ (xt.T @ dm)
+
+
+def truncated_gradient_reference(x_tilde, y, dual_matrix) -> np.ndarray:
+    """``-(2/b) * x @ pinv(x.T x) @ (y - reconstruct_reference)``.
+
+    The textbook form of :func:`aopu.model.truncated_gradient`, kept as an
+    oracle for the single-factorization kernel.
+    """
+    xt = linalg.as_matrix(x_tilde, "x_tilde")
+    ym = linalg.as_matrix(y, "y")
+    dm = linalg.as_matrix(dual_matrix, "dual")
+    gram_inv = linalg.pinv(linalg.column_gram(xt))
+    resid = ym - gram_inv @ (xt.T @ dm)
+    return -(2.0 / xt.shape[1]) * xt @ (gram_inv @ resid)
+
+
+# ---------------------------------------------------------------------------
 # gradient oracles
 # ---------------------------------------------------------------------------
 

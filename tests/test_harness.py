@@ -4,6 +4,7 @@ rank-ratio surveys and the ablation sweep."""
 import numpy as np
 import pytest
 
+from aopu import linalg
 from aopu.data import synth_generate
 from aopu.errors import ConstantTargetError, InvalidInputError
 from aopu.harness import (
@@ -164,6 +165,19 @@ class TestTrainRun:
         assert rep.diverged
         assert rep.divergence_rr == 1.0
         assert rep.n_iterations == 0  # aborted on the first batch
+        # the divergent batch still counts toward the run's rank ratios
+        assert rep.min_train_rr == 1.0
+        assert rep.mean_train_rr == 1.0
+
+    def test_aopu_training_takes_no_separate_rank(self, small_ds, monkeypatch):
+        # the step reports each batch's rank ratio off its own factorization
+        def no_rank(*args, **kwargs):
+            raise AssertionError("train_run took a separate rank")
+
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        rep = train_run(small_ds, _small_config(epochs=1))
+        assert rep.n_iterations > 0
+        assert rep.min_train_rr == rep.mean_train_rr == 1.0
 
     def test_low_rr_flag(self):
         ds = synth_generate(n=1200, n_vars=4, noise=0.2, nonlinear=True, seed=6)

@@ -117,6 +117,28 @@ class TestRank:
         assert linalg.rank(np.zeros((4, 0))) == 0
 
 
+class TestFactorColumns:
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 4), (4, 9)])
+    def test_matches_full_svd(self, shape):
+        # tall inputs go through the QR triangle, square and wide ones not
+        a = np.random.default_rng(3).standard_normal(shape)
+        s, v = linalg.factor_columns(a)
+        k = min(shape)
+        assert v.shape == (shape[1], k)
+        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(a @ v, axis=0), s, rtol=1e-12)
+
+    def test_rank_of_deficient_tall_matrix(self):
+        a = np.random.default_rng(4).standard_normal((9, 4))
+        a[:, 3] = a[:, 1] - a[:, 2]
+        s, _ = linalg.factor_columns(a)
+        assert linalg.count_rank(s, a.shape) == linalg.rank(a) == 3
+
+    def test_zero_spectrum_has_rank_zero(self):
+        assert linalg.count_rank(np.zeros(3), (5, 3)) == 0
+
+
 class TestRankRatio:
     def test_full_column_rank(self):
         rng = np.random.default_rng(2)

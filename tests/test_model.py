@@ -1,13 +1,17 @@
 """Unit tests for the projection unit: forward, dual, reconstruction,
 truncated gradient, update step and the natural-gradient reference."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from aopu import linalg
-from aopu.augment import AugmentConfig, AugmentedBatch, init_augmenter
+from aopu.augment import AugmentConfig, Batch, init_augmenter
 from aopu.baselines import mse_gradient
+from aopu.data import batches, synth_generate
 from aopu.errors import DivergenceError, InvalidInputError
+from aopu.harness import TrainConfig, prepare_windows
 from aopu.model import (
     AopuModel,
     dual,
@@ -17,7 +21,11 @@ from aopu.model import (
     reconstruct,
     truncated_gradient,
 )
-from aopu.verify import finite_diff_gradient
+from aopu.verify import (
+    finite_diff_gradient,
+    reconstruct_reference,
+    truncated_gradient_reference,
+)
 
 # the worked scalar instance used across the update-path tests:
 # one sample with features (1, 2), weights (3, 4), target 13
@@ -71,18 +79,6 @@ class TestDual:
         explicit = (xt @ xt.T) @ w
         got = dual(xt, w)
         assert np.linalg.norm(got - explicit) / np.linalg.norm(explicit) < 1e-12
-
-    def test_dual_state_invariant(self):
-        rng = np.random.default_rng(2)
-        aug = init_augmenter(AugmentConfig(input_dim=3, hidden=2, seed=0))
-        model = AopuModel(aug)
-        model.w_tilde = rng.standard_normal((5, 1))
-        xt = rng.standard_normal((5, 4))
-        state = model.dual(xt)
-        explicit = (xt @ xt.T) @ model.w_tilde
-        rel = np.linalg.norm(state.matrix - explicit) / np.linalg.norm(explicit)
-        assert rel < 1e-10
-        assert state.x_tilde is not None
 
 
 class TestReconstruct:
@@ -234,8 +230,7 @@ class TestNaturalGradientReference:
 
 class TestStep:
     def _batch(self, xt, y):
-        r = linalg.rank(xt)
-        return AugmentedBatch(x_tilde=xt, y=y, rank=r, rr=r / xt.shape[1])
+        return Batch(x_tilde=xt, y=y)
 
     def _model(self, dh, lr=1.0):
         aug = init_augmenter(AugmentConfig(input_dim=dh, hidden=0, seed=0))
@@ -321,3 +316,63 @@ class TestStep:
             AopuModel(aug, lr=0.0)
         with pytest.raises(InvalidInputError):
             AopuModel(aug, out_dim=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _train_windows(seq):
+    ds = synth_generate(n=4000, n_vars=5, noise=0.3, nonlinear=True, seed=0)
+    train, _, _ = prepare_windows(ds, TrainConfig(seq=seq, seed=0))
+    return train
+
+
+def _grid_batches(hidden, bs, seq, n=3):
+    """The first ``n`` shuffled training batches of one (hidden, bs, seq) cell,
+    as (augmenter, x_tilde, y) triples."""
+    train = _train_windows(seq)
+    aug = init_augmenter(AugmentConfig(input_dim=train.dim, hidden=hidden, seed=0))
+    out = []
+    for feats, targs in batches(train, bs, shuffle=True, seed=0, drop_last=True):
+        out.append((aug, aug.augment(feats), targs))
+        if len(out) == n:
+            break
+    return out
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestKernelParity:
+    """The single-factorization kernel against the two-pseudo-inverse formulas,
+    on full-rank (tall) and rank-deficient (wide) windowed batches."""
+
+    @pytest.mark.parametrize("seq", (16, 48))
+    @pytest.mark.parametrize("bs", (64, 128, 288))
+    @pytest.mark.parametrize("hidden", (0, 16, 2048))
+    def test_matches_reference_formulas(self, hidden, bs, seq):
+        rng = np.random.default_rng(hidden + bs + seq)
+        for aug, xt, y in _grid_batches(hidden, bs, seq):
+            w = rng.standard_normal((xt.shape[0], 1)) / np.sqrt(xt.shape[0])
+            d = dual(xt, w)
+            model = AopuModel(aug)
+            model.w_tilde = w
+            report = model.step(Batch(x_tilde=xt, y=y))
+            assert report.rank == linalg.rank(xt)
+            assert report.rank_ratio == linalg.rank_ratio(xt)
+            assert _rel(reconstruct(xt, d), reconstruct_reference(xt, d)) <= 1e-10
+            assert (
+                _rel(truncated_gradient(xt, y, d), truncated_gradient_reference(xt, y, d))
+                <= 1e-10
+            )
+
+
+class TestRankRatioProvenance:
+    def test_step_and_divergence_carry_the_batch_rank_ratio(self):
+        # hidden 0, seq 16: 80 feature rows against 288 samples
+        ((aug, xt, y),) = _grid_batches(hidden=0, bs=288, seq=16, n=1)
+        rr = linalg.rank_ratio(xt)
+        assert rr == 80 / 288
+        assert AopuModel(aug).step(Batch(x_tilde=xt, y=y)).rank_ratio == rr
+        with pytest.raises(DivergenceError) as err:
+            AopuModel(aug).step(Batch(x_tilde=xt, y=np.full_like(y, 1e200)))
+        assert err.value.rank_ratio == rr
