@@ -10,11 +10,8 @@ from .augment import (
     ACTIVATIONS,
     ZERO_MEAN_ACTIVATIONS,
     AugmentConfig,
-    AugmentedBatch,
     Augmenter,
-    Batch,
     activation_apply,
-    init_augmenter,
     layer_norm,
 )
 from .baselines import (

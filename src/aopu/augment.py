@@ -101,22 +101,6 @@ class AugmentConfig:
             raise InvalidInputError("layer_norm requires a hidden block of >= 2 rows")
 
 
-@dataclass(frozen=True)
-class Batch:
-    """One augmented mini-batch with its targets: what a model step consumes."""
-
-    x_tilde: np.ndarray
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
-class AugmentedBatch(Batch):
-    """A :class:`Batch` with the rank diagnostics of :meth:`Augmenter.augment_batch`."""
-
-    rank: int
-    rr: float
-
-
 class Augmenter:
     """Frozen random-matrix feature map.
 
@@ -155,26 +139,3 @@ class Augmenter:
         if self.config.layer_norm and self.config.hidden > 0:
             hidden = layer_norm(hidden)
         return np.vstack([hidden, xm])
-
-    def augment_batch(self, x, y) -> AugmentedBatch:
-        """Augment one mini-batch and attach its rank / rank-ratio diagnostics."""
-        x_tilde = self.augment(x)
-        ym = linalg.as_matrix(y, "y")
-        if ym.shape[0] != x_tilde.shape[1]:
-            raise InvalidInputError(
-                f"y has {ym.shape[0]} rows, batch has {x_tilde.shape[1]} samples"
-            )
-        r = linalg.rank(x_tilde)
-        return AugmentedBatch(
-            x_tilde=x_tilde, y=ym, rank=r, rr=r / x_tilde.shape[1]
-        )
-
-
-def init_augmenter(config: AugmentConfig) -> Augmenter:
-    """Build the frozen feature map for ``config``."""
-    return Augmenter(config)
-
-
-def augment(augmenter: Augmenter, x) -> np.ndarray:
-    """Functional alias for :meth:`Augmenter.augment`."""
-    return augmenter.augment(x)

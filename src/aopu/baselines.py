@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .augment import Augmenter, Batch
+from .augment import Augmenter
 from .errors import DivergenceError, InvalidInputError, UndefinedConditionalError
-from .model import StepReport, forward, loss_value
+from .model import StepReport, _check_shapes, _squared_error, forward
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -53,25 +53,30 @@ class RvflnnModel:
     def forward(self, x_tilde) -> np.ndarray:
         return forward(x_tilde, self.w_tilde)
 
-    def step(self, batch: Batch) -> StepReport:
+    def step(self, x_tilde, y) -> StepReport:
         """One Adam update on the plain MSE gradient.
 
-        The update takes no factorization, so the rank ratio it reports (and
-        any :class:`DivergenceError` carries) comes from a separate rank of
+        Validates ``x_tilde``, ``y`` and the weights once. The update takes
+        no factorization, so the rank ratio it reports (and any
+        :class:`DivergenceError` carries) comes from a separate rank of
         ``x_tilde``.
         """
-        xt = linalg.as_matrix(batch.x_tilde, "x_tilde")
-        rank = linalg.rank(xt)
+        xt = linalg.as_matrix(x_tilde, "x_tilde")
+        y = linalg.as_matrix(y, "y")
+        w = linalg.as_matrix(self.w_tilde, "w")
+        _check_shapes(xt, y, "w", w)
+        rank = linalg._rank(xt)
         rr = rank / xt.shape[1]
-        pre_loss = loss_value(batch.y, self.forward(xt))
-        grad = mse_gradient(xt, batch.y, self.w_tilde)
+        pred = xt.T @ w
+        pre_loss = _squared_error(y, pred)
+        grad = -(2.0 / xt.shape[1]) * xt @ (y - pred)
         if not np.isfinite(pre_loss) or not np.all(np.isfinite(grad)):
             raise DivergenceError(
                 f"non-finite update on batch with rank ratio {rr:.4f}",
                 rank_ratio=rr,
             )
         try:
-            adam_step(self, grad)
+            _adam_update(self, grad)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), rank_ratio=rr) from exc
         return StepReport(
@@ -89,6 +94,11 @@ def adam_step(model: RvflnnModel, grad) -> RvflnnModel:
         raise InvalidInputError(
             f"gradient shape {g.shape} does not match weights {model.w_tilde.shape}"
         )
+    return _adam_update(model, g)
+
+
+def _adam_update(model: RvflnnModel, g: np.ndarray) -> RvflnnModel:
+    """:func:`adam_step` on a gradient already validated against the weights."""
     model.adam_t += 1
     model.adam_m = ADAM_BETA1 * model.adam_m + (1.0 - ADAM_BETA1) * g
     model.adam_v = ADAM_BETA2 * model.adam_v + (1.0 - ADAM_BETA2) * g * g

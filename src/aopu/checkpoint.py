@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,15 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
+def _decode_array(obj: dict, path, name: str) -> np.ndarray:
     raw = base64.b64decode(obj["data"])
+    shape = tuple(int(n) for n in obj["shape"])
+    if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
+        raise InvalidInputError(
+            f"{path}: {name} has shape {list(shape)} but {len(raw)} bytes of data"
+        )
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(obj["shape"])
+    return arr.reshape(shape)
 
 
 @dataclass
@@ -64,9 +70,17 @@ def load_checkpoint(path) -> Checkpoint:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
         raise InvalidInputError(f"{path} is not a recognized checkpoint file")
+    if doc.get("version") != FORMAT_VERSION:
+        raise InvalidInputError(
+            f"{path}: checkpoint version {doc.get('version')!r} is not supported "
+            f"(expected {FORMAT_VERSION})"
+        )
     return Checkpoint(
         kind=doc["kind"],
-        w_tilde=_decode_array(doc["w_tilde"]),
+        w_tilde=_decode_array(doc["w_tilde"], path, "w_tilde"),
         config=doc.get("config", {}),
-        extras={k: _decode_array(v) for k, v in doc.get("extras", {}).items()},
+        extras={
+            k: _decode_array(v, path, f"extras[{k!r}]")
+            for k, v in doc.get("extras", {}).items()
+        },
     )

@@ -110,6 +110,14 @@ class Dataset:
         return self.values[:, self.target_col]
 
 
+def _is_number(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_cell(text, row_idx, col_idx):
     text = text.strip()
     if text == "":
@@ -129,7 +137,8 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
 
     ``schema`` may be a :class:`CsvSchema`, a schema name ("debutanizer",
     "sru"), or an integer column count. An optional single header row of
-    column names is detected automatically. Parsing is locale-independent
+    column names is detected automatically: the first row is a header when
+    none of its cells parses as a number. Parsing is locale-independent
     (dot decimal separator only).
     """
     if isinstance(schema, str):
@@ -155,9 +164,9 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
 
     header = None
     first = rows[0]
-    try:
-        [float(c) for c in first]
-    except ValueError:
+    # a header has no numeric cell; a first row mixing numbers and text is a
+    # data row and fails to parse below, naming row 0 and the column
+    if not any(_is_number(c) for c in first):
         header = [c.strip() for c in first]
         rows = rows[1:]
         if not rows:

@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augment import AugmentConfig, Augmenter, Batch, init_augmenter
+from . import linalg
+from .augment import AugmentConfig, Augmenter
 from .baselines import RvflnnModel
 from .data import (
     Dataset,
@@ -229,7 +230,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
         layer_norm=config.layer_norm,
         seed=config.seed,
     )
-    augmenter = init_augmenter(aug_config)
+    augmenter = Augmenter(aug_config)
     model = make_model(config, augmenter)
 
     x_val = augmenter.augment(val.features)
@@ -254,10 +255,9 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
             train, config.bs, shuffle=True, seed=epoch_seed, drop_last=True
         ):
             # the step reports the rank ratio off its own factorization, so no
-            # separate rank is taken here (augment_batch would take one)
-            batch = Batch(x_tilde=augmenter.augment(feats), y=targs)
+            # separate rank is taken here
             try:
-                rr_seen.append(model.step(batch).rank_ratio)
+                rr_seen.append(model.step(augmenter.augment(feats), targs).rank_ratio)
             except DivergenceError as exc:
                 diverged = True
                 divergence_rr = exc.rank_ratio
@@ -334,27 +334,6 @@ class RepeatReport:
 
     def cell(self, name: str, digits: int = 4) -> str:
         return format_mean_std(self.mean[name], self.std[name], digits)
-
-    def metric_values(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(r, name) for r in self.runs], dtype=np.float64)
-
-    def to_rows(self):
-        rows = []
-        for seed, run in zip(self.seeds, self.runs):
-            rows.append(
-                {
-                    "seed": seed,
-                    "mse": run.mse,
-                    "mape": run.mape,
-                    "r2": run.r2,
-                    "fluctuation": None if run.stability is None else run.stability.fluctuation,
-                    "max_regression": None if run.stability is None else run.stability.max_regression,
-                    "mean_train_rr": run.mean_train_rr,
-                    "diverged": run.diverged,
-                    "divergence_rr": run.divergence_rr,
-                }
-            )
-        return rows
 
 
 def format_mean_std(mean: float, std: float, digits: int = 4) -> str:
@@ -442,7 +421,7 @@ def rr_survey(
             target_col=target_col,
         )
         train, _, _ = prepare_windows(ds, cfg)
-        augmenter = init_augmenter(
+        augmenter = Augmenter(
             AugmentConfig(
                 input_dim=train.dim,
                 hidden=hidden,
@@ -453,8 +432,8 @@ def rr_survey(
         )
         for bs in bs_grid:
             rrs = []
-            for feats, targs in batches(train, bs, shuffle=True, seed=seed, drop_last=True):
-                rrs.append(augmenter.augment_batch(feats, targs).rr)
+            for feats, _ in batches(train, bs, shuffle=True, seed=seed, drop_last=True):
+                rrs.append(linalg.rank(augmenter.augment(feats)) / bs)
             if not rrs:
                 raise InvalidInputError(
                     f"batch size {bs} leaves no full training batch at seq {seq}"

@@ -74,11 +74,6 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, s=s, v=vt.T)
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values only (descending), with the same fallback as :func:`svd`."""
-    return _lapack_svd(as_matrix(a), compute_uv=False)
-
-
 def factor_columns(m: np.ndarray):
     """Singular values and right singular vectors of ``m`` from one factorization.
 
@@ -94,67 +89,56 @@ def factor_columns(m: np.ndarray):
     return s, vt.T
 
 
-def _cutoff(s: np.ndarray, shape, rtol) -> float:
-    """Absolute singular-value threshold ``rtol * s_max`` for a matrix of ``shape``."""
-    if rtol is None:
-        rtol = default_rtol(shape)
-    if rtol < 0:
-        raise InvalidInputError(f"tolerance must be >= 0, got {rtol}")
-    return rtol * (s[0] if s.size else 0.0)
+def _cutoff(s: np.ndarray, shape) -> float:
+    """Absolute singular-value threshold ``max(shape) * eps * s_max``."""
+    return default_rtol(shape) * (s[0] if s.size else 0.0)
 
 
-def _inverted_singular_values(s: np.ndarray, shape, rtol) -> np.ndarray:
-    keep = s > _cutoff(s, shape, rtol)
-    # guard the division: masked entries are zeroed afterwards anyway
-    safe = np.where(keep, s, 1.0)
-    return np.where(keep, 1.0 / safe, 0.0)
-
-
-def pinv(a, rtol=None) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via reciprocals of retained singular values.
 
-    Singular values at or below ``rtol * s_max`` are treated as zero. The
+    Singular values at or below the cutoff are treated as zero. The
     pseudo-inverse of an all-zero matrix is the zero matrix of transposed
     shape (the limit of the reciprocal rule).
     """
     res = svd(a)
-    sinv = _inverted_singular_values(res.s, np.shape(a), rtol)
+    keep = res.s > _cutoff(res.s, np.shape(a))
+    # guard the division: masked entries are zeroed afterwards anyway
+    sinv = np.where(keep, 1.0 / np.where(keep, res.s, 1.0), 0.0)
     return (res.v * sinv) @ res.u.T
 
 
-def count_rank(s: np.ndarray, shape, rtol=None) -> int:
+def count_rank(s: np.ndarray, shape) -> int:
     """Numerical rank of a ``shape`` matrix from its descending singular values.
 
-    Counts the values strictly above ``rtol * s_max`` (default cutoff
-    ``max(shape) * eps``); an all-zero spectrum has rank 0.
+    Counts the values strictly above the cutoff; an all-zero spectrum has
+    rank 0.
     """
-    return int(np.count_nonzero(s > _cutoff(s, shape, rtol)))
+    return int(np.count_nonzero(s > _cutoff(s, shape)))
 
 
-def rank(a, rtol=None) -> int:
-    """Numerical rank: count of singular values strictly above the cutoff."""
-    m = as_matrix(a)
+def _rank(m: np.ndarray) -> int:
+    """:func:`rank` of a matrix already validated by :func:`as_matrix`."""
     if min(m.shape) == 0:
         return 0
-    return count_rank(singular_values(m), m.shape, rtol)
+    return count_rank(_lapack_svd(m, compute_uv=False), m.shape)
 
 
-def rank_ratio(x_tilde, batch: int | None = None, rtol=None) -> float:
+def rank(a) -> int:
+    """Numerical rank: count of singular values strictly above the cutoff."""
+    return _rank(as_matrix(a))
+
+
+def rank_ratio(x_tilde) -> float:
     """Rank of ``x_tilde`` divided by the batch size (its column count).
 
     Equals 1 exactly when the batch is column-full-rank, i.e. when the
     column Gram matrix is invertible to working precision.
     """
     m = as_matrix(x_tilde, "x_tilde")
-    if batch is None:
-        batch = m.shape[1]
-    if batch <= 0:
-        raise InvalidInputError(f"batch size must be positive, got {batch}")
-    if m.shape[1] != batch:
-        raise InvalidInputError(
-            f"x_tilde has {m.shape[1]} columns, expected batch size {batch}"
-        )
-    return rank(m, rtol=rtol) / batch
+    if m.shape[1] == 0:
+        raise InvalidInputError("x_tilde has no columns: batch size must be positive")
+    return _rank(m) / m.shape[1]
 
 
 def symmetrize(m) -> np.ndarray:

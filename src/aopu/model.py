@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .augment import Augmenter, Batch
+from .augment import Augmenter
 from .errors import DivergenceError, InvalidInputError
 
 
@@ -188,16 +188,17 @@ class AopuModel:
     def forward(self, x_tilde) -> np.ndarray:
         return forward(x_tilde, self.w_tilde)
 
-    def step(self, batch: Batch) -> StepReport:
+    def step(self, x_tilde, y) -> StepReport:
         """Apply one truncated-gradient update ``w <- w - lr * grad``.
 
-        Validates the batch and the weights once, then factors ``x_tilde``
-        once for the loss, the gradient and the reported rank ratio. A
-        non-finite loss or gradient aborts the step before any weight change
-        and surfaces a :class:`DivergenceError` carrying that rank ratio.
+        Validates ``x_tilde``, ``y`` and the weights once, then factors
+        ``x_tilde`` once for the loss, the gradient and the reported rank
+        ratio. A non-finite loss or gradient aborts the step before any weight
+        change and surfaces a :class:`DivergenceError` carrying that rank
+        ratio.
         """
-        xt = linalg.as_matrix(batch.x_tilde, "x_tilde")
-        y = linalg.as_matrix(batch.y, "y")
+        xt = linalg.as_matrix(x_tilde, "x_tilde")
+        y = linalg.as_matrix(y, "y")
         w = linalg.as_matrix(self.w_tilde, "w")
         _check_shapes(xt, y, "w", w)
         # the dual image, associated as in dual(), so the update equals

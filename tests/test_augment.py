@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from aopu import augment
 from aopu.augment import (
     ACTIVATIONS,
     ZERO_MEAN_ACTIVATIONS,
     AugmentConfig,
+    Augmenter,
     activation_apply,
-    init_augmenter,
     layer_norm,
 )
 from aopu.errors import InvalidInputError
@@ -21,17 +20,17 @@ from aopu.errors import InvalidInputError
 class TestInitAugmenter:
     def test_same_seed_identical(self):
         cfg = AugmentConfig(input_dim=4, hidden=8, seed=123)
-        a1 = init_augmenter(cfg)
-        a2 = init_augmenter(cfg)
+        a1 = Augmenter(cfg)
+        a2 = Augmenter(cfg)
         np.testing.assert_array_equal(a1.g_hat, a2.g_hat)
 
     def test_zero_hidden_columns(self):
-        aug = init_augmenter(AugmentConfig(input_dim=3, hidden=0))
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=0))
         assert aug.g_hat.shape == (3, 0)
 
     def test_adjacent_seeds_differ(self):
-        a1 = init_augmenter(AugmentConfig(input_dim=4, hidden=8, seed=5))
-        a2 = init_augmenter(AugmentConfig(input_dim=4, hidden=8, seed=6))
+        a1 = Augmenter(AugmentConfig(input_dim=4, hidden=8, seed=5))
+        a2 = Augmenter(AugmentConfig(input_dim=4, hidden=8, seed=6))
         assert np.any(a1.g_hat != a2.g_hat)
 
     def test_config_validation(self):
@@ -47,7 +46,7 @@ class TestInitAugmenter:
 
 class TestAugment:
     def test_zero_weight_matrix_gives_zero_block(self):
-        aug = init_augmenter(AugmentConfig(input_dim=2, hidden=3))
+        aug = Augmenter(AugmentConfig(input_dim=2, hidden=3))
         aug.g_hat = np.zeros((2, 3))
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         out = aug.augment(x)
@@ -55,31 +54,31 @@ class TestAugment:
         np.testing.assert_array_equal(out[3:], x)
 
     def test_zero_hidden_is_identity(self):
-        aug = init_augmenter(AugmentConfig(input_dim=3, hidden=0))
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=0))
         x = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(aug.augment(x), x)
 
     def test_scalar_tanh_value(self):
-        aug = init_augmenter(AugmentConfig(input_dim=1, hidden=1))
+        aug = Augmenter(AugmentConfig(input_dim=1, hidden=1))
         aug.g_hat = np.array([[1.0]])
         out = aug.augment(np.array([[0.5]]))
         np.testing.assert_allclose(out[:, 0], [0.46212, 0.5], atol=1e-5)
         np.testing.assert_allclose(out[0, 0], np.tanh(0.5), atol=1e-15)
 
     def test_hidden_block_first_raw_second(self):
-        aug = init_augmenter(AugmentConfig(input_dim=2, hidden=4, seed=0))
+        aug = Augmenter(AugmentConfig(input_dim=2, hidden=4, seed=0))
         x = np.array([[1.0], [2.0]])
         out = aug.augment(x)
         np.testing.assert_array_equal(out[4:], x)
         np.testing.assert_allclose(out[:4], np.tanh(aug.g_hat.T @ x), atol=0)
 
     def test_dimension_mismatch(self):
-        aug = init_augmenter(AugmentConfig(input_dim=3, hidden=2))
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=2))
         with pytest.raises(InvalidInputError):
             aug.augment(np.ones((2, 5)))
 
     def test_layer_norm_applies_to_hidden_block_only(self):
-        aug = init_augmenter(
+        aug = Augmenter(
             AugmentConfig(input_dim=2, hidden=8, layer_norm=True, seed=1)
         )
         x = np.array([[2.0, -1.0], [0.3, 0.7]])
@@ -90,7 +89,7 @@ class TestAugment:
         np.testing.assert_array_equal(out[8:], x)  # raw copy untouched
 
     def test_freezing_under_repeated_calls(self):
-        aug = init_augmenter(AugmentConfig(input_dim=3, hidden=4, seed=9))
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=4, seed=9))
         before = hashlib.sha256(aug.g_hat.tobytes()).hexdigest()
         x = np.random.default_rng(0).standard_normal((3, 5))
         for _ in range(1000):
@@ -100,17 +99,6 @@ class TestAugment:
         with pytest.raises(ValueError):
             aug.g_hat[0, 0] = 1.0  # read-only buffer
 
-    def test_augment_batch_diagnostics(self):
-        aug = init_augmenter(AugmentConfig(input_dim=3, hidden=0))
-        x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicate columns
-        batch = aug.augment_batch(x, np.zeros((2, 1)))
-        assert batch.rank == 1
-        assert batch.rr == 0.5
-
-    def test_functional_alias(self):
-        aug = init_augmenter(AugmentConfig(input_dim=2, hidden=2, seed=3))
-        x = np.ones((2, 3))
-        np.testing.assert_array_equal(augment.augment(aug, x), aug.augment(x))
 
 
 class TestActivations:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from aopu.augment import AugmentConfig, AugmentedBatch, init_augmenter
+from aopu import linalg
+from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import (
     RvflnnModel,
     adam_step,
@@ -16,7 +17,7 @@ from aopu.errors import (
     InvalidInputError,
     UndefinedConditionalError,
 )
-from aopu.model import AopuModel, forward
+from aopu.model import AopuModel, forward, loss_value
 from aopu.verify import finite_diff_gradient
 
 XT1 = np.array([[1.0], [2.0]])
@@ -55,7 +56,7 @@ class TestMseGradient:
 
 class TestAdam:
     def _model(self, dh=3, lr=0.005):
-        aug = init_augmenter(AugmentConfig(input_dim=dh, hidden=0, seed=0))
+        aug = Augmenter(AugmentConfig(input_dim=dh, hidden=0, seed=0))
         return RvflnnModel(aug, lr=lr)
 
     def test_zero_gradient_fresh_state_no_move(self):
@@ -101,18 +102,46 @@ class TestAdam:
 
     def test_divergent_batch_surfaces_rank_ratio(self):
         model = self._model(dh=2)
-        batch = AugmentedBatch(
-            x_tilde=XT1, y=np.array([[1e200]]), rank=1, rr=1.0
-        )
         with pytest.raises(DivergenceError) as err:
-            model.step(batch)
+            model.step(XT1, np.array([[1e200]]))
         assert err.value.rank_ratio == 1.0
+
+
+class TestRvflnnStep:
+    @pytest.mark.parametrize("warm_steps", [0, 2])
+    def test_matches_adam_on_the_mse_gradient(self, warm_steps):
+        # the step must equal adam_step(mse_gradient(...)) bit for bit, on a
+        # fresh model and on one with non-zero Adam moments
+        rng = np.random.default_rng(21)
+        aug = Augmenter(AugmentConfig(input_dim=4, hidden=6, seed=3))
+        model, twin = RvflnnModel(aug), RvflnnModel(aug)
+        for _ in range(warm_steps + 1):
+            xt = aug.augment(rng.standard_normal((4, 7)))
+            y = rng.standard_normal((7, 1))
+            grad = mse_gradient(xt, y, twin.w_tilde)
+            loss = loss_value(y, forward(xt, twin.w_tilde))
+            adam_step(twin, grad)
+            report = model.step(xt, y)
+        assert model.adam_t == twin.adam_t == warm_steps + 1
+        for name in ("w_tilde", "adam_m", "adam_v"):
+            assert getattr(model, name).tobytes() == getattr(twin, name).tobytes()
+        assert report.loss == loss
+        assert report.rank == linalg.rank(xt)
+        assert report.rank_ratio == report.rank / 7
+        assert report.grad_norm == float(np.linalg.norm(grad))
+
+    def test_shape_mismatch_rejected(self):
+        model = RvflnnModel(Augmenter(AugmentConfig(input_dim=2, hidden=0)))
+        with pytest.raises(InvalidInputError):
+            model.step(np.ones((3, 4)), np.ones((4, 1)))
+        with pytest.raises(InvalidInputError):
+            model.step(np.ones((2, 4)), np.ones((3, 1)))
 
 
 class TestStructuralEquality:
     def test_same_forward_before_training(self):
         # identical augmenter and zero init: both models coincide pre-training
-        aug = init_augmenter(AugmentConfig(input_dim=3, hidden=5, seed=7))
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=5, seed=7))
         a = AopuModel(aug)
         r = RvflnnModel(aug)
         x = np.random.default_rng(3).standard_normal((3, 6))

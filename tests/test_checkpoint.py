@@ -1,5 +1,8 @@
 """Checkpoint round-trip tests: bit-exact weights, kind tags, config echo."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -49,4 +52,27 @@ def test_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"hello": 1}')
     with pytest.raises(InvalidInputError):
+        load_checkpoint(path)
+
+
+def _rewrite(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_rejects_other_format_version(tmp_path):
+    path = tmp_path / "future.ckpt"
+    save_checkpoint(path, "aopu", np.ones((2, 1)), {})
+    _rewrite(path, lambda doc: doc.update(version=99))
+    with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [[3, 1], [1, 1], [-2, -1]])
+def test_rejects_shape_data_mismatch(tmp_path, shape):
+    path = tmp_path / "torn.ckpt"
+    save_checkpoint(path, "aopu", np.ones((2, 1)), {})
+    _rewrite(path, lambda doc: doc["w_tilde"].update(shape=shape))
+    with pytest.raises(InvalidInputError, match=re.escape(str(path))):
         load_checkpoint(path)

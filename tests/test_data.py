@@ -39,6 +39,14 @@ class TestLoadCsv:
         assert ds.columns == ("temp", "pressure", "y")
         assert ds.n_rows == 2
 
+    def test_mixed_first_row_is_data_not_header(self, tmp_path):
+        # a first row with any numeric cell is data, so its text cell fails
+        # to parse instead of the row being dropped as a header
+        path = tmp_path / "typo.csv"
+        path.write_text("1.0,abc,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(NonNumericValueError, match="row 0, column 1"):
+            load_csv(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,3\n4,5\n")

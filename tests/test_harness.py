@@ -214,7 +214,7 @@ class TestRepeatExperiments:
         mean_str, std_str = cell.split("±")
         np.testing.assert_allclose(float(mean_str), rep.mean["r2"], atol=1e-4)
         np.testing.assert_allclose(float(std_str), rep.std["r2"], atol=1e-4)
-        assert len(rep.to_rows()) == 3
+        assert len(rep.runs) == 3
 
     def test_seed_variation_changes_runs(self, small_ds):
         rep = repeat_experiments(small_ds, _small_config(epochs=3), [0, 1])

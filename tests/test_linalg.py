@@ -97,10 +97,6 @@ class TestPinv:
             linalg.pinv(a.T), linalg.pinv(a).T, atol=1e-10
         )
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(InvalidInputError):
-            linalg.pinv(np.eye(2), rtol=-1.0)
-
 
 class TestRank:
     def test_zero_matrix(self):
@@ -150,11 +146,7 @@ class TestRankRatio:
 
     def test_zero_batch_rejected(self):
         with pytest.raises(InvalidInputError):
-            linalg.rank_ratio(np.ones((2, 2)), batch=0)
-
-    def test_batch_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            linalg.rank_ratio(np.ones((2, 2)), batch=3)
+            linalg.rank_ratio(np.ones((2, 0)))
 
     def test_bounds_and_gram_invertibility(self):
         rng = np.random.default_rng(13)
@@ -171,7 +163,7 @@ class TestRankRatio:
             assert 0.0 <= rr <= 1.0
             # rr == 1 exactly when the column Gram is invertible, i.e. the
             # smallest singular value clears the relative cutoff
-            s = linalg.singular_values(a)
+            s = np.linalg.svd(a, compute_uv=False)
             smax = s[0] if s.size else 0.0
             invertible = (
                 s.size == n

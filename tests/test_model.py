@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aopu import linalg
-from aopu.augment import AugmentConfig, Batch, init_augmenter
+from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import mse_gradient
 from aopu.data import batches, synth_generate
 from aopu.errors import DivergenceError, InvalidInputError
@@ -229,17 +229,14 @@ class TestNaturalGradientReference:
 
 
 class TestStep:
-    def _batch(self, xt, y):
-        return Batch(x_tilde=xt, y=y)
-
     def _model(self, dh, lr=1.0):
-        aug = init_augmenter(AugmentConfig(input_dim=dh, hidden=0, seed=0))
+        aug = Augmenter(AugmentConfig(input_dim=dh, hidden=0, seed=0))
         return AopuModel(aug, lr=lr)
 
     def test_scalar_instance_update(self):
         model = self._model(2)
         model.w_tilde = W1.copy()
-        report = model.step(self._batch(XT1, Y1))
+        report = model.step(XT1, Y1)
         np.testing.assert_allclose(model.w_tilde, [[3.8], [5.6]], atol=1e-12)
         assert report.loss == 4.0
         assert report.rank_ratio == 1.0
@@ -251,7 +248,7 @@ class TestStep:
         model.w_tilde = rng.standard_normal((4, 1))
         y = reconstruct(xt, dual(xt, model.w_tilde))
         before = model.w_tilde.copy()
-        model.step(self._batch(xt, y))
+        model.step(xt, y)
         np.testing.assert_allclose(model.w_tilde, before, atol=1e-12)
 
     def test_update_is_exactly_lr_times_dual_gradient(self):
@@ -265,7 +262,7 @@ class TestStep:
         expected = w_before - model.lr * truncated_gradient(
             xt, y, dual(xt, w_before)
         )
-        model.step(self._batch(xt, y))
+        model.step(xt, y)
         np.testing.assert_array_equal(model.w_tilde, expected)  # bit-for-bit
 
     def test_noise_free_linear_descent(self):
@@ -280,7 +277,7 @@ class TestStep:
             for i in range(0, n, bs):
                 xt = x[:, i : i + bs]
                 yb = y[i : i + bs]
-                losses.append(model.step(self._batch(xt, yb)).loss)
+                losses.append(model.step(xt, yb).loss)
         assert losses[-1] < 1e-10
         # strictly decreasing epoch-start losses until the floor
         starts = losses[:: n // bs]
@@ -293,7 +290,7 @@ class TestStep:
         huge = np.array([[1e200]])  # squared residual overflows
         before = model.w_tilde.copy()
         with pytest.raises(DivergenceError) as err:
-            model.step(self._batch(XT1, huge))
+            model.step(XT1, huge)
         assert err.value.rank_ratio == 1.0
         np.testing.assert_array_equal(model.w_tilde, before)
 
@@ -305,13 +302,13 @@ class TestStep:
         def run():
             model = self._model(4)
             for xt, y in zip(xs, ys):
-                model.step(self._batch(xt, y))
+                model.step(xt, y)
             return model.w_tilde
 
         np.testing.assert_array_equal(run(), run())
 
     def test_invalid_hyperparameters(self):
-        aug = init_augmenter(AugmentConfig(input_dim=2, hidden=0))
+        aug = Augmenter(AugmentConfig(input_dim=2, hidden=0))
         with pytest.raises(InvalidInputError):
             AopuModel(aug, lr=0.0)
         with pytest.raises(InvalidInputError):
@@ -329,7 +326,7 @@ def _grid_batches(hidden, bs, seq, n=3):
     """The first ``n`` shuffled training batches of one (hidden, bs, seq) cell,
     as (augmenter, x_tilde, y) triples."""
     train = _train_windows(seq)
-    aug = init_augmenter(AugmentConfig(input_dim=train.dim, hidden=hidden, seed=0))
+    aug = Augmenter(AugmentConfig(input_dim=train.dim, hidden=hidden, seed=0))
     out = []
     for feats, targs in batches(train, bs, shuffle=True, seed=0, drop_last=True):
         out.append((aug, aug.augment(feats), targs))
@@ -356,7 +353,7 @@ class TestKernelParity:
             d = dual(xt, w)
             model = AopuModel(aug)
             model.w_tilde = w
-            report = model.step(Batch(x_tilde=xt, y=y))
+            report = model.step(xt, y)
             assert report.rank == linalg.rank(xt)
             assert report.rank_ratio == linalg.rank_ratio(xt)
             assert _rel(reconstruct(xt, d), reconstruct_reference(xt, d)) <= 1e-10
@@ -372,7 +369,7 @@ class TestRankRatioProvenance:
         ((aug, xt, y),) = _grid_batches(hidden=0, bs=288, seq=16, n=1)
         rr = linalg.rank_ratio(xt)
         assert rr == 80 / 288
-        assert AopuModel(aug).step(Batch(x_tilde=xt, y=y)).rank_ratio == rr
+        assert AopuModel(aug).step(xt, y).rank_ratio == rr
         with pytest.raises(DivergenceError) as err:
-            AopuModel(aug).step(Batch(x_tilde=xt, y=np.full_like(y, 1e200)))
+            AopuModel(aug).step(xt, np.full_like(y, 1e200))
         assert err.value.rank_ratio == rr
