@@ -72,6 +72,11 @@ def layer_norm(m) -> np.ndarray:
         raise InvalidInputError(
             f"layer normalization needs at least 2 feature rows, got {a.shape[0]}"
         )
+    return _layer_norm(a)
+
+
+def _layer_norm(a: np.ndarray) -> np.ndarray:
+    """:func:`layer_norm` of a validated matrix with at least 2 rows."""
     centered = a - a.mean(axis=0, keepdims=True)
     std = centered.std(axis=0, keepdims=True)
     return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
@@ -137,5 +142,5 @@ class Augmenter:
             )
         hidden = activation_apply(self.config.activation, self.g_hat.T @ xm)
         if self.config.layer_norm and self.config.hidden > 0:
-            hidden = layer_norm(hidden)
+            hidden = _layer_norm(hidden)
         return np.vstack([hidden, xm])

@@ -29,10 +29,17 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict, path, name: str) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    shape = tuple(int(n) for n in obj["shape"])
-    if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
+def _decode_array(obj, path, name: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(obj["data"], validate=True)
+        shape = tuple(obj["shape"])
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InvalidInputError(f"{path}: {name} is malformed ({exc!r})") from exc
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise InvalidInputError(
+            f"{path}: {name} shape {list(shape)} is not a list of non-negative integers"
+        )
+    if len(raw) != 8 * math.prod(shape):
         raise InvalidInputError(
             f"{path}: {name} has shape {list(shape)} but {len(raw)} bytes of data"
         )
@@ -66,21 +73,28 @@ def save_checkpoint(path, kind: str, w_tilde, config: dict, extras=None) -> None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
+    """Read a checkpoint; a corrupt or foreign file raises :class:`InvalidInputError`."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InvalidInputError(f"{path} is not valid checkpoint JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise InvalidInputError(f"{path} is not a recognized checkpoint file")
     if doc.get("version") != FORMAT_VERSION:
         raise InvalidInputError(
             f"{path}: checkpoint version {doc.get('version')!r} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
+    kind = doc.get("kind")
+    if not isinstance(kind, str):
+        raise InvalidInputError(f"{path}: checkpoint has no model kind")
+    config, extras = doc.get("config", {}), doc.get("extras", {})
+    if not (isinstance(config, dict) and isinstance(extras, dict)):
+        raise InvalidInputError(f"{path}: checkpoint config and extras must be objects")
     return Checkpoint(
-        kind=doc["kind"],
-        w_tilde=_decode_array(doc["w_tilde"], path, "w_tilde"),
-        config=doc.get("config", {}),
-        extras={
-            k: _decode_array(v, path, f"extras[{k!r}]")
-            for k, v in doc.get("extras", {}).items()
-        },
+        kind=kind,
+        w_tilde=_decode_array(doc.get("w_tilde"), path, "w_tilde"),
+        config=config,
+        extras={k: _decode_array(v, path, f"extras[{k!r}]") for k, v in extras.items()},
     )

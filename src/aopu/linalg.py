@@ -1,5 +1,5 @@
-"""Dense matrix primitives: SVD, one-sided factorization, thresholded
-pseudo-inverse, rank, rank ratio.
+"""Dense matrix primitives: SVD, one-sided factorization, full-rank
+certificate, thresholded pseudo-inverse, rank, rank ratio.
 
 Matrices are plain 2-D float64 ``numpy`` arrays (row-major). All functions are
 pure and never mutate their inputs, so they are safe to call concurrently.
@@ -9,6 +9,14 @@ runs with identical inputs are bit-reproducible within one environment.
 The singular-value cutoff convention used throughout is the standard
 numerical-rank rule: values at or below ``max(rows, cols) * eps`` relative to
 the largest singular value are treated as zero.
+
+A tall matrix whose columns are clearly independent does not need an SVD to
+be counted: :func:`full_rank_gram` forms its column Gram and runs one
+Cholesky factorization of the Gram shifted down by a multiple of its trace.
+If that factorization succeeds in floating point, every singular value lies
+above the cutoff, so the rank is the column count (Rump, "Verification of
+positive definiteness", BIT 46, 2006). :func:`rank` and the training step
+use it; a matrix it cannot certify takes the exact SVD route.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import scipy.linalg
 from .errors import InvalidInputError, NumericalError
 
 EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).tiny)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -89,6 +98,49 @@ def factor_columns(m: np.ndarray):
     return s, vt.T
 
 
+def full_rank_gram(m: np.ndarray):
+    """Column Gram ``m.T @ m`` if it certifies full column rank, else ``None``.
+
+    ``m`` must already be a validated float64 matrix (see :func:`as_matrix`);
+    only a tall one (rows > cols > 0) can be certified. With ``n = rows``,
+    ``b = cols``, ``G = fl(m.T @ m)`` and ``tr = trace(G)``, the certificate
+    is a successful Cholesky factorization of ``G - c*I``, where
+    ``c = 2 * (n + b + 2) * eps * tr``. The shift covers three terms:
+
+    - rounding of the Gram product: ``||G - m.T m||_2 <= gamma_n * ||m||_F**2``
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3);
+    - the Cholesky backward error: success on ``A = G - c*I`` gives
+      ``A + dA = R.T R`` with ``||dA||_2 <= gamma_(b+1) * trace(A)``, plus one
+      rounding of the shifted diagonal (Higham, ch. 10; Rump, BIT 46, 2006);
+    - the rank cutoff: ``(max(n, b) * eps * s_max)**2 <= n**2 * eps**2 * tr``.
+
+    With ``gamma_k = k*eps / (1 - k*eps) ~ k*eps`` and ``||m||_F**2 ~ tr``,
+    success proves ``s_min(m)**2 >= c - (n + b + 2) * eps * tr``, about
+    ``(n + b + 2) * eps * tr``, which exceeds the squared cutoff by a factor
+    of about ``1 / (n * eps)``. So every singular value of ``m`` lies above
+    ``max(n, b) * eps * s_max``: the rank is exactly ``b``, and no eigenvalue
+    of ``G`` falls below ``b * eps * lam_max``. The bound assumes no overflow
+    or underflow, so a non-finite trace (the Gram overflowed, and Cholesky
+    does not reliably reject inf or NaN) or one below ``b * tiny / eps``
+    (underflow error could exceed the shift) returns ``None``, as does a
+    failed factorization. The shift is derived, not tunable.
+    """
+    rows, cols = m.shape
+    if not rows > cols > 0:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.T @ m
+        tr = float(np.trace(gram))
+    if not (np.isfinite(tr) and tr >= cols * TINY / EPS):
+        return None
+    shift = 2.0 * (rows + cols + 2) * EPS * tr
+    try:
+        np.linalg.cholesky(gram - shift * np.eye(cols))
+    except np.linalg.LinAlgError:
+        return None
+    return gram
+
+
 def _cutoff(s: np.ndarray, shape) -> float:
     """Absolute singular-value threshold ``max(shape) * eps * s_max``."""
     return default_rtol(shape) * (s[0] if s.size else 0.0)
@@ -121,6 +173,8 @@ def _rank(m: np.ndarray) -> int:
     """:func:`rank` of a matrix already validated by :func:`as_matrix`."""
     if min(m.shape) == 0:
         return 0
+    if full_rank_gram(m) is not None:
+        return m.shape[1]
     return count_rank(_lapack_svd(m, compute_uv=False), m.shape)
 
 

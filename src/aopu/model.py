@@ -56,21 +56,28 @@ def _check_shapes(xt, y, name: str, m) -> None:
 def _factor(xt: np.ndarray):
     """Rank of ``x_tilde`` and the retained eigenpairs of its column Gram.
 
-    One factorization of ``x_tilde`` (:func:`linalg.factor_columns`) yields
-    its singular values, whose count above ``max(d+h, b) * eps * s_max`` is
-    the rank, and its right singular vectors ``v``. The Gram eigenvalues are
-    taken as the Rayleigh quotients ``||x_tilde @ v_i||^2`` rather than
-    ``s_i**2``, which keeps exact instances exact. Eigenpairs at or below
+    A tall batch that :func:`linalg.full_rank_gram` certifies has rank ``b``;
+    its eigenvectors ``v`` come from ``eigh`` of that Gram. Any other batch
+    takes one factorization of ``x_tilde`` (:func:`linalg.factor_columns`):
+    its singular values, counted above ``max(d+h, b) * eps * s_max``, give
+    the rank, and its right singular vectors give ``v``. Either way the Gram
+    eigenvalues are taken as the Rayleigh quotients ``||x_tilde @ v_i||^2``,
+    which keeps exact instances exact. Eigenpairs at or below
     ``b * eps * lam_max`` are dropped, the cutoff a pseudo-inverse of the b×b
-    Gram applies, so ``pinv(x_tilde.T @ x_tilde) = v @ diag(1/lam) @ v.T``
-    without the Gram being built.
+    Gram applies, so ``pinv(x_tilde.T @ x_tilde) = v @ diag(1/lam) @ v.T``.
     """
-    s, v = linalg.factor_columns(xt)
+    b = xt.shape[1]
+    gram = linalg.full_rank_gram(xt)
+    if gram is not None:
+        _, v = np.linalg.eigh(gram)
+        rank = b
+    else:
+        s, v = linalg.factor_columns(xt)
+        rank = linalg.count_rank(s, xt.shape)
     xv = xt @ v
     lam = np.einsum("ij,ij->j", xv, xv)
-    b = xt.shape[1]
     keep = lam > linalg.default_rtol((b, b)) * lam.max(initial=0.0)
-    return linalg.count_rank(s, xt.shape), v[:, keep], lam[keep]
+    return rank, v[:, keep], lam[keep]
 
 
 def _gram_solve(v, lam, m) -> np.ndarray:

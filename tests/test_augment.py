@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from aopu import linalg
 from aopu.augment import (
     ACTIVATIONS,
     ZERO_MEAN_ACTIVATIONS,
@@ -87,6 +88,26 @@ class TestAugment:
         np.testing.assert_allclose(hidden.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(hidden.std(axis=0), 1.0, atol=1e-12)
         np.testing.assert_array_equal(out[8:], x)  # raw copy untouched
+
+    def test_layer_norm_validates_once(self, monkeypatch):
+        # the hidden block is built from a validated input, so augment checks
+        # its input once and normalizes the block without re-checking it
+        aug = Augmenter(
+            AugmentConfig(input_dim=240, hidden=2048, layer_norm=True, seed=2)
+        )
+        x = np.random.default_rng(3).standard_normal((240, 64))
+        calls = []
+        as_matrix = linalg.as_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return as_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "as_matrix", counting)
+        out = aug.augment(x)
+        assert len(calls) == 1
+        hidden = activation_apply("tanh", aug.g_hat.T @ x)
+        np.testing.assert_array_equal(out[:2048], layer_norm(hidden))  # bit-for-bit
 
     def test_freezing_under_repeated_calls(self):
         aug = Augmenter(AugmentConfig(input_dim=3, hidden=4, seed=9))

@@ -76,3 +76,52 @@ def test_rejects_shape_data_mismatch(tmp_path, shape):
     _rewrite(path, lambda doc: doc["w_tilde"].update(shape=shape))
     with pytest.raises(InvalidInputError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+def _saved(tmp_path):
+    path = tmp_path / "corrupt.ckpt"
+    save_checkpoint(path, "aopu", np.ones((2, 1)), {})
+    return path
+
+
+def _assert_rejected(path):
+    with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_rejects_missing_kind(tmp_path):
+    path = _saved(tmp_path)
+    _rewrite(path, lambda doc: doc.pop("kind"))
+    _assert_rejected(path)
+
+
+@pytest.mark.parametrize("key", ["config", "extras"])
+def test_rejects_non_object_section(tmp_path, key):
+    path = _saved(tmp_path)
+    _rewrite(path, lambda doc: doc.update({key: []}))
+    _assert_rejected(path)
+
+
+def test_rejects_missing_shape(tmp_path):
+    path = _saved(tmp_path)
+    _rewrite(path, lambda doc: doc["w_tilde"].pop("shape"))
+    _assert_rejected(path)
+
+
+def test_rejects_bad_base64(tmp_path):
+    path = _saved(tmp_path)
+    _rewrite(path, lambda doc: doc["w_tilde"].update(data="not*base64"))
+    _assert_rejected(path)
+
+
+@pytest.mark.parametrize("shape", [["2", "a"], [2.5, 1], 7])
+def test_rejects_non_integer_shape(tmp_path, shape):
+    path = _saved(tmp_path)
+    _rewrite(path, lambda doc: doc["w_tilde"].update(shape=shape))
+    _assert_rejected(path)
+
+
+def test_rejects_truncated_json(tmp_path):
+    path = _saved(tmp_path)
+    path.write_text(path.read_text()[:40])
+    _assert_rejected(path)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from aopu import linalg
+from aopu.augment import AugmentConfig, Augmenter
 from aopu.errors import InvalidInputError
+from aopu.model import AopuModel
 
 
 class TestSvd:
@@ -114,6 +116,11 @@ class TestRank:
 
 
 class TestFactorColumns:
+    """The step's factorization for batches that full_rank_gram does not
+    certify: wide ones, and tall ones that are rank-deficient or too
+    ill-conditioned. It never forms a Gram, so its singular values stay
+    accurate to about eps * s_max."""
+
     @pytest.mark.parametrize("shape", [(9, 4), (4, 4), (4, 9)])
     def test_matches_full_svd(self, shape):
         # tall inputs go through the QR triangle, square and wide ones not
@@ -133,6 +140,67 @@ class TestFactorColumns:
 
     def test_zero_spectrum_has_rank_zero(self):
         assert linalg.count_rank(np.zeros(3), (5, 3)) == 0
+
+
+def _spectrum_matrix(shape, ratio, seed=0):
+    """``U @ diag(s) @ V.T`` with ``s_max = 1`` and ``s_min / s_max = ratio``."""
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    s = np.linspace(1.0, 0.5, cols)
+    s[-1] = ratio
+    return (u * s) @ v.T
+
+
+def _duplicated_column(shape, seed=0):
+    m = np.random.default_rng(seed).standard_normal(shape)
+    m[:, -1] = m[:, 0]
+    return m
+
+
+def _certificate_cases():
+    cases = []
+    for shape in ((2288, 64), (300, 64), (40, 8)):
+        cut = linalg.default_rtol(shape)
+        for ratio in (1e-1, 1e-4, 1e-6, 1e-8, 10 * cut, 2 * cut, cut / 2, cut / 10, 1e-17, 0.0):
+            cases.append(pytest.param(shape, ratio, 1.0, id=f"{shape}-ratio{ratio:.3g}"))
+        for scale in (1.0, 1e-160, 1e-150, 1e150, 1e155, 1e160):
+            cases.append(pytest.param(shape, "full", scale, id=f"{shape}-full-x{scale:g}"))
+            cases.append(pytest.param(shape, "dup", scale, id=f"{shape}-dup-x{scale:g}"))
+        cases.append(pytest.param(shape, "zero", 1.0, id=f"{shape}-zero"))
+    cases.append(pytest.param((40, 1), "full", 1.0, id="one-column"))
+    return cases
+
+
+class TestFullRankCertificate:
+    """The shifted-Cholesky certificate never claims a rank the SVD rule denies."""
+
+    @pytest.mark.parametrize("shape,kind,scale", _certificate_cases())
+    def test_rank_and_step_rank_match_svd_rule(self, shape, kind, scale):
+        if kind == "full":
+            m = np.random.default_rng(1).standard_normal(shape)
+        elif kind == "dup":
+            m = _duplicated_column(shape)
+        elif kind == "zero":
+            m = np.zeros(shape)
+        else:
+            m = _spectrum_matrix(shape, kind)
+        m = m * scale
+        want = linalg.count_rank(np.linalg.svd(m, compute_uv=False), m.shape)
+        assert linalg.rank(m) == want
+        model = AopuModel(Augmenter(AugmentConfig(input_dim=shape[0], hidden=0)))
+        assert model.step(m, np.zeros((shape[1], 1))).rank == want
+
+    def test_certified_gram_is_the_column_gram(self):
+        m = np.random.default_rng(2).standard_normal((50, 6))
+        gram = linalg.full_rank_gram(m)
+        np.testing.assert_array_equal(gram, m.T @ m)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (5, 0)])
+    def test_only_tall_matrices_are_certified(self, shape):
+        m = np.random.default_rng(3).standard_normal(shape)
+        assert linalg.full_rank_gram(m) is None
 
 
 class TestRankRatio:
