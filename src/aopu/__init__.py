@@ -57,7 +57,7 @@ from .harness import (
     stability_report,
     train_run,
 )
-from .linalg import SvdResult, pinv, rank, rank_ratio, svd
+from .linalg import pinv, rank, rank_ratio
 from .model import (
     AopuModel,
     StepReport,

@@ -122,14 +122,6 @@ class Augmenter:
         self.g_hat = g
 
     @property
-    def input_dim(self) -> int:
-        return self.config.input_dim
-
-    @property
-    def hidden(self) -> int:
-        return self.config.hidden
-
-    @property
     def output_dim(self) -> int:
         return self.config.input_dim + self.config.hidden
 

@@ -36,14 +36,11 @@ class RvflnnModel:
     init); only the update rule differs. Single-writer like the unit.
     """
 
-    kind = "rvflnn"
-
     def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float = 0.005):
         if lr <= 0:
             raise InvalidInputError(f"learning rate must be positive, got {lr}")
         if out_dim < 1:
             raise InvalidInputError(f"output width must be >= 1, got {out_dim}")
-        self.augmenter = augmenter
         self.lr = float(lr)
         self.w_tilde = np.zeros((augmenter.output_dim, out_dim))
         self.adam_m = np.zeros_like(self.w_tilde)
@@ -98,15 +95,22 @@ def adam_step(model: RvflnnModel, grad) -> RvflnnModel:
 
 
 def _adam_update(model: RvflnnModel, g: np.ndarray) -> RvflnnModel:
-    """:func:`adam_step` on a gradient already validated against the weights."""
-    model.adam_t += 1
-    model.adam_m = ADAM_BETA1 * model.adam_m + (1.0 - ADAM_BETA1) * g
-    model.adam_v = ADAM_BETA2 * model.adam_v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = model.adam_m / (1.0 - ADAM_BETA1**model.adam_t)
-    v_hat = model.adam_v / (1.0 - ADAM_BETA2**model.adam_t)
-    update = model.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    """:func:`adam_step` on a gradient already validated against the weights.
+
+    The new moments are computed aside and stored only with the weights, so a
+    rejected (non-finite) update leaves the whole optimizer state unchanged.
+    """
+    t = model.adam_t + 1
+    # overflow to inf or nan is what the finiteness check below detects
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = ADAM_BETA1 * model.adam_m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * model.adam_v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        update = model.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.all(np.isfinite(update)):
         raise DivergenceError("non-finite Adam update")
+    model.adam_t, model.adam_m, model.adam_v = t, m, v
     model.w_tilde = model.w_tilde - update
     return model
 

@@ -135,11 +135,10 @@ def _parse_cell(text, row_idx, col_idx):
 def load_csv(path, schema=None, target_col=None) -> Dataset:
     """Load a comma-separated numeric table.
 
-    ``schema`` may be a :class:`CsvSchema`, a schema name ("debutanizer",
-    "sru"), or an integer column count. An optional single header row of
-    column names is detected automatically: the first row is a header when
-    none of its cells parses as a number. Parsing is locale-independent
-    (dot decimal separator only).
+    ``schema`` may be a :class:`CsvSchema` or a schema name ("debutanizer",
+    "sru"). An optional single header row of column names is detected
+    automatically: the first row is a header when none of its cells parses as
+    a number. Parsing is locale-independent (dot decimal separator only).
     """
     if isinstance(schema, str):
         try:
@@ -151,9 +150,6 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
     expected_cols = None
     if isinstance(schema, CsvSchema):
         expected_cols = schema.n_cols
-    elif isinstance(schema, int):
-        expected_cols = schema
-        schema = None
     elif schema is not None:
         raise InvalidInputError(f"unsupported schema specification: {schema!r}")
 
@@ -210,7 +206,6 @@ class ColumnStats:
 
     mean: np.ndarray
     std: np.ndarray
-    n_fit_rows: int
 
 
 def train_column_stats(ds: Dataset, train_fraction: float = 0.6) -> ColumnStats:
@@ -221,7 +216,7 @@ def train_column_stats(ds: Dataset, train_fraction: float = 0.6) -> ColumnStats:
     if n_fit < 2:
         raise InvalidInputError("training fraction leaves fewer than 2 rows")
     head = ds.values[:n_fit]
-    return ColumnStats(mean=head.mean(axis=0), std=head.std(axis=0), n_fit_rows=n_fit)
+    return ColumnStats(mean=head.mean(axis=0), std=head.std(axis=0))
 
 
 def standardize(ds: Dataset, stats: ColumnStats) -> Dataset:
@@ -245,8 +240,6 @@ class WindowedSet:
 
     features: np.ndarray
     targets: np.ndarray
-    seq: int
-    n_input_vars: int
 
     @property
     def n_windows(self) -> int:
@@ -273,12 +266,7 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
     idx = np.arange(n_windows)[:, None] + np.arange(seq)[None, :]
     features = x[idx].reshape(n_windows, seq * ds.n_inputs).T
     targets = ds.target()[seq - 1 :][:, None]
-    return WindowedSet(
-        features=np.ascontiguousarray(features),
-        targets=targets,
-        seq=seq,
-        n_input_vars=ds.n_inputs,
-    )
+    return WindowedSet(features=np.ascontiguousarray(features), targets=targets)
 
 
 def split(ws: WindowedSet, ratios=(0.6, 0.2, 0.2)):
@@ -301,12 +289,7 @@ def split(ws: WindowedSet, ratios=(0.6, 0.2, 0.2)):
     for size in (n_train, n_val, n_test):
         sl = slice(start, start + size)
         parts.append(
-            WindowedSet(
-                features=ws.features[:, sl],
-                targets=ws.targets[sl],
-                seq=ws.seq,
-                n_input_vars=ws.n_input_vars,
-            )
+            WindowedSet(features=ws.features[:, sl], targets=ws.targets[sl])
         )
         start += size
     return tuple(parts)

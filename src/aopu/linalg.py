@@ -1,5 +1,5 @@
-"""Dense matrix primitives: SVD, one-sided factorization, full-rank
-certificate, thresholded pseudo-inverse, rank, rank ratio.
+"""Dense matrix primitives: full-rank certificate, Gram eigenpairs,
+thresholded pseudo-inverse, rank, rank ratio.
 
 Matrices are plain 2-D float64 ``numpy`` arrays (row-major). All functions are
 pure and never mutate their inputs, so they are safe to call concurrently.
@@ -15,13 +15,12 @@ be counted: :func:`full_rank_gram` forms its column Gram and runs one
 Cholesky factorization of the Gram shifted down by a multiple of its trace.
 If that factorization succeeds in floating point, every singular value lies
 above the cutoff, so the rank is the column count (Rump, "Verification of
-positive definiteness", BIT 46, 2006). :func:`rank` and the training step
-use it; a matrix it cannot certify takes the exact SVD route.
+positive definiteness", BIT 46, 2006). :func:`rank` and
+:func:`gram_eigenpairs` use it; a matrix it cannot certify takes the exact
+SVD route.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,18 +46,6 @@ def default_rtol(shape) -> float:
     return max(shape) * EPS
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``A = U @ diag(s) @ V.T`` with ``s`` sorted descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
-
 def _lapack_svd(m: np.ndarray, compute_uv: bool = True):
     """Thin SVD of a validated matrix, or its singular values alone.
 
@@ -75,27 +62,6 @@ def _lapack_svd(m: np.ndarray, compute_uv: bool = True):
             )
         except Exception as exc:  # pragma: no cover - second driver rarely fails
             raise NumericalError(f"SVD did not converge for shape {m.shape}") from exc
-
-
-def svd(a) -> SvdResult:
-    """Thin SVD of a dense matrix; ``gesvd`` backs up the default LAPACK driver."""
-    u, s, vt = _lapack_svd(as_matrix(a))
-    return SvdResult(u=u, s=s, v=vt.T)
-
-
-def factor_columns(m: np.ndarray):
-    """Singular values and right singular vectors of ``m`` from one factorization.
-
-    Factors the smaller side: a tall matrix is reduced to the triangle of an
-    R-only Householder QR, whose SVD has the same singular values and right
-    singular vectors; a wide or square one gets a thin SVD directly. Returns
-    ``(s, v)`` with ``s`` descending and ``v`` of shape (cols, min(rows, cols)).
-    ``m`` must already be a validated float64 matrix (see :func:`as_matrix`).
-    """
-    if m.shape[0] > m.shape[1]:
-        m = np.linalg.qr(m, mode="r")
-    _, s, vt = _lapack_svd(m)
-    return s, vt.T
 
 
 def full_rank_gram(m: np.ndarray):
@@ -153,11 +119,12 @@ def pinv(a) -> np.ndarray:
     pseudo-inverse of an all-zero matrix is the zero matrix of transposed
     shape (the limit of the reciprocal rule).
     """
-    res = svd(a)
-    keep = res.s > _cutoff(res.s, np.shape(a))
+    m = as_matrix(a)
+    u, s, vt = _lapack_svd(m)
+    keep = s > _cutoff(s, m.shape)
     # guard the division: masked entries are zeroed afterwards anyway
-    sinv = np.where(keep, 1.0 / np.where(keep, res.s, 1.0), 0.0)
-    return (res.v * sinv) @ res.u.T
+    sinv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (vt.T * sinv) @ u.T
 
 
 def count_rank(s: np.ndarray, shape) -> int:
@@ -167,6 +134,37 @@ def count_rank(s: np.ndarray, shape) -> int:
     rank 0.
     """
     return int(np.count_nonzero(s > _cutoff(s, shape)))
+
+
+def gram_eigenpairs(m: np.ndarray):
+    """Rank of ``m`` and the eigenpairs of its column Gram that a pseudo-inverse keeps.
+
+    Returns ``(rank, v, lam)`` with ``pinv(m.T @ m) = v @ diag(1 / lam) @ v.T``;
+    the Gram itself is only formed to be certified. A tall matrix that
+    :func:`full_rank_gram` certifies has rank ``cols``, and ``v`` comes from
+    ``eigh`` of that Gram. Any other matrix takes one thin SVD: its singular
+    values, counted above ``max(rows, cols) * eps * s_max``, give the rank,
+    and its right singular vectors give ``v``. Either way the eigenvalues are
+    taken as the Rayleigh quotients ``||m @ v_i||**2``, which keeps exact
+    instances exact, and pairs at or below ``cols * eps * lam_max`` are
+    dropped, the cutoff :func:`pinv` applies to the cols-by-cols Gram.
+    When the quotients overflow (or all underflow to zero), no pair is kept
+    although the rank is positive. ``m`` must already be a validated float64
+    matrix (see :func:`as_matrix`).
+    """
+    cols = m.shape[1]
+    gram = full_rank_gram(m)
+    if gram is not None:
+        _, v = np.linalg.eigh(gram)
+        rank = cols
+    else:
+        _, s, vt = _lapack_svd(m)
+        v = vt.T
+        rank = count_rank(s, m.shape)
+    mv = m @ v
+    lam = np.einsum("ij,ij->j", mv, mv)
+    keep = lam > default_rtol((cols, cols)) * lam.max(initial=0.0)
+    return rank, v[:, keep], lam[keep]
 
 
 def _rank(m: np.ndarray) -> int:

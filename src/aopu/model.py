@@ -53,35 +53,27 @@ def _check_shapes(xt, y, name: str, m) -> None:
         )
 
 
-def _factor(xt: np.ndarray):
-    """Rank of ``x_tilde`` and the retained eigenpairs of its column Gram.
+def _eigenpairs(xt: np.ndarray):
+    """:func:`linalg.gram_eigenpairs` of a batch whose Gram is representable.
 
-    A tall batch that :func:`linalg.full_rank_gram` certifies has rank ``b``;
-    its eigenvectors ``v`` come from ``eigh`` of that Gram. Any other batch
-    takes one factorization of ``x_tilde`` (:func:`linalg.factor_columns`):
-    its singular values, counted above ``max(d+h, b) * eps * s_max``, give
-    the rank, and its right singular vectors give ``v``. Either way the Gram
-    eigenvalues are taken as the Rayleigh quotients ``||x_tilde @ v_i||^2``,
-    which keeps exact instances exact. Eigenpairs at or below
-    ``b * eps * lam_max`` are dropped, the cutoff a pseudo-inverse of the b×b
-    Gram applies, so ``pinv(x_tilde.T @ x_tilde) = v @ diag(1/lam) @ v.T``.
+    A batch of rank >= 1 that keeps no eigenpair has a column Gram whose
+    eigenvalues overflowed (or all underflowed); its pseudo-inverse would
+    silently read as zero, so a :class:`DivergenceError` carrying the batch's
+    rank ratio is raised instead.
     """
-    b = xt.shape[1]
-    gram = linalg.full_rank_gram(xt)
-    if gram is not None:
-        _, v = np.linalg.eigh(gram)
-        rank = b
-    else:
-        s, v = linalg.factor_columns(xt)
-        rank = linalg.count_rank(s, xt.shape)
-    xv = xt @ v
-    lam = np.einsum("ij,ij->j", xv, xv)
-    keep = lam > linalg.default_rtol((b, b)) * lam.max(initial=0.0)
-    return rank, v[:, keep], lam[keep]
+    rank, v, lam = linalg.gram_eigenpairs(xt)
+    if rank and not lam.size:
+        rr = rank / xt.shape[1]
+        raise DivergenceError(
+            f"column Gram of a rank-{rank} batch is not representable in float64 "
+            f"(rank ratio {rr:.4f})",
+            rank_ratio=rr,
+        )
+    return rank, v, lam
 
 
 def _gram_solve(v, lam, m) -> np.ndarray:
-    """``pinv(x_tilde.T @ x_tilde) @ m`` from the eigenpairs of :func:`_factor`."""
+    """``pinv(x_tilde.T @ x_tilde) @ m`` from the eigenpairs of :func:`_eigenpairs`."""
     return v @ ((v.T @ m) / lam[:, None])
 
 
@@ -91,7 +83,7 @@ def _update(xt, y, d):
     The single kernel behind :func:`reconstruct`, :func:`truncated_gradient`
     and :meth:`AopuModel.step`; it takes validated arrays.
     """
-    rank, v, lam = _factor(xt)
+    rank, v, lam = _eigenpairs(xt)
     recon = _gram_solve(v, lam, xt.T @ d)
     grad = -(2.0 / xt.shape[1]) * (xt @ _gram_solve(v, lam, y - recon))
     return recon, grad, rank
@@ -107,7 +99,7 @@ def reconstruct(x_tilde, dual_matrix) -> np.ndarray:
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     dm = linalg.as_matrix(dual_matrix, "dual")
     _check_shapes(xt, None, "dual", dm)
-    _, v, lam = _factor(xt)
+    _, v, lam = _eigenpairs(xt)
     return _gram_solve(v, lam, xt.T @ dm)
 
 
@@ -168,29 +160,22 @@ class StepReport:
 
 
 class AopuModel:
-    """Trackable parameter plus augmentation handle and update hyperparameters.
+    """Trackable parameter sized by an augmenter, plus the update's learning rate.
 
     ``step`` mutates the weights and must be externally serialized
     (single-writer); ``forward`` on a fixed weight snapshot is safe to call
     concurrently.
     """
 
-    kind = "aopu"
-
     def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float = 1.0):
         if lr <= 0:
             raise InvalidInputError(f"learning rate must be positive, got {lr}")
         if out_dim < 1:
             raise InvalidInputError(f"output width must be >= 1, got {out_dim}")
-        self.augmenter = augmenter
         self.lr = float(lr)
         # zero init: the first update is a pure data-driven projection and no
         # extra randomness source is introduced
         self.w_tilde = np.zeros((augmenter.output_dim, out_dim))
-
-    @property
-    def out_dim(self) -> int:
-        return self.w_tilde.shape[1]
 
     def forward(self, x_tilde) -> np.ndarray:
         return forward(x_tilde, self.w_tilde)
@@ -200,9 +185,10 @@ class AopuModel:
 
         Validates ``x_tilde``, ``y`` and the weights once, then factors
         ``x_tilde`` once for the loss, the gradient and the reported rank
-        ratio. A non-finite loss or gradient aborts the step before any weight
-        change and surfaces a :class:`DivergenceError` carrying that rank
-        ratio.
+        ratio. A non-finite loss or gradient, or a column Gram that is not
+        representable (see :func:`_eigenpairs`), aborts the step before any
+        weight change and surfaces a :class:`DivergenceError` carrying that
+        rank ratio.
         """
         xt = linalg.as_matrix(x_tilde, "x_tilde")
         y = linalg.as_matrix(y, "y")

@@ -1,5 +1,7 @@
 """Tests for the Adam-trained twin network and the closed-form estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,19 @@ class TestAdam:
         for expected in (1, 2, 3):
             adam_step(model, np.ones((3, 1)))
             assert model.adam_t == expected
+
+    def test_rejected_update_leaves_state(self):
+        model = self._model(dh=2)
+        model.adam_m = np.full((2, 1), 1.7e308)
+        state = [model.adam_t, model.adam_m.copy(), model.adam_v.copy(), model.w_tilde.copy()]
+        # the overflow must surface as the typed error, never as a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError):
+                adam_step(model, np.full((2, 1), 1.7e308))
+        assert model.adam_t == state[0]
+        for name, before in zip(("adam_m", "adam_v", "w_tilde"), state[1:]):
+            np.testing.assert_array_equal(getattr(model, name), before)
 
     def test_divergent_batch_surfaces_rank_ratio(self):
         model = self._model(dh=2)

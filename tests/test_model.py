@@ -10,7 +10,7 @@ from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import mse_gradient
 from aopu.data import batches, synth_generate
-from aopu.errors import DivergenceError, InvalidInputError
+from aopu.errors import DivergenceError, InvalidInputError, NumericalError
 from aopu.harness import TrainConfig, prepare_windows
 from aopu.model import (
     AopuModel,
@@ -293,6 +293,21 @@ class TestStep:
             model.step(XT1, huge)
         assert err.value.rank_ratio == 1.0
         np.testing.assert_array_equal(model.w_tilde, before)
+
+    def test_overflowing_gram_is_refused(self):
+        # every Gram eigenvalue ||x v_i||^2 overflows; dropping them all would
+        # read as a zero pseudo-inverse, a zero gradient and an applied step
+        xt = np.random.default_rng(0).standard_normal((40, 8)) * 1e160
+        y = np.ones((8, 1))
+        model = self._model(40)
+        with pytest.raises(DivergenceError) as err:
+            model.step(xt, y)
+        assert err.value.rank_ratio == 1.0
+        np.testing.assert_array_equal(model.w_tilde, np.zeros((40, 1)))
+        with pytest.raises(NumericalError):
+            reconstruct(xt, np.zeros((40, 1)))
+        with pytest.raises(NumericalError):
+            truncated_gradient(xt, y, np.zeros((40, 1)))
 
     def test_trajectory_determinism(self):
         rng = np.random.default_rng(15)
