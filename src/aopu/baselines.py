@@ -26,7 +26,9 @@ def mse_gradient(x_tilde, y, w) -> np.ndarray:
     ``-(2/b) * x_tilde @ (y - x_tilde.T @ w)``."""
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     ym = linalg.as_matrix(y, "y")
-    return -(2.0 / xt.shape[1]) * xt @ (ym - forward(xt, w))
+    wm = linalg.as_matrix(w, "w")
+    _check_shapes(xt, ym, "w", wm)
+    return -(2.0 / xt.shape[1]) * xt @ (ym - xt.T @ wm)
 
 
 class RvflnnModel:

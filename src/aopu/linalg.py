@@ -1,4 +1,4 @@
-"""Dense matrix primitives: full-rank certificate, Gram eigenpairs,
+"""Dense matrix primitives: full-rank certificate, Gram solver,
 thresholded pseudo-inverse, rank, rank ratio.
 
 Matrices are plain 2-D float64 ``numpy`` arrays (row-major). All functions are
@@ -16,8 +16,9 @@ Cholesky factorization of the Gram shifted down by a multiple of its trace.
 If that factorization succeeds in floating point, every singular value lies
 above the cutoff, so the rank is the column count (Rump, "Verification of
 positive definiteness", BIT 46, 2006). :func:`rank` and
-:func:`gram_eigenpairs` use it; a matrix it cannot certify takes the exact
-SVD route.
+:func:`gram_solver` use it; a matrix it cannot certify takes the exact SVD
+route. A certified batch is solved with the LU factorization of its Gram,
+so it needs neither eigenvectors nor singular vectors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInputError, NumericalError
+from .errors import DivergenceError, InvalidInputError, NumericalError
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
@@ -136,35 +137,42 @@ def count_rank(s: np.ndarray, shape) -> int:
     return int(np.count_nonzero(s > _cutoff(s, shape)))
 
 
-def gram_eigenpairs(m: np.ndarray):
-    """Rank of ``m`` and the eigenpairs of its column Gram that a pseudo-inverse keeps.
+def gram_solver(m: np.ndarray):
+    """Rank of ``m`` and a solver ``solve(r) = pinv(m.T @ m) @ r``.
 
-    Returns ``(rank, v, lam)`` with ``pinv(m.T @ m) = v @ diag(1 / lam) @ v.T``;
-    the Gram itself is only formed to be certified. A tall matrix that
-    :func:`full_rank_gram` certifies has rank ``cols``, and ``v`` comes from
-    ``eigh`` of that Gram. Any other matrix takes one thin SVD: its singular
-    values, counted above ``max(rows, cols) * eps * s_max``, give the rank,
-    and its right singular vectors give ``v``. Either way the eigenvalues are
-    taken as the Rayleigh quotients ``||m @ v_i||**2``, which keeps exact
-    instances exact, and pairs at or below ``cols * eps * lam_max`` are
-    dropped, the cutoff :func:`pinv` applies to the cols-by-cols Gram.
-    When the quotients overflow (or all underflow to zero), no pair is kept
-    although the rank is positive. ``m`` must already be a validated float64
-    matrix (see :func:`as_matrix`).
+    A tall matrix that :func:`full_rank_gram` certifies has rank ``cols`` and
+    a Gram whose eigenvalues all clear ``cols * eps * lam_max``, so ``solve``
+    is an LU solve with that Gram, factored once. Any other matrix takes one
+    thin SVD: the rank counts its singular values above
+    ``max(rows, cols) * eps * s_max``, and ``solve`` applies
+    ``v @ diag(1 / lam) @ v.T`` over its right singular vectors ``v``, with
+    ``lam`` the Rayleigh quotients ``||m @ v_i||**2`` (which keep exact
+    instances exact) above ``cols * eps * lam_max``, the cutoff :func:`pinv`
+    applies to the cols-by-cols Gram. If the quotients overflow (or all
+    underflow to zero), no pair survives although the rank is positive; the
+    pseudo-inverse would silently read as zero, so a :class:`DivergenceError`
+    carrying the rank ratio is raised instead. ``m`` must already be a
+    validated float64 matrix (see :func:`as_matrix`).
     """
     cols = m.shape[1]
     gram = full_rank_gram(m)
     if gram is not None:
-        _, v = np.linalg.eigh(gram)
-        rank = cols
-    else:
-        _, s, vt = _lapack_svd(m)
-        v = vt.T
-        rank = count_rank(s, m.shape)
+        lu = scipy.linalg.lu_factor(gram, check_finite=False)
+        return cols, lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
+    _, s, vt = _lapack_svd(m)
+    rank = count_rank(s, m.shape)
+    v = vt.T
     mv = m @ v
     lam = np.einsum("ij,ij->j", mv, mv)
     keep = lam > default_rtol((cols, cols)) * lam.max(initial=0.0)
-    return rank, v[:, keep], lam[keep]
+    if rank and not keep.any():
+        raise DivergenceError(
+            f"column Gram of a rank-{rank} batch is not representable in float64 "
+            f"(rank ratio {rank / cols:.4f})",
+            rank_ratio=rank / cols,
+        )
+    v, lam = v[:, keep], lam[keep]
+    return rank, lambda r: v @ ((v.T @ r) / lam[:, None])
 
 
 def _rank(m: np.ndarray) -> int:

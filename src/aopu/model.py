@@ -41,8 +41,11 @@ def dual(x_tilde, w) -> np.ndarray:
 
 
 def _check_shapes(xt, y, name: str, m) -> None:
-    """``m`` (dual image or weights) must have one row per feature of ``xt``;
-    ``y``, when given, one row per sample and one column per output."""
+    """``xt`` must hold at least one sample; ``m`` (dual image or weights) one
+    row per feature of ``xt``; ``y``, when given, one row per sample and one
+    column per output."""
+    if xt.shape[1] == 0:
+        raise InvalidInputError("x_tilde has no columns: batch size must be positive")
     if m.shape[0] != xt.shape[0]:
         raise InvalidInputError(
             f"{name} has {m.shape[0]} rows, x_tilde has {xt.shape[0]} feature rows"
@@ -53,39 +56,15 @@ def _check_shapes(xt, y, name: str, m) -> None:
         )
 
 
-def _eigenpairs(xt: np.ndarray):
-    """:func:`linalg.gram_eigenpairs` of a batch whose Gram is representable.
-
-    A batch of rank >= 1 that keeps no eigenpair has a column Gram whose
-    eigenvalues overflowed (or all underflowed); its pseudo-inverse would
-    silently read as zero, so a :class:`DivergenceError` carrying the batch's
-    rank ratio is raised instead.
-    """
-    rank, v, lam = linalg.gram_eigenpairs(xt)
-    if rank and not lam.size:
-        rr = rank / xt.shape[1]
-        raise DivergenceError(
-            f"column Gram of a rank-{rank} batch is not representable in float64 "
-            f"(rank ratio {rr:.4f})",
-            rank_ratio=rr,
-        )
-    return rank, v, lam
-
-
-def _gram_solve(v, lam, m) -> np.ndarray:
-    """``pinv(x_tilde.T @ x_tilde) @ m`` from the eigenpairs of :func:`_eigenpairs`."""
-    return v @ ((v.T @ m) / lam[:, None])
-
-
 def _update(xt, y, d):
     """Reconstruction, truncated gradient and rank of one batch.
 
     The single kernel behind :func:`reconstruct`, :func:`truncated_gradient`
     and :meth:`AopuModel.step`; it takes validated arrays.
     """
-    rank, v, lam = _eigenpairs(xt)
-    recon = _gram_solve(v, lam, xt.T @ d)
-    grad = -(2.0 / xt.shape[1]) * (xt @ _gram_solve(v, lam, y - recon))
+    rank, solve = linalg.gram_solver(xt)
+    recon = solve(xt.T @ d)
+    grad = -(2.0 / xt.shape[1]) * (xt @ solve(y - recon))
     return recon, grad, rank
 
 
@@ -99,8 +78,7 @@ def reconstruct(x_tilde, dual_matrix) -> np.ndarray:
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     dm = linalg.as_matrix(dual_matrix, "dual")
     _check_shapes(xt, None, "dual", dm)
-    _, v, lam = _eigenpairs(xt)
-    return _gram_solve(v, lam, xt.T @ dm)
+    return linalg.gram_solver(xt)[1](xt.T @ dm)
 
 
 def _squared_error(y, recon) -> float:
@@ -186,9 +164,9 @@ class AopuModel:
         Validates ``x_tilde``, ``y`` and the weights once, then factors
         ``x_tilde`` once for the loss, the gradient and the reported rank
         ratio. A non-finite loss or gradient, or a column Gram that is not
-        representable (see :func:`_eigenpairs`), aborts the step before any
-        weight change and surfaces a :class:`DivergenceError` carrying that
-        rank ratio.
+        representable (see :func:`linalg.gram_solver`), aborts the step before
+        any weight change and surfaces a :class:`DivergenceError` carrying
+        that rank ratio.
         """
         xt = linalg.as_matrix(x_tilde, "x_tilde")
         y = linalg.as_matrix(y, "y")

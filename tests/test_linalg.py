@@ -1,4 +1,4 @@
-"""Matrix primitive tests: pseudo-inverse, Gram eigenpairs, full-rank
+"""Matrix primitive tests: pseudo-inverse, Gram solver, full-rank
 certificate, rank, rank ratio."""
 
 import numpy as np
@@ -7,7 +7,8 @@ import pytest
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.errors import DivergenceError, InvalidInputError
-from aopu.model import AopuModel
+from aopu.model import AopuModel, dual, reconstruct, truncated_gradient
+from aopu.verify import reconstruct_reference, truncated_gradient_reference
 
 
 class TestPinv:
@@ -100,8 +101,8 @@ class TestRank:
         assert linalg.rank(np.zeros((4, 0))) == 0
 
 
-class TestGramEigenpairs:
-    """The step's one factorization: ``eigh`` of the Gram for a tall batch
+class TestGramSolver:
+    """The step's one factorization: an LU solve with the Gram of a tall batch
     that full_rank_gram certifies, one thin SVD for every other batch."""
 
     @pytest.mark.parametrize(
@@ -113,16 +114,18 @@ class TestGramEigenpairs:
         a = np.random.default_rng(3).standard_normal(shape)
         if rank < min(shape):
             a[:, 3] = a[:, 1] - a[:, 2]
-        got, v, lam = linalg.gram_eigenpairs(a)
+        got, solve = linalg.gram_solver(a)
         assert got == linalg.rank(a) == rank
-        np.testing.assert_allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(a @ v, axis=0) ** 2, lam, rtol=1e-12)
         want = linalg.pinv(a.T @ a)
-        np.testing.assert_allclose((v / lam) @ v.T, want, atol=1e-10 * np.abs(want).max())
+        np.testing.assert_allclose(
+            solve(np.eye(shape[1])), want, atol=1e-10 * np.abs(want).max()
+        )
 
-    def test_zero_matrix_keeps_nothing(self):
-        rank, v, lam = linalg.gram_eigenpairs(np.zeros((5, 3)))
-        assert rank == 0 and v.shape == (3, 0) and lam.size == 0
+    def test_zero_matrix_solves_to_zero(self):
+        a = np.zeros((5, 3))
+        rank, solve = linalg.gram_solver(a)
+        assert rank == linalg.rank(a) == 0
+        np.testing.assert_array_equal(solve(np.ones((3, 2))), np.zeros((3, 2)))
 
     def test_zero_spectrum_has_rank_zero(self):
         assert linalg.count_rank(np.zeros(3), (5, 3)) == 0
@@ -139,17 +142,29 @@ def _spectrum_matrix(shape, ratio, seed=0):
     return (u * s) @ v.T
 
 
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 def _duplicated_column(shape, seed=0):
     m = np.random.default_rng(seed).standard_normal(shape)
     m[:, -1] = m[:, 0]
     return m
 
 
+CERTIFICATE_SHAPES = ((2288, 64), (300, 64), (40, 8))
+
+
+def _spectrum_ratios(shape):
+    """``s_min / s_max`` values from well inside to well below the rank cutoff."""
+    cut = linalg.default_rtol(shape)
+    return (1e-1, 1e-4, 1e-6, 1e-8, 10 * cut, 2 * cut, cut / 2, cut / 10, 1e-17, 0.0)
+
+
 def _certificate_cases():
     cases = []
-    for shape in ((2288, 64), (300, 64), (40, 8)):
-        cut = linalg.default_rtol(shape)
-        for ratio in (1e-1, 1e-4, 1e-6, 1e-8, 10 * cut, 2 * cut, cut / 2, cut / 10, 1e-17, 0.0):
+    for shape in CERTIFICATE_SHAPES:
+        for ratio in _spectrum_ratios(shape):
             cases.append(pytest.param(shape, ratio, 1.0, id=f"{shape}-ratio{ratio:.3g}"))
         for scale in (1.0, 1e-160, 1e-150, 1e150, 1e155, 1e160):
             cases.append(pytest.param(shape, "full", scale, id=f"{shape}-full-x{scale:g}"))
@@ -194,6 +209,46 @@ class TestFullRankCertificate:
     def test_only_tall_matrices_are_certified(self, shape):
         m = np.random.default_rng(3).standard_normal(shape)
         assert linalg.full_rank_gram(m) is None
+
+
+def _certified_spectra():
+    return [
+        pytest.param(shape, ratio, id=f"{shape}-ratio{ratio:.3g}")
+        for shape in CERTIFICATE_SHAPES
+        for ratio in _spectrum_ratios(shape)
+        if linalg.full_rank_gram(_spectrum_matrix(shape, ratio)) is not None
+    ]
+
+
+class TestCertifiedRoute:
+    """A certified batch is solved with its Gram: no eigenvectors, no SVD."""
+
+    @pytest.mark.parametrize("shape,ratio", _certified_spectra())
+    def test_matches_pinv_references(self, shape, ratio):
+        # the LU solve stays within the forward-error scale cols * eps * cond(G)
+        # of the oracles' explicit Gram pseudo-inverse
+        m = _spectrum_matrix(shape, ratio)
+        rng = np.random.default_rng(4)
+        d = dual(m, rng.standard_normal((shape[0], 1)))
+        y = rng.standard_normal((shape[1], 1))
+        bound = shape[1] * linalg.EPS * np.linalg.cond(m.T @ m)
+        assert _rel(reconstruct(m, d), reconstruct_reference(m, d)) <= bound
+        assert (
+            _rel(truncated_gradient(m, y, d), truncated_gradient_reference(m, y, d))
+            <= bound
+        )
+
+    def test_certified_step_takes_no_eigh_and_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified batch reached an eigen/singular solver")
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", refuse)
+        monkeypatch.setattr(linalg, "_lapack_svd", refuse)
+        m = np.random.default_rng(5).standard_normal((300, 64))
+        model = AopuModel(Augmenter(AugmentConfig(input_dim=300, hidden=0)))
+        report = model.step(m, np.ones((64, 1)))
+        assert report.rank == 64
+        assert np.all(np.isfinite(model.w_tilde)) and np.any(model.w_tilde)
 
 
 class TestRankRatio:

@@ -8,7 +8,7 @@ import pytest
 
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
-from aopu.baselines import mse_gradient
+from aopu.baselines import RvflnnModel, mse_gradient
 from aopu.data import batches, synth_generate
 from aopu.errors import DivergenceError, InvalidInputError, NumericalError
 from aopu.harness import TrainConfig, prepare_windows
@@ -328,6 +328,26 @@ class TestStep:
             AopuModel(aug, lr=0.0)
         with pytest.raises(InvalidInputError):
             AopuModel(aug, out_dim=0)
+
+
+def _aug5():
+    return Augmenter(AugmentConfig(input_dim=5, hidden=0))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda xt, y, w: AopuModel(_aug5()).step(xt, y),
+        lambda xt, y, w: RvflnnModel(_aug5()).step(xt, y),
+        truncated_gradient,
+        mse_gradient,
+    ],
+    ids=["aopu-step", "rvflnn-step", "truncated_gradient", "mse_gradient"],
+)
+def test_zero_column_batch_rejected(entry):
+    # a batch of no samples has no rank ratio and no 2/b scaling
+    with pytest.raises(InvalidInputError, match="no columns"):
+        entry(np.zeros((5, 0)), np.zeros((0, 1)), np.zeros((5, 1)))
 
 
 @functools.lru_cache(maxsize=None)
