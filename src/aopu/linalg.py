@@ -10,15 +10,18 @@ The singular-value cutoff convention used throughout is the standard
 numerical-rank rule: values at or below ``max(rows, cols) * eps`` relative to
 the largest singular value are treated as zero.
 
-A tall matrix whose columns are clearly independent does not need an SVD to
-be counted: :func:`full_rank_gram` forms its column Gram and runs one
-Cholesky factorization of the Gram shifted down by a multiple of its trace.
-If that factorization succeeds in floating point, every singular value lies
-above the cutoff, so the rank is the column count (Rump, "Verification of
-positive definiteness", BIT 46, 2006). :func:`rank` and
-:func:`gram_solver` use it; a matrix it cannot certify takes the exact SVD
-route. A certified batch is solved with the LU factorization of its Gram,
-so it needs neither eigenvectors nor singular vectors.
+A matrix whose columns (if tall) or rows (if wide) are clearly independent
+does not need an SVD to be counted: :func:`full_rank_gram`, of the matrix if
+tall or of its transpose if wide, forms the Gram of the short side and runs
+one Cholesky factorization of that Gram shifted down by a multiple of its
+trace. If that factorization succeeds in floating point, every singular
+value lies above the cutoff, so the rank is the short side (Rump,
+"Verification of positive definiteness", BIT 46, 2006). :func:`_certified_gram`
+makes that route choice once, for :func:`rank` and :func:`gram_solver`; a
+matrix it cannot certify takes the exact SVD route. A certified batch is
+solved with the LU factorization of its certified Gram, the column Gram of a
+tall batch or the row Gram of a wide one, so it needs neither eigenvectors
+nor singular vectors.
 """
 
 from __future__ import annotations
@@ -137,28 +140,54 @@ def count_rank(s: np.ndarray, shape) -> int:
     return int(np.count_nonzero(s > _cutoff(s, shape)))
 
 
-def gram_solver(m: np.ndarray):
-    """Rank of ``m`` and a solver ``solve(r) = pinv(m.T @ m) @ r``.
+def _certified_gram(m: np.ndarray):
+    """The route of ``m``: its certified Gram and whether that is the row Gram.
 
-    A tall matrix that :func:`full_rank_gram` certifies has rank ``cols`` and
-    a Gram whose eigenvalues all clear ``cols * eps * lam_max``, so ``solve``
-    is an LU solve with that Gram, factored once. Any other matrix takes one
-    thin SVD: the rank counts its singular values above
-    ``max(rows, cols) * eps * s_max``, and ``solve`` applies
-    ``v @ diag(1 / lam) @ v.T`` over its right singular vectors ``v``, with
-    ``lam`` the Rayleigh quotients ``||m @ v_i||**2`` (which keep exact
-    instances exact) above ``cols * eps * lam_max``, the cutoff :func:`pinv`
-    applies to the cols-by-cols Gram. If the quotients overflow (or all
-    underflow to zero), no pair survives although the rank is positive; the
-    pseudo-inverse would silently read as zero, so a :class:`DivergenceError`
-    carrying the rank ratio is raised instead. ``m`` must already be a
-    validated float64 matrix (see :func:`as_matrix`).
+    A tall matrix can only be certified by its column Gram ``m.T @ m`` and a
+    wide one only by its row Gram ``m @ m.T`` (:func:`full_rank_gram` of
+    ``m.T``), so one certificate is tried. Returns ``(gram, wide)``; ``gram``
+    is ``None`` when the certificate fails (or ``m`` is square), and then the
+    matrix takes the SVD route. Success proves the rank is ``min(m.shape)``.
     """
-    cols = m.shape[1]
-    gram = full_rank_gram(m)
+    wide = m.shape[0] < m.shape[1]
+    return full_rank_gram(m.T if wide else m), wide
+
+
+def gram_solver(m: np.ndarray):
+    """Rank of ``m`` and the two maps the step applies, with ``G = m.T @ m``:
+
+    - ``recover(d) = pinv(G) @ m.T @ d``, the outputs of a dual image ``d``;
+    - ``lift(r) = m @ pinv(G) @ r``, a residual lifted to the dual space.
+
+    A matrix certified by :func:`_certified_gram` has full rank and is solved
+    with an LU factorization of its certified Gram, taken once. The tall
+    route LU-solves with ``G``. The wide route LU-solves with the row Gram
+    ``H = m @ m.T``, through the commutation identity
+    ``m @ pinv(G) = pinv(H) @ m``: ``recover(d) = m.T @ solve(H, d)`` and
+    ``lift(r) = solve(H, m @ r)``. Any other matrix takes one thin SVD: the
+    rank counts its singular values above ``max(rows, cols) * eps * s_max``,
+    and the maps use its right singular vectors ``v`` with ``lam`` the
+    Rayleigh quotients ``||m @ v_i||**2`` (which keep exact instances exact)
+    above ``cols * eps * lam_max``, the cutoff :func:`pinv` applies to the
+    cols-by-cols Gram. ``lift`` applies ``(m v / sqrt(lam)) @ (v.T r /
+    sqrt(lam))``, so a tiny batch whose ``1 / lam`` overflows still lifts to
+    its representable result. If the quotients overflow (or all underflow to
+    zero), no pair survives although the rank is positive; the pseudo-inverse
+    would silently read as zero, so a :class:`DivergenceError` carrying the
+    rank ratio is raised instead. ``m`` must already be a validated float64
+    matrix (see :func:`as_matrix`).
+    """
+    rows, cols = m.shape
+    gram, wide = _certified_gram(m)
     if gram is not None:
         lu = scipy.linalg.lu_factor(gram, check_finite=False)
-        return cols, lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
+
+        def solve(r):
+            return scipy.linalg.lu_solve(lu, r, check_finite=False)
+
+        if wide:
+            return rows, lambda d: m.T @ solve(d), lambda r: solve(m @ r)
+        return cols, lambda d: solve(m.T @ d), lambda r: m @ solve(r)
     _, s, vt = _lapack_svd(m)
     rank = count_rank(s, m.shape)
     v = vt.T
@@ -171,16 +200,22 @@ def gram_solver(m: np.ndarray):
             f"(rank ratio {rank / cols:.4f})",
             rank_ratio=rank / cols,
         )
-    v, lam = v[:, keep], lam[keep]
-    return rank, lambda r: v @ ((v.T @ r) / lam[:, None])
+    v, lam = v[:, keep], lam[keep, None]
+    root = np.sqrt(lam)
+    mv = mv[:, keep] / root.T
+    return (
+        rank,
+        lambda d: v @ ((v.T @ (m.T @ d)) / lam),
+        lambda r: mv @ ((v.T @ r) / root),
+    )
 
 
 def _rank(m: np.ndarray) -> int:
     """:func:`rank` of a matrix already validated by :func:`as_matrix`."""
     if min(m.shape) == 0:
         return 0
-    if full_rank_gram(m) is not None:
-        return m.shape[1]
+    if _certified_gram(m)[0] is not None:
+        return min(m.shape)
     return count_rank(_lapack_svd(m, compute_uv=False), m.shape)
 
 

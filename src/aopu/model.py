@@ -62,9 +62,9 @@ def _update(xt, y, d):
     The single kernel behind :func:`reconstruct`, :func:`truncated_gradient`
     and :meth:`AopuModel.step`; it takes validated arrays.
     """
-    rank, solve = linalg.gram_solver(xt)
-    recon = solve(xt.T @ d)
-    grad = -(2.0 / xt.shape[1]) * (xt @ solve(y - recon))
+    rank, recover, lift = linalg.gram_solver(xt)
+    recon = recover(d)
+    grad = -(2.0 / xt.shape[1]) * lift(y - recon)
     return recon, grad, rank
 
 
@@ -78,7 +78,7 @@ def reconstruct(x_tilde, dual_matrix) -> np.ndarray:
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     dm = linalg.as_matrix(dual_matrix, "dual")
     _check_shapes(xt, None, "dual", dm)
-    return linalg.gram_solver(xt)[1](xt.T @ dm)
+    return linalg.gram_solver(xt)[1](dm)
 
 
 def _squared_error(y, recon) -> float:

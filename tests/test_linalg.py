@@ -6,6 +6,7 @@ import pytest
 
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
+from aopu.baselines import RvflnnModel
 from aopu.errors import DivergenceError, InvalidInputError
 from aopu.model import AopuModel, dual, reconstruct, truncated_gradient
 from aopu.verify import reconstruct_reference, truncated_gradient_reference
@@ -102,8 +103,8 @@ class TestRank:
 
 
 class TestGramSolver:
-    """The step's one factorization: an LU solve with the Gram of a tall batch
-    that full_rank_gram certifies, one thin SVD for every other batch."""
+    """The step's one factorization: an LU solve with the certified column
+    Gram of a tall batch or row Gram of a wide one, one thin SVD otherwise."""
 
     @pytest.mark.parametrize(
         "shape,rank",
@@ -114,25 +115,38 @@ class TestGramSolver:
         a = np.random.default_rng(3).standard_normal(shape)
         if rank < min(shape):
             a[:, 3] = a[:, 1] - a[:, 2]
-        got, solve = linalg.gram_solver(a)
+        got, recover, lift = linalg.gram_solver(a)
         assert got == linalg.rank(a) == rank
-        want = linalg.pinv(a.T @ a)
-        np.testing.assert_allclose(
-            solve(np.eye(shape[1])), want, atol=1e-10 * np.abs(want).max()
-        )
+        gram_inv = linalg.pinv(a.T @ a)
+        for got_map, want in ((recover(np.eye(shape[0])), gram_inv @ a.T),
+                              (lift(np.eye(shape[1])), a @ gram_inv)):
+            np.testing.assert_allclose(got_map, want, atol=1e-10 * np.abs(want).max())
 
     def test_zero_matrix_solves_to_zero(self):
         a = np.zeros((5, 3))
-        rank, solve = linalg.gram_solver(a)
+        rank, recover, lift = linalg.gram_solver(a)
         assert rank == linalg.rank(a) == 0
-        np.testing.assert_array_equal(solve(np.ones((3, 2))), np.zeros((3, 2)))
+        np.testing.assert_array_equal(recover(np.ones((5, 2))), np.zeros((3, 2)))
+        np.testing.assert_array_equal(lift(np.ones((3, 2))), np.zeros((5, 2)))
 
     def test_zero_spectrum_has_rank_zero(self):
         assert linalg.count_rank(np.zeros(3), (5, 3)) == 0
 
+    def test_tiny_batch_lifts_to_its_representable_gradient(self):
+        # 1 / lam overflows at this scale although the gradient (~1e155) does
+        # not; the SVD route lifts through 1 / sqrt(lam) on both sides
+        x = np.random.default_rng(0).standard_normal((40, 8))
+        y, d = np.ones((8, 1)), np.zeros((40, 1))
+        got = truncated_gradient(x * 1e-155, y, d)
+        want = truncated_gradient(x, y, d) / 1e-155
+        assert _rel(got, want) <= 1e-13
+
 
 def _spectrum_matrix(shape, ratio, seed=0):
-    """``U @ diag(s) @ V.T`` with ``s_max = 1`` and ``s_min / s_max = ratio``."""
+    """``U @ diag(s) @ V.T`` with ``s_max = 1`` and ``s_min / s_max = ratio``;
+    a wide shape gets the transpose of the tall one."""
+    if shape[0] < shape[1]:
+        return _spectrum_matrix(shape[::-1], ratio, seed).T
     rows, cols = shape
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
@@ -147,12 +161,17 @@ def _rel(got, want):
 
 
 def _duplicated_column(shape, seed=0):
+    """A random matrix whose last column repeats its first; a wide shape gets
+    the transpose of the tall one, so its last row repeats its first."""
+    if shape[0] < shape[1]:
+        return _duplicated_column(shape[::-1], seed).T
     m = np.random.default_rng(seed).standard_normal(shape)
     m[:, -1] = m[:, 0]
     return m
 
 
-CERTIFICATE_SHAPES = ((2288, 64), (300, 64), (40, 8))
+TALL_SHAPES = ((2288, 64), (300, 64), (40, 8))
+CERTIFICATE_SHAPES = TALL_SHAPES + tuple(shape[::-1] for shape in TALL_SHAPES)
 
 
 def _spectrum_ratios(shape):
@@ -175,7 +194,8 @@ def _certificate_cases():
 
 
 class TestFullRankCertificate:
-    """The shifted-Cholesky certificate never claims a rank the SVD rule denies."""
+    """The shifted-Cholesky certificate, of the column Gram of a tall matrix
+    or the row Gram of a wide one, never claims a rank the SVD rule denies."""
 
     @pytest.mark.parametrize("shape,kind,scale", _certificate_cases())
     def test_rank_and_step_rank_match_svd_rule(self, shape, kind, scale):
@@ -190,13 +210,15 @@ class TestFullRankCertificate:
         m = m * scale
         want = linalg.count_rank(np.linalg.svd(m, compute_uv=False), m.shape)
         assert linalg.rank(m) == want
-        model = AopuModel(Augmenter(AugmentConfig(input_dim=shape[0], hidden=0)))
+        aug = Augmenter(AugmentConfig(input_dim=shape[0], hidden=0))
         y = np.zeros((shape[1], 1))
+        assert RvflnnModel(aug).step(m, y).rank == want
+        model = AopuModel(aug)
         if scale >= 1e155:
-            # the column Gram overflows: the step refuses it and reports the rank
+            # the batch's Grams overflow: the step refuses it and reports the rank
             with pytest.raises(DivergenceError) as exc:
                 model.step(m, y)
-            assert exc.value.rank_ratio * shape[1] == want
+            assert exc.value.rank_ratio == want / shape[1]
         else:
             assert model.step(m, y).rank == want
 
@@ -216,7 +238,7 @@ def _certified_spectra():
         pytest.param(shape, ratio, id=f"{shape}-ratio{ratio:.3g}")
         for shape in CERTIFICATE_SHAPES
         for ratio in _spectrum_ratios(shape)
-        if linalg.full_rank_gram(_spectrum_matrix(shape, ratio)) is not None
+        if linalg._certified_gram(_spectrum_matrix(shape, ratio))[0] is not None
     ]
 
 
@@ -225,29 +247,44 @@ class TestCertifiedRoute:
 
     @pytest.mark.parametrize("shape,ratio", _certified_spectra())
     def test_matches_pinv_references(self, shape, ratio):
-        # the LU solve stays within the forward-error scale cols * eps * cond(G)
-        # of the oracles' explicit Gram pseudo-inverse
+        # the LU solve stays within the forward-error scale
+        # min(rows, cols) * eps * cond(gram) of the oracles' explicit
+        # column-Gram pseudo-inverse
         m = _spectrum_matrix(shape, ratio)
         rng = np.random.default_rng(4)
         d = dual(m, rng.standard_normal((shape[0], 1)))
         y = rng.standard_normal((shape[1], 1))
-        bound = shape[1] * linalg.EPS * np.linalg.cond(m.T @ m)
+        gram = linalg._certified_gram(m)[0]
+        bound = min(shape) * linalg.EPS * np.linalg.cond(gram)
         assert _rel(reconstruct(m, d), reconstruct_reference(m, d)) <= bound
         assert (
             _rel(truncated_gradient(m, y, d), truncated_gradient_reference(m, y, d))
             <= bound
         )
 
-    def test_certified_step_takes_no_eigh_and_no_svd(self, monkeypatch):
+    @staticmethod
+    def _refuse_eigen_and_singular_solvers(monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a certified batch reached an eigen/singular solver")
 
         monkeypatch.setattr(linalg.np.linalg, "eigh", refuse)
         monkeypatch.setattr(linalg, "_lapack_svd", refuse)
+
+    def test_certified_step_takes_no_eigh_and_no_svd(self, monkeypatch):
+        self._refuse_eigen_and_singular_solvers(monkeypatch)
         m = np.random.default_rng(5).standard_normal((300, 64))
         model = AopuModel(Augmenter(AugmentConfig(input_dim=300, hidden=0)))
         report = model.step(m, np.ones((64, 1)))
         assert report.rank == 64
+        assert np.all(np.isfinite(model.w_tilde)) and np.any(model.w_tilde)
+
+    def test_certified_wide_step_takes_no_eigh_and_no_svd(self, monkeypatch):
+        # the low-RR shape: 80 feature rows (hidden 0, seq 16) against bs 288
+        self._refuse_eigen_and_singular_solvers(monkeypatch)
+        m = np.random.default_rng(5).standard_normal((80, 288))
+        model = AopuModel(Augmenter(AugmentConfig(input_dim=80, hidden=0)))
+        report = model.step(m, np.ones((288, 1)))
+        assert report.rank == linalg.rank(m) == 80
         assert np.all(np.isfinite(model.w_tilde)) and np.any(model.w_tilde)
 
 
