@@ -81,7 +81,7 @@ class RvflnnModel:
         return StepReport(
             loss=pre_loss,
             rank_ratio=rr,
-            grad_norm=float(np.linalg.norm(grad)),
+            grad_norm=linalg.frobenius_norm(grad),
             rank=rank,
         )
 

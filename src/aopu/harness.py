@@ -399,13 +399,20 @@ def rr_survey(
     """Rank-ratio distributions of augmented training batches over a grid.
 
     For every (bs, seq) pair the training split is cut into shuffled
-    fixed-size batches, each batch is augmented, and its rank ratio is
-    recorded into a histogram.
+    fixed-size batches, as :func:`data.batches` with ``shuffle=True`` cuts
+    them, and each batch's rank ratio is recorded into a histogram. Every
+    batch size slices the same seeded permutation, so each seq walks the
+    shuffled split once and augments each training window at most once,
+    however many batch sizes the grid holds (see :func:`_survey_ranks`).
+    A batch size repeated in the grid gets its own, identical cell.
     """
     bs_grid = list(bs_grid)
     seq_grid = list(seq_grid)
     if not bs_grid or not seq_grid:
         raise InvalidInputError("bs and seq grids must be non-empty")
+    for bs in bs_grid:
+        if bs < 1:
+            raise InvalidInputError(f"batch size must be >= 1, got {bs}")
     summaries = []
     for seq in seq_grid:
         cfg = TrainConfig(
@@ -431,14 +438,13 @@ def rr_survey(
             )
         )
         for bs in bs_grid:
-            rrs = []
-            for feats, _ in batches(train, bs, shuffle=True, seed=seed, drop_last=True):
-                rrs.append(linalg.rank(augmenter.augment(feats)) / bs)
-            if not rrs:
+            if bs > train.n_windows:
                 raise InvalidInputError(
                     f"batch size {bs} leaves no full training batch at seq {seq}"
                 )
-            arr = np.asarray(rrs)
+        ranks = _survey_ranks(train, augmenter, set(bs_grid), seed)
+        for bs in bs_grid:
+            arr = np.asarray(ranks[bs]) / bs
             counts, _ = np.histogram(arr, bins=RR_HIST_EDGES)
             summaries.append(
                 RrSummary(
@@ -451,6 +457,42 @@ def rr_survey(
                 )
             )
     return summaries
+
+
+def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
+    """Ranks of the full shuffled training batches of every size in ``sizes``.
+
+    The shuffled split is cut at the union of all sizes' batch boundaries and
+    each segment between two cuts is augmented once. When a cut closes a
+    batch of some size, that batch's segments are joined and ranked.
+    Augmentation acts on each column alone, so a joined batch equals the
+    batch augmented whole. A segment is dropped once no batch in progress
+    needs it, so about one largest batch of augmented columns is live.
+    """
+    n = train.n_windows
+    ((shuffled, _),) = batches(train, n, shuffle=True, seed=seed)
+    ends = {bs: n - n % bs for bs in sizes}  # end of each size's last full batch
+    cuts = sorted({c for bs in sizes for c in range(bs, ends[bs] + 1, bs)})
+    ranks = {bs: [] for bs in sizes}
+    live = []  # (first column, augmented segment), in column order
+    start = 0
+    for cut in cuts:
+        live.append((start, augmenter.augment(shuffled[:, start:cut])))
+        start = cut
+        for bs in sizes:
+            if cut % bs == 0:
+                parts = [seg for first, seg in live if first >= cut - bs]
+                ranks[bs].append(
+                    linalg.rank(parts[0] if len(parts) == 1 else np.hstack(parts))
+                )
+        # first column of the earliest batch still in progress; every batch
+        # boundary is a cut, so no segment straddles it
+        keep = min(
+            (cut - cut % bs for bs in sizes if cut - cut % bs < ends[bs]),
+            default=cut,
+        )
+        live = [(first, seg) for first, seg in live if first >= keep]
+    return ranks
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Dense matrix primitives: full-rank certificate, Gram solver,
-thresholded pseudo-inverse, rank, rank ratio.
+thresholded pseudo-inverse, rank, rank ratio, Frobenius norm.
 
 Matrices are plain 2-D float64 ``numpy`` arrays (row-major). All functions are
 pure and never mutate their inputs, so they are safe to call concurrently.
@@ -43,6 +43,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
+
+
+def frobenius_norm(m: np.ndarray) -> float:
+    """Frobenius norm of a float64 array, through BLAS ``nrm2``.
+
+    ``nrm2`` scales while it sums, so the squares of large or tiny entries
+    neither overflow nor underflow where the norm itself is representable,
+    as they do in ``np.linalg.norm``.
+    """
+    return float(scipy.linalg.blas.dnrm2(m.ravel()))
 
 
 def default_rtol(shape) -> float:

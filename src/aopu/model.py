@@ -186,6 +186,6 @@ class AopuModel:
         return StepReport(
             loss=pre_loss,
             rank_ratio=rr,
-            grad_norm=float(np.linalg.norm(grad)),
+            grad_norm=linalg.frobenius_norm(grad),
             rank=rank,
         )

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from aopu import linalg
-from aopu.data import synth_generate
+from aopu.augment import AugmentConfig, Augmenter
+from aopu.data import batches, synth_generate
 from aopu.errors import ConstantTargetError, InvalidInputError
 from aopu.harness import (
     RR_HIST_EDGES,
@@ -257,6 +258,78 @@ class TestRrSurvey:
     def test_empty_grid_rejected(self, ar_ds):
         with pytest.raises(InvalidInputError):
             rr_survey(ar_ds, bs_grid=[], seq_grid=[2])
+
+    @pytest.mark.parametrize(
+        "bs, message",
+        [
+            (0, "batch size must be >= 1, got 0"),
+            (-1, "batch size must be >= 1, got -1"),
+            (5000, "batch size 5000 leaves no full training batch at seq 2"),
+        ],
+    )
+    def test_bad_batch_size_rejected(self, ar_ds, bs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            rr_survey(ar_ds, bs_grid=[16, bs], seq_grid=[2], hidden=0)
+
+    def test_repeated_batch_size_keeps_its_own_cell(self, ar_ds):
+        (single,) = rr_survey(ar_ds, bs_grid=[64], seq_grid=[2], hidden=0)
+        assert rr_survey(ar_ds, bs_grid=[64, 64], seq_grid=[2], hidden=0) == [
+            single,
+            single,
+        ]
+
+    @pytest.mark.parametrize(
+        "hidden, layer_norm", [(0, False), (32, True)], ids=["hidden0", "hidden32-ln"]
+    )
+    def test_cells_equal_per_batch_reference(self, ar_ds, hidden, layer_norm):
+        # batch sizes that do not divide one another, so batches of different
+        # sizes share windows without sharing boundaries; at hidden 0 most
+        # batches are wide and rank-deficient, at hidden 32 the 64-column ones
+        bs_grid, seq_grid = (16, 24, 64), (2, 4)
+        got = rr_survey(
+            ar_ds, bs_grid, seq_grid, hidden=hidden, layer_norm=layer_norm, seed=3
+        )
+        want = []
+        for seq in seq_grid:
+            train, _, _ = prepare_windows(ar_ds, TrainConfig(seq=seq))
+            aug = Augmenter(
+                AugmentConfig(
+                    input_dim=train.dim, hidden=hidden, layer_norm=layer_norm, seed=3
+                )
+            )
+            for bs in bs_grid:
+                rrs = np.asarray(
+                    [
+                        linalg.rank(aug.augment(f)) / bs
+                        for f, _ in batches(train, bs, shuffle=True, seed=3)
+                    ]
+                )
+                hist = np.histogram(rrs, bins=RR_HIST_EDGES)[0]
+                want.append(
+                    (bs, seq, rrs.size, float(rrs.mean()), float(rrs.std()),
+                     tuple(int(c) for c in hist))
+                )
+        assert [(c.bs, c.seq, c.count, c.mean, c.std, c.hist) for c in got] == want
+        if hidden == 0:
+            assert min(c.mean for c in got) < 1.0
+
+    def test_each_window_augmented_at_most_once(self, ar_ds, monkeypatch):
+        augmented = {}  # input rows (one count per seq) -> augmented columns
+        original = Augmenter.augment
+
+        def recording(self, x):
+            cols = augmented.setdefault(x.shape[0], [])
+            cols += [c.tobytes() for c in np.asarray(x, dtype=np.float64).T]
+            return original(self, x)
+
+        monkeypatch.setattr(Augmenter, "augment", recording)
+        seq_grid = (2, 4)
+        rr_survey(ar_ds, bs_grid=(16, 24, 64), seq_grid=seq_grid, hidden=8)
+        for seq in seq_grid:
+            train, _, _ = prepare_windows(ar_ds, TrainConfig(seq=seq))
+            cols = augmented[train.dim]
+            assert len(set(cols)) == len(cols)
+            assert len(cols) <= train.n_windows
 
 
 class TestAblate:

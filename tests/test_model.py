@@ -2,6 +2,7 @@
 truncated gradient, update step and the natural-gradient reference."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -308,6 +309,24 @@ class TestStep:
             reconstruct(xt, np.zeros((40, 1)))
         with pytest.raises(NumericalError):
             truncated_gradient(xt, y, np.zeros((40, 1)))
+
+    def test_grad_norm_of_huge_finite_gradient(self):
+        # the gradient's entries pass 1e154, so their squares overflow
+        xt = np.random.default_rng(0).standard_normal((40, 8)) * 1e-158
+        model = self._model(40)
+        report = model.step(xt, np.ones((8, 1)))
+        grad = -model.w_tilde  # zero start, lr 1
+        assert np.abs(grad).max() > 1e154
+        want = math.hypot(*grad.ravel())
+        assert abs(report.grad_norm - want) <= 1e-15 * want
+
+    def test_grad_norm_on_normal_batch(self):
+        rng = np.random.default_rng(16)
+        xt = rng.standard_normal((40, 8))
+        model = self._model(40)
+        report = model.step(xt, rng.standard_normal((8, 1)))
+        want = np.linalg.norm(model.w_tilde)
+        assert abs(report.grad_norm - want) <= 1e-15 * want
 
     def test_trajectory_determinism(self):
         rng = np.random.default_rng(15)
