@@ -35,7 +35,11 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=("aopu", "rvflnn"), default="aopu")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--no-standardize", action="store_true")
-    # synthetic-data knobs (used when --dataset synth)
+    _add_synth_flags(p)
+
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    """Synthetic-data knobs, read by ``--dataset synth`` and ``synth``."""
     p.add_argument("--synth-n", type=int, default=4000)
     p.add_argument("--synth-vars", type=int, default=5)
     p.add_argument("--synth-noise", type=float, default=0.3)
@@ -43,15 +47,19 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synth-seed", type=int, default=0)
 
 
+def _synth_dataset(args) -> data.Dataset:
+    return data.synth_generate(
+        n=args.synth_n,
+        n_vars=args.synth_vars,
+        noise=args.synth_noise,
+        nonlinear=args.synth_nonlinear,
+        seed=args.synth_seed,
+    )
+
+
 def _load_dataset(args) -> data.Dataset:
     if args.dataset == "synth":
-        return data.synth_generate(
-            n=args.synth_n,
-            n_vars=args.synth_vars,
-            noise=args.synth_noise,
-            nonlinear=args.synth_nonlinear,
-            seed=args.synth_seed,
-        )
+        return _synth_dataset(args)
     return data.load_csv(args.dataset, schema=args.schema, target_col=args.target_col)
 
 
@@ -181,13 +189,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_synth(args) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    ds = data.synth_generate(
-        n=args.synth_n,
-        n_vars=args.synth_vars,
-        noise=args.synth_noise,
-        nonlinear=args.synth_nonlinear,
-        seed=args.synth_seed,
-    )
+    ds = _synth_dataset(args)
     header = ",".join(ds.columns)
     np.savetxt(args.out, ds.values, delimiter=",", header=header, comments="",
                fmt="%.17g")
@@ -256,11 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic dataset CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--synth-n", type=int, default=4000)
-    p.add_argument("--synth-vars", type=int, default=5)
-    p.add_argument("--synth-noise", type=float, default=0.3)
-    p.add_argument("--synth-nonlinear", action="store_true")
-    p.add_argument("--synth-seed", type=int, default=0)
+    _add_synth_flags(p)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("verify", help="run the numerical verification suite")

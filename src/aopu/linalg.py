@@ -21,7 +21,9 @@ makes that route choice once, for :func:`rank` and :func:`gram_solver`; a
 matrix it cannot certify takes the exact SVD route. A certified batch is
 solved with the LU factorization of its certified Gram, the column Gram of a
 tall batch or the row Gram of a wide one, so it needs neither eigenvectors
-nor singular vectors.
+nor singular vectors. Any other batch is solved with the truncated
+pseudo-inverses of ``m`` and ``m.T`` read off its thin SVD; no Gram is
+formed, so the maps scale with the batch rather than with its square.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DivergenceError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
@@ -174,18 +176,16 @@ def gram_solver(m: np.ndarray):
     route LU-solves with ``G``. The wide route LU-solves with the row Gram
     ``H = m @ m.T``, through the commutation identity
     ``m @ pinv(G) = pinv(H) @ m``: ``recover(d) = m.T @ solve(H, d)`` and
-    ``lift(r) = solve(H, m @ r)``. Any other matrix takes one thin SVD: the
-    rank counts its singular values above ``max(rows, cols) * eps * s_max``,
-    and the maps use its right singular vectors ``v`` with ``lam`` the
-    Rayleigh quotients ``||m @ v_i||**2`` (which keep exact instances exact)
-    above ``cols * eps * lam_max``, the cutoff :func:`pinv` applies to the
-    cols-by-cols Gram. ``lift`` applies ``(m v / sqrt(lam)) @ (v.T r /
-    sqrt(lam))``, so a tiny batch whose ``1 / lam`` overflows still lifts to
-    its representable result. If the quotients overflow (or all underflow to
-    zero), no pair survives although the rank is positive; the pseudo-inverse
-    would silently read as zero, so a :class:`DivergenceError` carrying the
-    rank ratio is raised instead. ``m`` must already be a validated float64
-    matrix (see :func:`as_matrix`).
+    ``lift(r) = solve(H, m @ r)``. Any other matrix takes one thin SVD
+    ``m = U S V.T``: the rank counts its singular values above
+    ``max(rows, cols) * eps * s_max``, and since ``pinv(G) @ m.T`` and
+    ``m @ pinv(G)`` are the truncated pseudo-inverses of ``m`` and ``m.T``
+    (Golub & Van Loan, *Matrix Computations*, sec. 5.5), the maps are
+    ``recover(d) = V (U.T d / s)`` and ``lift(r) = U (V.T r / s)``. They keep
+    the pairs with ``s_i > sqrt(cols * eps) * s_max``, the cutoff
+    ``cols * eps * lam_max`` that :func:`pinv` applies to the cols-by-cols
+    Gram, written on ``s`` so that it cannot overflow. ``m``
+    must already be a validated float64 matrix (see :func:`as_matrix`).
     """
     rows, cols = m.shape
     gram, wide = _certified_gram(m)
@@ -198,26 +198,11 @@ def gram_solver(m: np.ndarray):
         if wide:
             return rows, lambda d: m.T @ solve(d), lambda r: solve(m @ r)
         return cols, lambda d: solve(m.T @ d), lambda r: m @ solve(r)
-    _, s, vt = _lapack_svd(m)
+    u, s, vt = _lapack_svd(m)
     rank = count_rank(s, m.shape)
-    v = vt.T
-    mv = m @ v
-    lam = np.einsum("ij,ij->j", mv, mv)
-    keep = lam > default_rtol((cols, cols)) * lam.max(initial=0.0)
-    if rank and not keep.any():
-        raise DivergenceError(
-            f"column Gram of a rank-{rank} batch is not representable in float64 "
-            f"(rank ratio {rank / cols:.4f})",
-            rank_ratio=rank / cols,
-        )
-    v, lam = v[:, keep], lam[keep, None]
-    root = np.sqrt(lam)
-    mv = mv[:, keep] / root.T
-    return (
-        rank,
-        lambda d: v @ ((v.T @ (m.T @ d)) / lam),
-        lambda r: mv @ ((v.T @ r) / root),
-    )
+    keep = s > np.sqrt(default_rtol((cols, cols))) * s.max(initial=0.0)
+    u, v, s = u[:, keep], vt[keep].T, s[keep, None]
+    return rank, lambda d: v @ ((u.T @ d) / s), lambda r: u @ ((v.T @ r) / s)
 
 
 def _rank(m: np.ndarray) -> int:

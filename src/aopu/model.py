@@ -163,10 +163,9 @@ class AopuModel:
 
         Validates ``x_tilde``, ``y`` and the weights once, then factors
         ``x_tilde`` once for the loss, the gradient and the reported rank
-        ratio. A non-finite loss or gradient, or a column Gram that is not
-        representable (see :func:`linalg.gram_solver`), aborts the step before
-        any weight change and surfaces a :class:`DivergenceError` carrying
-        that rank ratio.
+        ratio. A non-finite loss, gradient or new weight aborts the step
+        before any weight change and surfaces a :class:`DivergenceError`
+        carrying that rank ratio.
         """
         xt = linalg.as_matrix(x_tilde, "x_tilde")
         y = linalg.as_matrix(y, "y")
@@ -177,12 +176,15 @@ class AopuModel:
         recon, grad, rank = _update(xt, y, xt @ (xt.T @ w))
         rr = rank / xt.shape[1]
         pre_loss = _squared_error(y, recon)
-        if not np.isfinite(pre_loss) or not np.all(np.isfinite(grad)):
+        # w is finite, so the new weights are finite only if the gradient is
+        with np.errstate(over="ignore"):
+            new_w = w - self.lr * grad
+        if not np.isfinite(pre_loss) or not np.all(np.isfinite(new_w)):
             raise DivergenceError(
                 f"non-finite update on batch with rank ratio {rr:.4f}",
                 rank_ratio=rr,
             )
-        self.w_tilde = w - self.lr * grad
+        self.w_tilde = new_w
         return StepReport(
             loss=pre_loss,
             rank_ratio=rr,

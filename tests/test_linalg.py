@@ -7,7 +7,7 @@ import pytest
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import RvflnnModel
-from aopu.errors import DivergenceError, InvalidInputError
+from aopu.errors import InvalidInputError
 from aopu.model import AopuModel, dual, reconstruct, truncated_gradient
 from aopu.verify import reconstruct_reference, truncated_gradient_reference
 
@@ -132,13 +132,18 @@ class TestGramSolver:
     def test_zero_spectrum_has_rank_zero(self):
         assert linalg.count_rank(np.zeros(3), (5, 3)) == 0
 
-    def test_tiny_batch_lifts_to_its_representable_gradient(self):
-        # 1 / lam overflows at this scale although the gradient (~1e155) does
-        # not; the SVD route lifts through 1 / sqrt(lam) on both sides
-        x = np.random.default_rng(0).standard_normal((40, 8))
-        y, d = np.ones((8, 1)), np.zeros((40, 1))
-        got = truncated_gradient(x * 1e-155, y, d)
-        want = truncated_gradient(x, y, d) / 1e-155
+    @pytest.mark.parametrize("kind", ["full", "dup"])
+    @pytest.mark.parametrize("shape", [(40, 8), (8, 40)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-158, 1e-155, 1e155, 1e160])
+    def test_tiny_batch_lifts_to_its_representable_gradient(self, scale, shape, kind):
+        # the batch's Gram under- or overflows although the gradient does
+        # not; the SVD route never forms it
+        x = np.random.default_rng(0).standard_normal(shape)
+        if kind == "dup":
+            x = _duplicated_column(shape)
+        y, d = np.ones((shape[1], 1)), np.zeros((shape[0], 1))
+        got = truncated_gradient(x * scale, y, d)
+        want = truncated_gradient(x, y, d) / scale
         assert _rel(got, want) <= 1e-13
 
 
@@ -157,7 +162,8 @@ def _spectrum_matrix(shape, ratio, seed=0):
 
 
 def _rel(got, want):
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
+    # dnrm2 scales as it sums, so huge or tiny entries neither over- nor underflow
+    return linalg.frobenius_norm(got - want) / linalg.frobenius_norm(want)
 
 
 def _duplicated_column(shape, seed=0):
@@ -207,18 +213,21 @@ class TestFullRankCertificate:
             m = np.zeros(shape)
         else:
             m = _spectrum_matrix(shape, kind)
-        m = m * scale
+        unit, m = m, m * scale
         want = linalg.count_rank(np.linalg.svd(m, compute_uv=False), m.shape)
         assert linalg.rank(m) == want
         aug = Augmenter(AugmentConfig(input_dim=shape[0], hidden=0))
         y = np.zeros((shape[1], 1))
         assert RvflnnModel(aug).step(m, y).rank == want
         model = AopuModel(aug)
-        if scale >= 1e155:
-            # the batch's Grams overflow: the step refuses it and reports the rank
-            with pytest.raises(DivergenceError) as exc:
-                model.step(m, y)
-            assert exc.value.rank_ratio == want / shape[1]
+        if scale != 1.0:
+            # the step applies the unit-scale update over the scale, also
+            # where the batch's Grams overflow (from x1e155 up)
+            y = np.random.default_rng(2).standard_normal((shape[1], 1))
+            ref = AopuModel(aug)
+            ref.step(unit, y)
+            assert model.step(m, y).rank == want
+            assert _rel(model.w_tilde, ref.w_tilde / scale) <= 1e-13
         else:
             assert model.step(m, y).rank == want
 
