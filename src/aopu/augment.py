@@ -104,6 +104,10 @@ class AugmentConfig:
             )
         if self.layer_norm and self.hidden < 2:
             raise InvalidInputError("layer_norm requires a hidden block of >= 2 rows")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
 
 
 class Augmenter:

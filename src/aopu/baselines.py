@@ -39,8 +39,10 @@ class RvflnnModel:
     """
 
     def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float = 0.005):
-        if lr <= 0:
-            raise InvalidInputError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise InvalidInputError(
+                f"learning rate must be positive and finite, got {lr}"
+            )
         if out_dim < 1:
             raise InvalidInputError(f"output width must be >= 1, got {out_dim}")
         self.lr = float(lr)

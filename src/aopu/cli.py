@@ -7,15 +7,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import data, harness, verify
 from .checkpoint import save_checkpoint
+from .errors import AopuError
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    """Where the data comes from and where the outputs go."""
     p.add_argument("--dataset", default="synth",
                    help="CSV path, or 'synth' for generated data")
     p.add_argument("--schema", default=None,
@@ -23,19 +25,28 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
                         "(default: generic last-column target)")
     p.add_argument("--target-col", type=int, default=None,
                    help="absolute index of the target column")
+    p.add_argument("--no-standardize", action="store_true")
+    p.add_argument("--out-dir", default="out")
+    _add_synth_flags(p)
+
+
+def _add_feature_map_flags(p: argparse.ArgumentParser, activation=True) -> None:
+    """The frozen feature map; ``ablate`` sweeps activation and normalization
+    over ``--activations``/``--norm-flags`` instead."""
+    p.add_argument("--hidden", type=int, default=2048)
+    if activation:
+        p.add_argument("--activation", default="tanh")
+        p.add_argument("--layer-norm", action="store_true")
+
+
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", choices=harness.MODEL_KINDS, default="aopu")
     p.add_argument("--bs", type=int, default=64)
     p.add_argument("--seq", type=int, default=48)
-    p.add_argument("--hidden", type=int, default=2048)
-    p.add_argument("--activation", default="tanh")
-    p.add_argument("--layer-norm", action="store_true")
     p.add_argument("--lr", type=float, default=None,
                    help="default: 1.0 for aopu, 0.005 for rvflnn")
     p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--strategy", choices=("best", "final"), default="final")
-    p.add_argument("--model", choices=("aopu", "rvflnn"), default="aopu")
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--no-standardize", action="store_true")
-    _add_synth_flags(p)
+    p.add_argument("--strategy", choices=harness.STRATEGIES, default="final")
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -59,26 +70,30 @@ def _synth_dataset(args) -> data.Dataset:
 
 def _load_dataset(args) -> data.Dataset:
     if args.dataset == "synth":
-        return _synth_dataset(args)
+        ds = _synth_dataset(args)
+        return ds if args.target_col is None else replace(ds, target_col=args.target_col)
     return data.load_csv(args.dataset, schema=args.schema, target_col=args.target_col)
 
 
-def _config_from(args, seed: int) -> harness.TrainConfig:
+def _config_from(args, seed: int, **feature_map) -> harness.TrainConfig:
     return harness.TrainConfig(
         dataset=args.dataset,
         model=args.model,
         bs=args.bs,
         seq=args.seq,
         hidden=args.hidden,
-        activation=args.activation,
-        layer_norm=args.layer_norm,
         lr=args.lr,
         epochs=args.epochs,
         strategy=args.strategy,
         seed=seed,
-        target_col=args.target_col,
         standardize=not args.no_standardize,
+        **feature_map,
     )
+
+
+def _config_echo(config: harness.TrainConfig, ds: data.Dataset) -> dict:
+    """The run's config plus the target column it actually trained on."""
+    return {**asdict(config), "target_col": ds.target_col}
 
 
 def _finish(out_dir, config_echo, written, t0, extra=None) -> None:
@@ -94,24 +109,25 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out_dir, exist_ok=True)
     ds = _load_dataset(args)
-    config = _config_from(args, args.seed)
+    config = _config_from(
+        args, args.seed, activation=args.activation, layer_norm=args.layer_norm
+    )
     report = harness.train_run(ds, config)
+    echo = _config_echo(config, ds)
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     curve_path = os.path.join(args.out_dir, "curve.csv")
     ckpt_path = os.path.join(args.out_dir, "checkpoint.json")
     harness.write_run_metrics_csv(metrics_path, [report])
     harness.write_curve_csv(curve_path, [report])
-    save_checkpoint(
-        ckpt_path, config.model, report.selected_weights, asdict(config)
-    )
+    save_checkpoint(ckpt_path, config.model, report.selected_weights, echo)
     print(
         f"{config.model} test: mse={report.mse:.6g} mape={report.mape:.4g} "
         f"r2={report.r2:.4f} (mean train RR {report.mean_train_rr:.3f}"
         f"{', LOW-RR WARNING' if report.low_rr_warning else ''}"
         f"{', DIVERGED' if report.diverged else ''})"
     )
-    _finish(args.out_dir, asdict(config), [metrics_path, curve_path, ckpt_path], t0,
+    _finish(args.out_dir, echo, [metrics_path, curve_path, ckpt_path], t0,
             extra={"report": report.to_dict()})
     return 0
 
@@ -120,7 +136,9 @@ def cmd_repeat(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out_dir, exist_ok=True)
     ds = _load_dataset(args)
-    config = _config_from(args, args.seeds[0])
+    config = _config_from(
+        args, args.seeds[0], activation=args.activation, layer_norm=args.layer_norm
+    )
     rep = harness.repeat_experiments(ds, config, args.seeds)
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
@@ -131,7 +149,7 @@ def cmd_repeat(args) -> int:
         print(f"{name}: {rep.cell(name)}")
     if rep.diverged_seeds:
         print(f"diverged seeds: {rep.diverged_seeds}")
-    _finish(args.out_dir, asdict(config), [metrics_path, curve_path], t0,
+    _finish(args.out_dir, _config_echo(config, ds), [metrics_path, curve_path], t0,
             extra={"seeds": args.seeds,
                    "aggregate": {"mean": rep.mean, "std": rep.std},
                    "diverged_seeds": rep.diverged_seeds})
@@ -151,7 +169,6 @@ def cmd_rr_survey(args) -> int:
         layer_norm=args.layer_norm,
         seed=args.seed,
         standardize_data=not args.no_standardize,
-        target_col=args.target_col,
     )
     hist_path = os.path.join(args.out_dir, "rr_hist.csv")
     summary_path = os.path.join(args.out_dir, "rr_summary.csv")
@@ -170,6 +187,7 @@ def cmd_ablate(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out_dir, exist_ok=True)
     ds = _load_dataset(args)
+    # the sweep sets activation and layer_norm on every row
     config = _config_from(args, args.seeds[0])
     rows = harness.ablate(
         ds, args.activations, args.norm_flags, config, args.seeds
@@ -181,7 +199,7 @@ def cmd_ablate(args) -> int:
             f"acti={row.activation:<11s} norm={int(row.layer_norm)} "
             f"r2={row.report.cell('r2')}"
         )
-    _finish(args.out_dir, asdict(config), [path], t0,
+    _finish(args.out_dir, _config_echo(config, ds), [path], t0,
             extra={"activations": args.activations, "norm_flags": args.norm_flags,
                    "seeds": args.seeds})
     return 0
@@ -233,24 +251,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train one model and report test metrics")
-    _add_shared_flags(p)
+    _add_data_flags(p)
+    _add_feature_map_flags(p)
+    _add_training_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("repeat", help="repeat a config over several seeds")
-    _add_shared_flags(p)
+    _add_data_flags(p)
+    _add_feature_map_flags(p)
+    _add_training_flags(p)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     p.set_defaults(fn=cmd_repeat)
 
     p = sub.add_parser("rr-survey", help="rank-ratio distributions over a grid")
-    _add_shared_flags(p)
+    _add_data_flags(p)
+    _add_feature_map_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bs-grid", type=int, nargs="+", default=[64, 128, 288])
     p.add_argument("--seq-grid", type=int, nargs="+", default=[16, 24, 32, 40, 48])
     p.set_defaults(fn=cmd_rr_survey)
 
     p = sub.add_parser("ablate", help="activation x normalization sweep")
-    _add_shared_flags(p)
+    _add_data_flags(p)
+    _add_feature_map_flags(p, activation=False)
+    _add_training_flags(p)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p.add_argument("--activations", nargs="+", default=["tanh", "relu"])
     p.add_argument("--norm-flags", type=int, nargs="+", default=[0, 1])
@@ -272,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except AopuError as exc:
+        # a typed input error exits like an argparse usage error
+        print(f"aopu: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -135,23 +135,19 @@ def _parse_cell(text, row_idx, col_idx):
 def load_csv(path, schema=None, target_col=None) -> Dataset:
     """Load a comma-separated numeric table.
 
-    ``schema`` may be a :class:`CsvSchema` or a schema name ("debutanizer",
-    "sru"). An optional single header row of column names is detected
-    automatically: the first row is a header when none of its cells parses as
-    a number. Parsing is locale-independent (dot decimal separator only).
+    ``schema`` is a known schema name ("debutanizer", "sru") or ``None`` for a
+    generic table whose last column is the target. An optional single header
+    row of column names is detected automatically: the first row is a header
+    when none of its cells parses as a number. Parsing is locale-independent
+    (dot decimal separator only).
     """
-    if isinstance(schema, str):
+    if schema is not None:
         try:
             schema = SCHEMAS[schema]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InvalidInputError(
                 f"unknown schema {schema!r}; known: {sorted(SCHEMAS)}"
             ) from None
-    expected_cols = None
-    if isinstance(schema, CsvSchema):
-        expected_cols = schema.n_cols
-    elif schema is not None:
-        raise InvalidInputError(f"unsupported schema specification: {schema!r}")
 
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
@@ -168,7 +164,7 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
         if not rows:
             raise EmptyCsvError(f"{path}: header only, no data rows")
 
-    n_cols = expected_cols if expected_cols is not None else len(rows[0])
+    n_cols = len(rows[0]) if schema is None else schema.n_cols
     if header is not None and len(header) != n_cols:
         raise ColumnCountError(
             f"{path}: header has {len(header)} columns, expected {n_cols}"
@@ -182,7 +178,7 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
         for j, cell in enumerate(row):
             data[i, j] = _parse_cell(cell, i, j)
 
-    if isinstance(schema, CsvSchema):
+    if schema is not None:
         if schema.n_rows is not None and data.shape[0] != schema.n_rows:
             raise RowCountError(
                 f"{path}: found {data.shape[0]} rows, "
@@ -295,14 +291,12 @@ def split(ws: WindowedSet, ratios=(0.6, 0.2, 0.2)):
     return tuple(parts)
 
 
-def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0,
-            drop_last: bool = True):
+def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0):
     """Cut a windowed set into (features, targets) mini-batches.
 
-    Shuffling uses a seeded permutation. For training the final short batch
-    is dropped so every batch has exactly ``bs`` columns (the rank-ratio
-    semantics assume a constant batch size); pass ``drop_last=False`` to keep
-    it for evaluation.
+    Shuffling uses a seeded permutation. The final short batch is dropped so
+    every batch has exactly ``bs`` columns (the rank-ratio semantics assume a
+    constant batch size).
     """
     if bs < 1:
         raise InvalidInputError(f"batch size must be >= 1, got {bs}")
@@ -313,7 +307,7 @@ def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0,
     out = []
     for start in range(0, n, bs):
         cols = order[start : start + bs]
-        if drop_last and cols.size < bs:
+        if cols.size < bs:
             break
         out.append((ws.features[:, cols], ws.targets[cols]))
     return out

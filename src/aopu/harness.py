@@ -32,6 +32,10 @@ from .model import AopuModel
 CURVE_EVERY = 50  # validation-curve sampling cadence, in training iterations
 LOW_RR_THRESHOLD = 0.5  # mean train RR below this flags the run as rank-starved
 
+# chronological train/validation/test split; standardization statistics are
+# fitted on the train fraction of raw rows
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
+
 MODEL_KINDS = ("aopu", "rvflnn")
 STRATEGIES = ("best", "final")
 DEFAULT_LR = {"aopu": 1.0, "rvflnn": 0.005}
@@ -110,8 +114,6 @@ class TrainConfig:
     epochs: int = 40
     strategy: str = "final"
     seed: int = 0
-    target_col: int | None = None
-    ratios: tuple = (0.6, 0.2, 0.2)
     standardize: bool = True
 
     def __post_init__(self):
@@ -124,8 +126,8 @@ class TrainConfig:
                 raise InvalidInputError(f"{name} must be >= 1")
         if self.hidden < 0:
             raise InvalidInputError("hidden must be >= 0")
-        if self.lr is not None and self.lr <= 0:
-            raise InvalidInputError("lr must be positive")
+        if self.lr is not None and not 0 < self.lr < np.inf:
+            raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
 
     def resolved_lr(self) -> float:
         return self.lr if self.lr is not None else DEFAULT_LR[self.model]
@@ -166,42 +168,16 @@ class RunReport:
     caveat: str = SELECTION_CAVEAT
 
     def to_dict(self) -> dict:
-        d = {
-            "config": asdict(self.config),
-            "mse": self.mse,
-            "mape": self.mape,
-            "r2": self.r2,
-            "val_curve": [[int(i), float(v)] for i, v in self.val_curve],
-            "val_by_epoch": [float(v) for v in self.val_by_epoch],
-            "best_epoch": self.best_epoch,
-            "val_mse_best": self.val_mse_best,
-            "val_mse_final": self.val_mse_final,
-            "val_mse_zero": self.val_mse_zero,
-            "stability": None
-            if self.stability is None
-            else asdict(self.stability),
-            "mean_train_rr": self.mean_train_rr,
-            "min_train_rr": self.min_train_rr,
-            "low_rr_warning": self.low_rr_warning,
-            "diverged": self.diverged,
-            "divergence_rr": self.divergence_rr,
-            "n_iterations": self.n_iterations,
-            "epoch_weight_hashes": list(self.epoch_weight_hashes),
-            "weights_sha256": _weights_hash(self.selected_weights),
-            "caveat": self.caveat,
-        }
+        d = asdict(self)
+        d["weights_sha256"] = _weights_hash(d.pop("selected_weights"))
         return d
 
 
-def prepare_windows(ds: Dataset, config: TrainConfig):
+def prepare_windows(ds: Dataset, seq: int, standardize_data: bool = True):
     """Standardize (train-fraction stats), window and chronologically split."""
-    if config.target_col is not None and config.target_col != ds.target_col:
-        ds = replace(ds, target_col=config.target_col)
-    if config.standardize:
-        stats = train_column_stats(ds, config.ratios[0])
-        ds = standardize(ds, stats)
-    ws = window(ds, config.seq)
-    return split(ws, config.ratios)
+    if standardize_data:
+        ds = standardize(ds, train_column_stats(ds, SPLIT_RATIOS[0]))
+    return split(window(ds, seq), SPLIT_RATIOS)
 
 
 def _val_mse(w, x_eval, y_eval) -> float:
@@ -217,7 +193,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     divergent batch aborts training but the partial curves, the last rank
     ratio and the metrics of the last finite weights are all preserved.
     """
-    train, val, test = prepare_windows(ds, config)
+    train, val, test = prepare_windows(ds, config.seq, config.standardize)
     if train.n_windows < config.bs:
         raise InvalidInputError(
             f"batch size {config.bs} exceeds the {train.n_windows} training "
@@ -251,9 +227,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
 
     for epoch in range(config.epochs):
         epoch_seed = int(rng.integers(0, 2**31 - 1))
-        for feats, targs in batches(
-            train, config.bs, shuffle=True, seed=epoch_seed, drop_last=True
-        ):
+        for feats, targs in batches(train, config.bs, shuffle=True, seed=epoch_seed):
             # the step reports the rank ratio off its own factorization, so no
             # separate rank is taken here
             try:
@@ -392,9 +366,7 @@ def rr_survey(
     activation: str = "tanh",
     layer_norm: bool = False,
     seed: int = 0,
-    ratios=(0.6, 0.2, 0.2),
     standardize_data: bool = True,
-    target_col: int | None = None,
 ):
     """Rank-ratio distributions of augmented training batches over a grid.
 
@@ -415,19 +387,7 @@ def rr_survey(
             raise InvalidInputError(f"batch size must be >= 1, got {bs}")
     summaries = []
     for seq in seq_grid:
-        cfg = TrainConfig(
-            model="aopu",
-            bs=max(bs_grid),
-            seq=seq,
-            hidden=hidden,
-            activation=activation,
-            layer_norm=layer_norm,
-            seed=seed,
-            ratios=tuple(ratios),
-            standardize=standardize_data,
-            target_col=target_col,
-        )
-        train, _, _ = prepare_windows(ds, cfg)
+        train, _, _ = prepare_windows(ds, seq, standardize_data)
         augmenter = Augmenter(
             AugmentConfig(
                 input_dim=train.dim,

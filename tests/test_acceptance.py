@@ -147,7 +147,7 @@ def test_criterion_06_linear_system_convergence():
             strategy=strategy, seed=0,
         )
         results[strategy] = train_run(ds, cfg)
-    train, _, _ = prepare_windows(ds, cfg)
+    train, _, _ = prepare_windows(ds, cfg.seq)
     fit = linear_mve_fit(train.features, train.targets.T)
     weight_gap = float(
         np.max(np.abs(results["final"].selected_weights[:, 0] - fit.weights[0]))

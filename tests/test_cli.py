@@ -4,9 +4,10 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from aopu.checkpoint import load_checkpoint
-from aopu.cli import main
+from aopu.cli import build_parser, main
 from aopu.data import load_csv
 
 SMALL = [
@@ -31,7 +32,10 @@ def test_train_writes_all_artifacts(tmp_path):
     ckpt = load_checkpoint(out / "checkpoint.json")
     assert ckpt.kind == "aopu"
     assert ckpt.config["seed"] == 1
+    # the column actually trained on: synth's single target, after 4 inputs
+    assert ckpt.config["target_col"] == 4
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["target_col"] == 4
     assert "content_hash" in manifest and "wall_time_s" in manifest
     assert set(manifest["outputs"]) == {"metrics.csv", "curve.csv", "checkpoint.json"}
 
@@ -118,3 +122,100 @@ def test_dataset_csv_path_via_schema(tmp_path):
         "--hidden", "8", "--epochs", "2", "--out-dir", str(out),
     ])
     assert code == 0
+
+
+def _flags(command):
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    parser = sub.choices[command]
+    return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    data_flags = {
+        "--dataset", "--schema", "--target-col", "--no-standardize", "--out-dir",
+        "--synth-n", "--synth-vars", "--synth-noise", "--synth-nonlinear",
+        "--synth-seed",
+    }
+    training = {"--model", "--bs", "--seq", "--lr", "--epochs", "--strategy"}
+    feature_map = {"--hidden", "--activation", "--layer-norm"}
+    assert _flags("train") == data_flags | feature_map | training | {"--seed"}
+    assert _flags("repeat") == data_flags | feature_map | training | {"--seeds"}
+    assert _flags("rr-survey") == data_flags | feature_map | {
+        "--seed", "--bs-grid", "--seq-grid",
+    }
+    assert _flags("ablate") == data_flags | {"--hidden"} | training | {
+        "--seeds", "--activations", "--norm-flags",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rr-survey", "--epochs", "3"],
+        ["rr-survey", "--lr", "0.1"],
+        ["rr-survey", "--strategy", "best"],
+        ["rr-survey", "--model", "rvflnn"],
+        ["ablate", "--layer-norm"],
+    ],
+    ids=["rr-survey-epochs", "rr-survey-lr", "rr-survey-strategy",
+         "rr-survey-model", "ablate-layer-norm"],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_rr_survey_prefixes_resolve_to_the_grids(tmp_path):
+    # argparse prefix matching: --bs/--seq abbreviate --bs-grid/--seq-grid
+    out = tmp_path / "rr"
+    assert main([
+        "rr-survey", "--synth-n", "400", "--hidden", "16",
+        "--bs", "16", "--seq", "2", "--out-dir", str(out),
+    ]) == 0
+    summary = _read_csv(out / "rr_summary.csv")
+    assert [(r["bs"], r["seq"]) for r in summary] == [("16", "2")]
+
+
+def test_ablate_activation_prefix_resolves_to_the_sweep(tmp_path):
+    out = tmp_path / "ab"
+    assert main([
+        "ablate", *SMALL, "--seeds", "0", "1", "--norm-flags", "0",
+        "--activation", "relu", "--out-dir", str(out),
+    ]) == 0
+    rows = _read_csv(out / "ablation.csv")
+    assert [r["activation"] for r in rows] == ["relu"]
+
+
+def test_target_col_applies_to_synth_data(tmp_path, capsys):
+    # a synth table has one target column, after its inputs: 4 is the only
+    # valid choice with 4 inputs, and 2 is an input column
+    out = tmp_path / "run"
+    assert main(["train", *SMALL, "--target-col", "4", "--out-dir", str(out)]) == 0
+    assert main(["train", *SMALL, "--target-col", "2", "--out-dir", str(out)]) == 2
+    assert "aopu: error: target column 2 must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["repeat", *SMALL, "--seeds", "0"], "need at least 2 seeds, got 1"),
+        (["train", *SMALL, "--seed", "-1"], "seed must be a non-negative integer"),
+        (["train", *SMALL, "--lr", "nan"], "lr must be positive and finite"),
+    ],
+    ids=["one-seed", "negative-seed", "nan-lr"],
+)
+def test_typed_input_errors_exit_2_without_traceback(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aopu: error: {message}")
+    assert "Traceback" not in err
+
+
+def test_bad_csv_exits_2_naming_row_and_column(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2,3\n4,x,6\n")
+    code = main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aopu: error: ") and "row 1, column 1" in err

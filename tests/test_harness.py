@@ -86,8 +86,17 @@ class TestTrainConfig:
             TrainConfig(strategy="middle")
         with pytest.raises(InvalidInputError):
             TrainConfig(bs=0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(lr=-1.0)
+        for lr in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="lr must be positive"):
+                TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("seed", (-1, 1.5))
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        ds = synth_generate(n=200, n_vars=3, seed=0)
+        with pytest.raises(InvalidInputError, match="seed must be"):
+            train_run(ds, _small_config(seed=seed))
+        with pytest.raises(InvalidInputError, match="seed must be"):
+            rr_survey(ds, bs_grid=[8], seq_grid=[2], hidden=4, seed=seed)
 
 
 def _small_config(**kw):
@@ -140,7 +149,7 @@ class TestTrainRun:
     def test_curve_cadence_and_epoch_log(self, small_ds):
         cfg = _small_config(epochs=3)
         rep = train_run(small_ds, cfg)
-        train, _, _ = prepare_windows(small_ds, cfg)
+        train, _, _ = prepare_windows(small_ds, cfg.seq)
         per_epoch = train.n_windows // cfg.bs
         total = per_epoch * cfg.epochs
         assert rep.n_iterations == total
@@ -186,12 +195,6 @@ class TestTrainRun:
         rep = train_run(ds, cfg)
         assert rep.mean_train_rr == pytest.approx(16 / 160)
         assert rep.low_rr_warning
-
-    def test_target_col_override(self):
-        rng_vals = synth_generate(n=300, n_vars=3, noise=0.1, seed=7)
-        cfg = _small_config(target_col=3, epochs=2)
-        rep = train_run(rng_vals, cfg)
-        assert rep.config.target_col == 3
 
     def test_batch_larger_than_training_split_rejected(self, small_ds):
         with pytest.raises(InvalidInputError):
@@ -291,7 +294,7 @@ class TestRrSurvey:
         )
         want = []
         for seq in seq_grid:
-            train, _, _ = prepare_windows(ar_ds, TrainConfig(seq=seq))
+            train, _, _ = prepare_windows(ar_ds, seq)
             aug = Augmenter(
                 AugmentConfig(
                     input_dim=train.dim, hidden=hidden, layer_norm=layer_norm, seed=3
@@ -326,7 +329,7 @@ class TestRrSurvey:
         seq_grid = (2, 4)
         rr_survey(ar_ds, bs_grid=(16, 24, 64), seq_grid=seq_grid, hidden=8)
         for seq in seq_grid:
-            train, _, _ = prepare_windows(ar_ds, TrainConfig(seq=seq))
+            train, _, _ = prepare_windows(ar_ds, seq)
             cols = augmented[train.dim]
             assert len(set(cols)) == len(cols)
             assert len(cols) <= train.n_windows

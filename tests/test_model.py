@@ -12,7 +12,7 @@ from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import RvflnnModel, mse_gradient
 from aopu.data import batches, synth_generate
 from aopu.errors import DivergenceError, InvalidInputError
-from aopu.harness import TrainConfig, prepare_windows
+from aopu.harness import prepare_windows
 from aopu.model import (
     AopuModel,
     dual,
@@ -354,8 +354,10 @@ class TestStep:
 
     def test_invalid_hyperparameters(self):
         aug = Augmenter(AugmentConfig(input_dim=2, hidden=0))
-        with pytest.raises(InvalidInputError):
-            AopuModel(aug, lr=0.0)
+        for cls in (AopuModel, RvflnnModel):
+            for lr in (0.0, np.nan, np.inf):
+                with pytest.raises(InvalidInputError, match="learning rate"):
+                    cls(aug, lr=lr)
         with pytest.raises(InvalidInputError):
             AopuModel(aug, out_dim=0)
 
@@ -383,7 +385,7 @@ def test_zero_column_batch_rejected(entry):
 @functools.lru_cache(maxsize=None)
 def _train_windows(seq):
     ds = synth_generate(n=4000, n_vars=5, noise=0.3, nonlinear=True, seed=0)
-    train, _, _ = prepare_windows(ds, TrainConfig(seq=seq, seed=0))
+    train, _, _ = prepare_windows(ds, seq)
     return train
 
 
@@ -393,7 +395,7 @@ def _grid_batches(hidden, bs, seq, n=3):
     train = _train_windows(seq)
     aug = Augmenter(AugmentConfig(input_dim=train.dim, hidden=hidden, seed=0))
     out = []
-    for feats, targs in batches(train, bs, shuffle=True, seed=0, drop_last=True):
+    for feats, targs in batches(train, bs, shuffle=True, seed=0):
         out.append((aug, aug.augment(feats), targs))
         if len(out) == n:
             break
