@@ -4,6 +4,12 @@ The augmentation matrix G is drawn once from a seeded standard normal
 generator and frozen; the hidden block is passed through one of the catalog
 activations and (optionally) per-sample layer normalization. The raw input
 block is always appended verbatim below the hidden block.
+
+Each augmented batch is built in one (d+h)-by-b buffer. G is stored in
+Fortran order, so G.T is C-contiguous, and the product G.T @ x is written
+straight into the buffer's first h rows. The activation and the layer norm
+then overwrite those rows in place, and x is copied into the last d rows.
+No intermediate block of the batch's size is allocated.
 """
 
 from __future__ import annotations
@@ -22,28 +28,57 @@ LEAKY_SLOPE = 0.01
 SHRINK_LAMBDA = 0.5
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+def _hardshrink(a):
+    np.copyto(a, 0.0, where=~(np.abs(a) > SHRINK_LAMBDA))
+    return a
 
 
-def _sigmoid(x):
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+def _softshrink(a):
+    excess = np.abs(a)
+    excess -= SHRINK_LAMBDA
+    np.maximum(excess, 0.0, out=excess)
+    return np.multiply(np.sign(a, out=a), excess, out=a)
 
 
+def _sigmoid(a):
+    # 1/(1+z) where a >= 0 and z/(1+z) elsewhere, with z = exp(-|a|)
+    nonneg = a >= 0
+    z = np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
+    denom = z + 1.0
+    np.copyto(z, 1.0, where=nonneg)
+    return np.divide(z, denom, out=a)
+
+
+def _hardswish(a):
+    gate = a + 3.0
+    np.clip(gate, 0.0, 6.0, out=gate)
+    a *= gate
+    a /= 6.0
+    return a
+
+
+def _mish(a):
+    gate = np.logaddexp(0.0, a)
+    np.tanh(gate, out=gate)
+    a *= gate
+    return a
+
+
+# Each entry overwrites its float64 array argument with the activation and
+# returns it, so the augmented batch is activated in its own buffer.
 ACTIVATIONS = {
-    "tanh": np.tanh,
-    "hardshrink": lambda x: np.where(np.abs(x) > SHRINK_LAMBDA, x, 0.0),
-    "tanhshrink": lambda x: x - np.tanh(x),
-    "softsign": lambda x: x / (1.0 + np.abs(x)),
-    "softshrink": lambda x: np.sign(x) * np.maximum(np.abs(x) - SHRINK_LAMBDA, 0.0),
+    "tanh": lambda a: np.tanh(a, out=a),
+    "hardshrink": _hardshrink,
+    "tanhshrink": lambda a: np.subtract(a, np.tanh(a), out=a),
+    "softsign": lambda a: np.divide(a, 1.0 + np.abs(a), out=a),
+    "softshrink": _softshrink,
     "sigmoid": _sigmoid,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "relu6": lambda x: np.clip(x, 0.0, 6.0),
-    "rrelu": lambda x: np.where(x >= 0, x, RRELU_SLOPE * x),
-    "leakyrelu": lambda x: np.where(x >= 0, x, LEAKY_SLOPE * x),
-    "hardswish": lambda x: x * np.clip(x + 3.0, 0.0, 6.0) / 6.0,
-    "mish": lambda x: x * np.tanh(_softplus(x)),
+    "relu": lambda a: np.maximum(a, 0.0, out=a),
+    "relu6": lambda a: np.clip(a, 0.0, 6.0, out=a),
+    "rrelu": lambda a: np.multiply(a, RRELU_SLOPE, out=a, where=~(a >= 0)),
+    "leakyrelu": lambda a: np.multiply(a, LEAKY_SLOPE, out=a, where=~(a >= 0)),
+    "hardswish": _hardswish,
+    "mish": _mish,
 }
 
 # Odd activations whose expectation under a symmetric input law is zero.
@@ -51,14 +86,14 @@ ZERO_MEAN_ACTIVATIONS = ("hardshrink", "tanh", "tanhshrink", "softsign", "softsh
 
 
 def activation_apply(name: str, m) -> np.ndarray:
-    """Apply a catalog activation element-wise."""
+    """Apply a catalog activation element-wise to a copy of ``m``."""
     try:
         fn = ACTIVATIONS[name]
     except KeyError:
         raise InvalidInputError(
             f"unknown activation {name!r}; available: {sorted(ACTIVATIONS)}"
         ) from None
-    return fn(np.asarray(m, dtype=np.float64))
+    return fn(np.array(m, dtype=np.float64))
 
 
 def layer_norm(m) -> np.ndarray:
@@ -72,14 +107,16 @@ def layer_norm(m) -> np.ndarray:
         raise InvalidInputError(
             f"layer normalization needs at least 2 feature rows, got {a.shape[0]}"
         )
-    return _layer_norm(a)
+    return _layer_norm(a.copy())
 
 
 def _layer_norm(a: np.ndarray) -> np.ndarray:
-    """:func:`layer_norm` of a validated matrix with at least 2 rows."""
-    centered = a - a.mean(axis=0, keepdims=True)
-    std = centered.std(axis=0, keepdims=True)
-    return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
+    """:func:`layer_norm` of a validated matrix with at least 2 rows, in place."""
+    a -= a.mean(axis=0, keepdims=True)
+    std = a.std(axis=0, keepdims=True)
+    np.divide(a, std, out=a, where=std > 0)
+    np.copyto(a, 0.0, where=~(std > 0))
+    return a
 
 
 @dataclass(frozen=True)
@@ -121,7 +158,13 @@ class Augmenter:
     def __init__(self, config: AugmentConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        g = rng.standard_normal((config.input_dim, config.hidden))
+        # Fortran order, filled row by row through one row buffer: the same
+        # values as one (d, h) draw, with no transient copy of G and no
+        # allocation per row, and g_hat.T is C-contiguous
+        g = np.empty((config.hidden, config.input_dim)).T
+        row_draw = np.empty(config.hidden)
+        for row in g:
+            row[...] = rng.standard_normal(out=row_draw)
         g.setflags(write=False)
         self.g_hat = g
 
@@ -136,7 +179,12 @@ class Augmenter:
             raise InvalidInputError(
                 f"x has {xm.shape[0]} rows, augmenter expects {self.config.input_dim}"
             )
-        hidden = activation_apply(self.config.activation, self.g_hat.T @ xm)
-        if self.config.layer_norm and self.config.hidden > 0:
-            hidden = _layer_norm(hidden)
-        return np.vstack([hidden, xm])
+        h = self.config.hidden
+        out = np.empty((self.output_dim, xm.shape[1]))
+        hidden = out[:h]
+        np.matmul(self.g_hat.T, xm, out=hidden)
+        ACTIVATIONS[self.config.activation](hidden)
+        if self.config.layer_norm:
+            _layer_norm(hidden)
+        out[h:] = xm
+        return out

@@ -13,7 +13,17 @@ import numpy as np
 
 from . import data, harness, verify
 from .checkpoint import save_checkpoint
-from .errors import AopuError
+from .errors import AopuError, InvalidInputError
+
+# each --synth-* flag's dest, synth_generate keyword and default; the flags
+# themselves default to None, so a CSV run can tell that one was given
+SYNTH_FLAGS = (
+    ("synth_n", "n", 4000),
+    ("synth_vars", "n_vars", 5),
+    ("synth_noise", "noise", 0.3),
+    ("synth_nonlinear", "nonlinear", False),
+    ("synth_seed", "seed", 0),
+)
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -51,27 +61,37 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     """Synthetic-data knobs, read by ``--dataset synth`` and ``synth``."""
-    p.add_argument("--synth-n", type=int, default=4000)
-    p.add_argument("--synth-vars", type=int, default=5)
-    p.add_argument("--synth-noise", type=float, default=0.3)
-    p.add_argument("--synth-nonlinear", action="store_true")
-    p.add_argument("--synth-seed", type=int, default=0)
+    d = {dest: default for dest, _, default in SYNTH_FLAGS}
+    p.add_argument("--synth-n", type=int, help=f"default: {d['synth_n']}")
+    p.add_argument("--synth-vars", type=int, help=f"default: {d['synth_vars']}")
+    p.add_argument("--synth-noise", type=float, help=f"default: {d['synth_noise']}")
+    p.add_argument("--synth-nonlinear", action="store_true", default=None)
+    p.add_argument("--synth-seed", type=int, help=f"default: {d['synth_seed']}")
 
 
 def _synth_dataset(args) -> data.Dataset:
-    return data.synth_generate(
-        n=args.synth_n,
-        n_vars=args.synth_vars,
-        noise=args.synth_noise,
-        nonlinear=args.synth_nonlinear,
-        seed=args.synth_seed,
-    )
+    return data.synth_generate(**{
+        kw: default if getattr(args, dest) is None else getattr(args, dest)
+        for dest, kw, default in SYNTH_FLAGS
+    })
 
 
 def _load_dataset(args) -> data.Dataset:
+    """The dataset the run trains on; a flag of the other data source is an
+    error rather than silently dropped."""
     if args.dataset == "synth":
+        if args.schema is not None:
+            raise InvalidInputError(
+                "--schema applies to a CSV --dataset, not to synth data"
+            )
         ds = _synth_dataset(args)
         return ds if args.target_col is None else replace(ds, target_col=args.target_col)
+    given = [dest for dest, _, _ in SYNTH_FLAGS if getattr(args, dest) is not None]
+    if given:
+        flag = "--" + given[0].replace("_", "-")
+        raise InvalidInputError(
+            f"{flag} applies to --dataset synth, not to {args.dataset!r}"
+        )
     return data.load_csv(args.dataset, schema=args.schema, target_col=args.target_col)
 
 
@@ -107,11 +127,11 @@ def _finish(out_dir, config_echo, written, t0, extra=None) -> None:
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    os.makedirs(args.out_dir, exist_ok=True)
     ds = _load_dataset(args)
     config = _config_from(
         args, args.seed, activation=args.activation, layer_norm=args.layer_norm
     )
+    os.makedirs(args.out_dir, exist_ok=True)
     report = harness.train_run(ds, config)
     echo = _config_echo(config, ds)
 
@@ -134,11 +154,11 @@ def cmd_train(args) -> int:
 
 def cmd_repeat(args) -> int:
     t0 = time.perf_counter()
-    os.makedirs(args.out_dir, exist_ok=True)
     ds = _load_dataset(args)
     config = _config_from(
         args, args.seeds[0], activation=args.activation, layer_norm=args.layer_norm
     )
+    os.makedirs(args.out_dir, exist_ok=True)
     rep = harness.repeat_experiments(ds, config, args.seeds)
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
@@ -158,8 +178,8 @@ def cmd_repeat(args) -> int:
 
 def cmd_rr_survey(args) -> int:
     t0 = time.perf_counter()
-    os.makedirs(args.out_dir, exist_ok=True)
     ds = _load_dataset(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     summaries = harness.rr_survey(
         ds,
         bs_grid=args.bs_grid,
@@ -185,10 +205,10 @@ def cmd_rr_survey(args) -> int:
 
 def cmd_ablate(args) -> int:
     t0 = time.perf_counter()
-    os.makedirs(args.out_dir, exist_ok=True)
     ds = _load_dataset(args)
     # the sweep sets activation and layer_norm on every row
     config = _config_from(args, args.seeds[0])
+    os.makedirs(args.out_dir, exist_ok=True)
     rows = harness.ablate(
         ds, args.activations, args.norm_flags, config, args.seeds
     )
@@ -199,15 +219,19 @@ def cmd_ablate(args) -> int:
             f"acti={row.activation:<11s} norm={int(row.layer_norm)} "
             f"r2={row.report.cell('r2')}"
         )
-    _finish(args.out_dir, _config_echo(config, ds), [path], t0,
+    # the sweep is recorded under activations/norm_flags, so the echo drops
+    # the config's unused activation and layer_norm defaults
+    echo = _config_echo(config, ds)
+    del echo["activation"], echo["layer_norm"]
+    _finish(args.out_dir, echo, [path], t0,
             extra={"activations": args.activations, "norm_flags": args.norm_flags,
                    "seeds": args.seeds})
     return 0
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     ds = _synth_dataset(args)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     header = ",".join(ds.columns)
     np.savetxt(args.out, ds.values, delimiter=",", header=header, comments="",
                fmt="%.17g")

@@ -29,6 +29,10 @@ class CsvError(AopuError, ValueError):
     """Base class for CSV ingestion problems."""
 
 
+class CsvReadError(CsvError):
+    """The file cannot be opened or decoded as UTF-8 text."""
+
+
 class EmptyCsvError(CsvError):
     """The file contains no data rows."""
 
@@ -149,8 +153,13 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
                 f"unknown schema {schema!r}; known: {sorted(SCHEMAS)}"
             ) from None
 
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
+    except OSError as exc:
+        raise CsvReadError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CsvReadError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if not rows:
         raise EmptyCsvError(f"{path}: no data rows")
 

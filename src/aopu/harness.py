@@ -92,9 +92,13 @@ def stability_report(curve) -> StabilityIndices:
     if values.size < 4:
         raise InvalidInputError(f"need at least 4 evaluations, got {values.size}")
     tail = values[values.size // 2 :]
-    diffs = np.diff(values)
+    # a diverging curve's squares overflow, and an inf value makes inf - inf;
+    # the resulting inf or nan is reported as-is, like in metrics()
+    with np.errstate(over="ignore", invalid="ignore"):
+        fluctuation = float(tail.std())
+        diffs = np.diff(values)
     return StabilityIndices(
-        fluctuation=float(tail.std()),
+        fluctuation=fluctuation,
         max_regression=float(max(0.0, diffs.max())),
     )
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,75 @@ class TestAugment:
             aug.g_hat[0, 0] = 1.0  # read-only buffer
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestOneBuffer:
+    """augment builds x_tilde in one buffer, equal to the stacked reference."""
+
+    @pytest.mark.parametrize("b", [1, 5])
+    @pytest.mark.parametrize("norm", [False, True])
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_matches_stacked_reference(self, name, norm, b):
+        aug = Augmenter(
+            AugmentConfig(input_dim=7, hidden=16, activation=name, layer_norm=norm, seed=4)
+        )
+        x = np.random.default_rng(b).standard_normal((7, b)) * 3.0
+        hidden = activation_apply(name, aug.g_hat.T @ x)
+        if norm:
+            hidden = layer_norm(hidden)
+        ref = np.vstack([hidden, x])
+        np.testing.assert_array_equal(_bits(aug.augment(x)), _bits(ref))
+
+    @pytest.mark.parametrize("b", [1, 5])
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_hidden_zero_is_a_copy(self, name, b):
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=0, activation=name))
+        x = np.random.default_rng(0).standard_normal((3, b))
+        out = aug.augment(x)
+        np.testing.assert_array_equal(_bits(out), _bits(x))
+        assert not np.shares_memory(out, x)
+
+    def test_g_hat_is_one_seeded_draw(self):
+        aug = Augmenter(AugmentConfig(input_dim=6, hidden=11, seed=17))
+        want = np.random.default_rng(17).standard_normal((6, 11))
+        assert aug.g_hat.shape == (6, 11)
+        np.testing.assert_array_equal(_bits(aug.g_hat), _bits(want))
+        assert not aug.g_hat.flags.writeable
+        assert aug.g_hat.T.flags.c_contiguous
+
+    def test_returns_fresh_array(self):
+        aug = Augmenter(AugmentConfig(input_dim=4, hidden=6, seed=1))
+        x = np.random.default_rng(2).standard_normal((4, 3))
+        keep = x.copy()
+        out = aug.augment(x)
+        assert not np.shares_memory(out, x)
+        assert not np.shares_memory(out, aug.augment(x))
+        out[:] = 0.0
+        np.testing.assert_array_equal(x, keep)
+
+    def test_warm_call_allocates_only_its_output(self):
+        aug = Augmenter(AugmentConfig(input_dim=240, hidden=2048, seed=0))
+        x = np.random.default_rng(0).standard_normal((240, 64))
+        aug.augment(x)  # warm
+        tracemalloc.start()
+        try:
+            out = aug.augment(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+
+    def test_construction_allocates_only_g_hat(self):
+        tracemalloc.start()
+        try:
+            aug = Augmenter(AugmentConfig(input_dim=240, hidden=2048, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * aug.g_hat.nbytes
+
 
 class TestActivations:
     def test_closed_forms(self):
@@ -157,6 +227,37 @@ class TestActivations:
             assert out.shape == x.shape
             assert np.all(np.isfinite(out)), name
 
+    def test_in_place_entries_match_closed_forms(self):
+        # the catalog overwrites its argument; each entry must give the bits
+        # of the element-wise formula it implements
+        def sigmoid(x):
+            z = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+        lam = 0.5
+        formulas = {
+            "tanh": np.tanh,
+            "hardshrink": lambda x: np.where(np.abs(x) > lam, x, 0.0),
+            "tanhshrink": lambda x: x - np.tanh(x),
+            "softsign": lambda x: x / (1.0 + np.abs(x)),
+            "softshrink": lambda x: np.sign(x) * np.maximum(np.abs(x) - lam, 0.0),
+            "sigmoid": sigmoid,
+            "relu": lambda x: np.maximum(x, 0.0),
+            "relu6": lambda x: np.clip(x, 0.0, 6.0),
+            "rrelu": lambda x: np.where(x >= 0, x, (11.0 / 48.0) * x),
+            "leakyrelu": lambda x: np.where(x >= 0, x, 0.01 * x),
+            "hardswish": lambda x: x * np.clip(x + 3.0, 0.0, 6.0) / 6.0,
+            "mish": lambda x: x * np.tanh(np.logaddexp(0.0, x)),
+        }
+        assert sorted(formulas) == sorted(ACTIVATIONS)
+        edges = [0.0, -0.0, lam, -lam, 3.0, -3.0, 6.0, -6.0, 1e300, -1e300]
+        x = np.concatenate([np.linspace(-30, 30, 2000), edges]).reshape(3, -1)
+        keep = x.copy()
+        for name, formula in formulas.items():
+            got = activation_apply(name, x)
+            np.testing.assert_array_equal(_bits(got), _bits(formula(x)), err_msg=name)
+            np.testing.assert_array_equal(_bits(x), _bits(keep), err_msg=name)
+
     def test_rrelu_deterministic(self):
         x = np.random.default_rng(0).standard_normal((4, 4))
         np.testing.assert_array_equal(
@@ -176,6 +277,13 @@ class TestLayerNorm:
     def test_constant_column_zeroed(self):
         out = layer_norm(np.full((4, 2), 3.5))
         np.testing.assert_array_equal(out, np.zeros((4, 2)))
+
+    def test_constant_column_with_inexact_mean_zeroed(self):
+        # the mean of three 0.1s is not 0.1, so centering leaves a constant
+        # -1.4e-17 whose std is 0; the column must still come out zero
+        m = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])
+        out = layer_norm(m)
+        np.testing.assert_array_equal(_bits(out[:, 0]), _bits(np.zeros(3)))
 
     def test_already_normalized_unchanged(self):
         col = np.array([[1.0], [-1.0]])

@@ -219,3 +219,63 @@ def test_bad_csv_exits_2_naming_row_and_column(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("aopu: error: ") and "row 1, column 1" in err
+
+
+@pytest.mark.parametrize("command", ["train", "repeat", "rr-survey", "ablate"])
+def test_missing_dataset_exits_2_and_creates_no_out_dir(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    missing = tmp_path / "missing.csv"
+    assert main([command, "--dataset", str(missing), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aopu: error: {missing}: cannot read: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unreadable_dataset_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"1,2\n\xff\xfe,3\n")
+    assert main(["train", "--dataset", str(binary), "--out-dir", str(out)]) == 2
+    assert main(["train", "--dataset", str(tmp_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and "cannot read" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dataset, flags, message",
+    [
+        ("synth", ["--schema", "sru"],
+         "--schema applies to a CSV --dataset, not to synth data"),
+        ("csv", ["--synth-n", "300"], "--synth-n applies to --dataset synth"),
+        ("csv", ["--synth-nonlinear"], "--synth-nonlinear applies to --dataset synth"),
+        ("csv", ["--synth-seed", "0"], "--synth-seed applies to --dataset synth"),
+    ],
+    ids=["synth-with-schema", "csv-with-synth-n", "csv-with-synth-nonlinear",
+         "csv-with-default-synth-seed"],
+)
+def test_other_data_source_flags_are_rejected(tmp_path, capsys, dataset, flags, message):
+    if dataset == "csv":
+        dataset = tmp_path / "table.csv"
+        np.savetxt(dataset, np.random.default_rng(0).standard_normal((50, 3)),
+                   delimiter=",")
+    out = tmp_path / "run"
+    argv = ["train", "--dataset", str(dataset), *flags, "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"aopu: error: {message}")
+    assert not out.exists()
+
+
+def test_ablate_manifest_records_only_the_sweep(tmp_path):
+    out = tmp_path / "ab"
+    assert main([
+        "ablate", *SMALL, "--seeds", "0", "1",
+        "--activations", "relu", "--norm-flags", "1", "--out-dir", str(out),
+    ]) == 0
+    text = (out / "manifest.json").read_text()
+    assert "tanh" not in text
+    manifest = json.loads(text)
+    assert "activation" not in manifest["config"]
+    assert "layer_norm" not in manifest["config"]
+    assert manifest["activations"] == ["relu"] and manifest["norm_flags"] == [1]

@@ -72,6 +72,17 @@ class TestStabilityReport:
         with pytest.raises(InvalidInputError):
             stability_report([1.0, 0.5, 0.4])
 
+    def test_overflowing_tail_reports_inf(self):
+        # the squared deviations of the tail overflow; warnings are errors
+        s = stability_report([1.0, 2.0, 1e200, 3e200])
+        assert s.fluctuation == np.inf
+        assert s.max_regression == 2e200
+
+    def test_infinite_value_reported_as_is(self):
+        s = stability_report([1.0, 2.0, 3.0, np.inf])
+        assert not np.isfinite(s.fluctuation)
+        assert s.max_regression == np.inf
+
 
 class TestTrainConfig:
     def test_default_learning_rates(self):
