@@ -93,13 +93,14 @@ def stability_report(curve) -> StabilityIndices:
         raise InvalidInputError(f"need at least 4 evaluations, got {values.size}")
     tail = values[values.size // 2 :]
     # a diverging curve's squares overflow, and an inf value makes inf - inf;
-    # the resulting inf or nan is reported as-is, like in metrics()
+    # the resulting inf or nan is reported as-is, like in metrics(), so the
+    # maximum propagates a nan step (the builtin max(0.0, nan) is 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         fluctuation = float(tail.std())
         diffs = np.diff(values)
     return StabilityIndices(
         fluctuation=fluctuation,
-        max_regression=float(max(0.0, diffs.max())),
+        max_regression=float(np.maximum(0.0, diffs.max())),
     )
 
 
@@ -427,28 +428,55 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     """Ranks of the full shuffled training batches of every size in ``sizes``.
 
     The shuffled split is cut at the union of all sizes' batch boundaries and
-    each segment between two cuts is augmented once. When a cut closes a
-    batch of some size, that batch's segments are joined and ranked.
-    Augmentation acts on each column alone, so a joined batch equals the
-    batch augmented whole. A segment is dropped once no batch in progress
-    needs it, so about one largest batch of augmented columns is live.
+    each segment between two cuts is augmented once. Augmentation acts on
+    each column alone, so a batch's augmented columns are its segments side
+    by side, and its column Gram is the block matrix of the products
+    ``Si.T @ Sj`` of its segments. Each new segment is multiplied with
+    itself and with every earlier live segment that shares a tall batch
+    (more augmented rows than columns) in progress with it. When a cut
+    closes a tall batch, its Gram is assembled from those blocks and
+    certified with its own shifted Cholesky (see
+    :func:`linalg._certifies_full_rank`); a certified batch has full rank.
+    A wide, square or uncertified batch, or one with a non-finite entry, has
+    its segments joined and ranked by :func:`linalg.rank`, which also
+    rejects the non-finite entry. A segment and its products are dropped
+    once no batch in progress needs them, so about one largest batch of
+    augmented columns, and at most the products among them, are live.
     """
     n = train.n_windows
     ((shuffled, _),) = batches(train, n, shuffle=True, seed=seed)
     ends = {bs: n - n % bs for bs in sizes}  # end of each size's last full batch
     cuts = sorted({c for bs in sizes for c in range(bs, ends[bs] + 1, bs)})
+    rows = augmenter.output_dim
+    tall = {bs for bs in sizes if rows > bs}
     ranks = {bs: [] for bs in sizes}
     live = []  # (first column, augmented segment), in column order
+    blocks = {}  # (first, first') of two live segments -> S.T @ S'
     start = 0
     for cut in cuts:
-        live.append((start, augmenter.augment(shuffled[:, start:cut])))
+        seg = augmenter.augment(shuffled[:, start:cut])
+        live.append((start, seg))
+        # first column of the earliest tall batch in progress that holds seg
+        reach = min(
+            (start - start % bs for bs in tall if start < ends[bs]), default=cut
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, other in live:
+                if first >= reach:
+                    blocks[first, start] = other.T @ seg
         start = cut
         for bs in sizes:
             if cut % bs == 0:
-                parts = [seg for first, seg in live if first >= cut - bs]
-                ranks[bs].append(
-                    linalg.rank(parts[0] if len(parts) == 1 else np.hstack(parts))
-                )
+                firsts = [first for first, _ in live if first >= cut - bs]
+                if bs in tall and linalg._certifies_full_rank(
+                    _batch_gram(firsts, blocks), rows
+                ):
+                    ranks[bs].append(bs)
+                else:
+                    parts = [seg for first, seg in live if first >= cut - bs]
+                    ranks[bs].append(
+                        linalg.rank(parts[0] if len(parts) == 1 else np.hstack(parts))
+                    )
         # first column of the earliest batch still in progress; every batch
         # boundary is a cut, so no segment straddles it
         keep = min(
@@ -456,7 +484,16 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
             default=cut,
         )
         live = [(first, seg) for first, seg in live if first >= keep]
+        blocks = {key: block for key, block in blocks.items() if key[0] >= keep}
     return ranks
+
+
+def _batch_gram(firsts, blocks) -> np.ndarray:
+    """A batch's column Gram, from the products of its segments (by first
+    column); only ``blocks[a, b]`` with ``a <= b`` is stored."""
+    return np.block(
+        [[blocks[a, b] if a <= b else blocks[b, a].T for b in firsts] for a in firsts]
+    )
 
 
 @dataclass

@@ -16,9 +16,14 @@ tall or of its transpose if wide, forms the Gram of the short side and runs
 one Cholesky factorization of that Gram shifted down by a multiple of its
 trace. If that factorization succeeds in floating point, every singular
 value lies above the cutoff, so the rank is the short side (Rump,
-"Verification of positive definiteness", BIT 46, 2006). :func:`_certified_gram`
-makes that route choice once, for :func:`rank` and :func:`gram_solver`; a
-matrix it cannot certify takes the exact SVD route. A certified batch is
+"Verification of positive definiteness", BIT 46, 2006). The certificate
+itself, :func:`_certifies_full_rank`, acts on a given Gram and row count:
+its rounding bound holds for each length-``rows`` dot product of the Gram,
+whatever kernel computed it, so a Gram assembled from products of column
+blocks (as ``harness.rr_survey`` builds them) is certified just as
+rigorously. :func:`_certified_gram` makes that route choice once, for
+:func:`rank` and :func:`gram_solver`; a matrix it cannot certify takes the
+exact SVD route. A certified batch is
 solved with the LU factorization of its certified Gram, the column Gram of a
 tall batch or the row Gram of a wide one, so it needs neither eigenvectors
 nor singular vectors. Any other batch is solved with the truncated
@@ -112,15 +117,34 @@ def full_rank_gram(m: np.ndarray):
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m.T @ m
+    return gram if _certifies_full_rank(gram, rows) else None
+
+
+def _certifies_full_rank(gram: np.ndarray, rows: int) -> bool:
+    """The certificate of :func:`full_rank_gram` on a given column Gram.
+
+    ``gram`` is the computed ``b x b`` Gram of a ``rows x b`` matrix ``m``,
+    each entry a length-``rows`` dot product; it may be assembled from
+    products of column blocks of ``m``, since the rounding bound
+    ``gamma_n * ||m||_F**2`` holds for each entry whichever kernel computed
+    it. Returns whether the trace guards pass and ``gram - c*I`` has a
+    Cholesky factorization; ``True`` proves ``m`` has rank ``b``. A
+    non-finite entry of ``m`` makes the trace non-finite, so it never
+    certifies.
+    """
+    cols = gram.shape[0]
+    if not rows > cols > 0:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
         tr = float(np.trace(gram))
     if not (np.isfinite(tr) and tr >= cols * TINY / EPS):
-        return None
+        return False
     shift = 2.0 * (rows + cols + 2) * EPS * tr
     try:
         np.linalg.cholesky(gram - shift * np.eye(cols))
     except np.linalg.LinAlgError:
-        return None
-    return gram
+        return False
+    return True
 
 
 def _cutoff(s: np.ndarray, shape) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
-from aopu.data import batches, synth_generate
+from aopu.data import WindowedSet, batches, synth_generate
 from aopu.errors import ConstantTargetError, InvalidInputError
 from aopu.harness import (
     RR_HIST_EDGES,
@@ -15,6 +15,7 @@ from aopu.harness import (
     ablate,
     format_mean_std,
     metrics,
+    _survey_ranks,
     prepare_windows,
     repeat_experiments,
     rr_survey,
@@ -82,6 +83,15 @@ class TestStabilityReport:
         s = stability_report([1.0, 2.0, 3.0, np.inf])
         assert not np.isfinite(s.fluctuation)
         assert s.max_regression == np.inf
+
+    @pytest.mark.parametrize(
+        "curve", [[1.0, np.inf, np.inf, np.inf], [1.0, 2.0, np.nan, 3.0]]
+    )
+    def test_non_finite_step_never_reports_finite_regression(self, curve):
+        # np.diff gives a nan step (inf - inf, or a nan value), and a
+        # maximum that skipped it would read 0.0
+        s = stability_report(curve)
+        assert not np.isfinite(s.max_regression)
 
 
 class TestTrainConfig:
@@ -286,11 +296,12 @@ class TestRrSurvey:
             rr_survey(ar_ds, bs_grid=[16, bs], seq_grid=[2], hidden=0)
 
     def test_repeated_batch_size_keeps_its_own_cell(self, ar_ds):
-        (single,) = rr_survey(ar_ds, bs_grid=[64], seq_grid=[2], hidden=0)
-        assert rr_survey(ar_ds, bs_grid=[64, 64], seq_grid=[2], hidden=0) == [
-            single,
-            single,
-        ]
+        for hidden in (0, 48):  # 10 or 58 augmented rows: wide or tall batches
+            (single,) = rr_survey(ar_ds, bs_grid=[24], seq_grid=[2], hidden=hidden)
+            first, _, last = rr_survey(
+                ar_ds, bs_grid=[24, 16, 24], seq_grid=[2], hidden=hidden
+            )
+            assert first == last == single
 
     @pytest.mark.parametrize(
         "hidden, layer_norm", [(0, False), (32, True)], ids=["hidden0", "hidden32-ln"]
@@ -344,6 +355,110 @@ class TestRrSurvey:
             cols = augmented[train.dim]
             assert len(set(cols)) == len(cols)
             assert len(cols) <= train.n_windows
+
+
+def _per_batch_ranks(train, augmenter, sizes, seed):
+    """linalg.rank of each shuffled batch of every size, augmented whole."""
+    return {
+        bs: [
+            linalg.rank(augmenter.augment(f))
+            for f, _ in batches(train, bs, shuffle=True, seed=seed)
+        ]
+        for bs in sizes
+    }
+
+
+class TestSurveyRanks:
+    """The survey's per-batch ranks, from block Grams or joined segments,
+    equal a brute-force rank of each batch."""
+
+    def _setup(self, ds, hidden, activation="tanh"):
+        train, _, _ = prepare_windows(ds, 2)  # 10 input rows
+        aug = Augmenter(
+            AugmentConfig(
+                input_dim=train.dim, hidden=hidden, activation=activation, seed=3
+            )
+        )
+        return train, aug
+
+    @pytest.mark.parametrize(
+        "sizes, hidden",
+        [
+            # 58 rows: every batch tall; 16, 24 and 40 do not nest, so
+            # segments straddle the batches of the other sizes
+            ((16, 24, 40), 48),
+            ((16, 24, 64), 0),  # 10 rows: every batch wide
+            ((8, 12, 16, 40), 12),  # 22 rows: tall up to 16, wide at 40
+        ],
+        ids=["tall", "wide", "mixed"],
+    )
+    def test_equals_per_batch_reference(self, ar_ds, sizes, hidden):
+        train, aug = self._setup(ar_ds, hidden)
+        got = _survey_ranks(train, aug, set(sizes), 3)
+        assert got == _per_batch_ranks(train, aug, sizes, 3)
+
+    def test_rank_deficient_tall_batches(self, ar_ds):
+        # every fifth window repeats the one before it, so a tall batch that
+        # draws both copies fails its certificate and is ranked by the SVD
+        train, aug = self._setup(ar_ds, 48)
+        features = train.features.copy()
+        copies = features[:, 1::5].shape[1]
+        features[:, 1::5] = features[:, 0::5][:, :copies]
+        train = WindowedSet(features, train.targets)
+        sizes = (16, 24, 40)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        for bs in sizes:
+            assert min(want[bs]) < bs == max(want[bs])
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+
+    def test_certified_grid_joins_nothing(self, ar_ds, monkeypatch):
+        # each tall batch is certified by one Cholesky of its own Gram, and
+        # none is copied into a joined array
+        train, aug = self._setup(ar_ds, 48)
+        sizes = (16, 24, 40)
+        certified = []
+        original = linalg._certifies_full_rank
+
+        def recording(gram, rows):
+            certified.append(gram.shape)
+            return original(gram, rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.hstack called")
+
+        monkeypatch.setattr(linalg, "_certifies_full_rank", recording)
+        monkeypatch.setattr(np, "hstack", refuse)
+        got = _survey_ranks(train, aug, set(sizes), 3)
+        for bs in sizes:
+            assert got[bs] == [bs] * (train.n_windows // bs)
+        assert sorted(certified) == sorted(
+            (bs, bs) for bs in sizes for _ in range(train.n_windows // bs)
+        )
+
+    def test_overflowing_gram_falls_back_to_rank(self, ar_ds):
+        # a window of 1e200 augments to finite columns whose Gram overflows,
+        # so its batches are joined and ranked by the SVD, without a warning
+        train, aug = self._setup(ar_ds, 48)
+        features = train.features.copy()
+        features[:, 7] = 1e200
+        train = WindowedSet(features, train.targets)
+        sizes = (16, 24, 40)
+        assert _survey_ranks(train, aug, set(sizes), 3) == _per_batch_ranks(
+            train, aug, sizes, 3
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_entry_rejected(self, ar_ds):
+        # an input of 1e308 overflows the relu hidden block to inf (augment
+        # warns); the batch's Gram trace is then inf, so it is joined and
+        # linalg.rank rejects it
+        train, aug = self._setup(ar_ds, 48, activation="relu")
+        features = train.features.copy()
+        features[0, 7] = 1e308
+        train = WindowedSet(features, train.targets)
+        assert not np.all(np.isfinite(aug.augment(features[:, 7:8])))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            _survey_ranks(train, aug, {16, 24}, 3)
 
 
 class TestAblate:

@@ -199,6 +199,22 @@ def _certificate_cases():
     return cases
 
 
+def _block_certificate_cases():
+    cases = []
+    kinds = [("full", 1.0), ("full", 1e-160), ("full", 1e300), ("dup", 1.0),
+             ("inf", 1.0), ("nan", 1.0)]
+    for shape in TALL_SHAPES:
+        for ratio in _spectrum_ratios(shape):
+            cases.append(
+                pytest.param(shape, ratio, 1.0, id=f"{shape}-ratio{ratio:.3g}")
+            )
+        for kind, scale in kinds:
+            cases.append(
+                pytest.param(shape, kind, scale, id=f"{shape}-{kind}-x{scale:g}")
+            )
+    return cases
+
+
 class TestFullRankCertificate:
     """The shifted-Cholesky certificate, of the column Gram of a tall matrix
     or the row Gram of a wide one, never claims a rank the SVD rule denies."""
@@ -232,9 +248,35 @@ class TestFullRankCertificate:
             assert model.step(m, y).rank == want
 
     def test_certified_gram_is_the_column_gram(self):
-        m = np.random.default_rng(2).standard_normal((50, 6))
-        gram = linalg.full_rank_gram(m)
-        np.testing.assert_array_equal(gram, m.T @ m)
+        for shape in ((50, 6),) + TALL_SHAPES:
+            m = np.random.default_rng(2).standard_normal(shape)
+            gram = linalg.full_rank_gram(m)
+            np.testing.assert_array_equal(gram, m.T @ m)
+
+    @pytest.mark.parametrize("shape,kind,scale", _block_certificate_cases())
+    def test_certificate_on_block_gram_agrees(self, shape, kind, scale):
+        # a Gram assembled from products of uneven column blocks, as the
+        # rank-ratio survey builds it, certifies exactly when the Gram
+        # product of the whole matrix does
+        if kind == "full":
+            m = np.random.default_rng(1).standard_normal(shape)
+        elif kind == "dup":
+            m = _duplicated_column(shape)
+        elif kind in ("inf", "nan"):
+            m = np.random.default_rng(1).standard_normal(shape)
+            m[shape[0] // 2, shape[1] // 3] = float(kind)
+        else:
+            m = _spectrum_matrix(shape, kind)
+        m = m * scale
+        parts = np.split(m, [shape[1] // 4, shape[1] // 4 + shape[1] // 3], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.block([[a.T @ b for b in parts] for a in parts])
+        want = linalg.full_rank_gram(m) is not None
+        assert linalg._certifies_full_rank(gram, shape[0]) == want
+        if kind == "full" and scale == 1.0 or kind == 1e-1:
+            assert want
+        if kind in ("dup", "inf", "nan", 0.0) or scale in (1e-160, 1e300):
+            assert not want
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (5, 0)])
     def test_only_tall_matrices_are_certified(self, shape):
