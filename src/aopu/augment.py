@@ -14,7 +14,7 @@ No intermediate block of the batch's size is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +80,10 @@ ACTIVATIONS = {
     "hardswish": _hardswish,
     "mish": _mish,
 }
+
+# Every catalog activation satisfies |f(z)| <= |z| + ACTIVATION_SLACK (relu6's
+# cap), which bounds the norm of hidden rows that are never computed.
+ACTIVATION_SLACK = 6.0
 
 # Odd activations whose expectation under a symmetric input law is zero.
 ZERO_MEAN_ACTIVATIONS = ("hardshrink", "tanh", "tanhshrink", "softsign", "softshrink")
@@ -167,6 +171,19 @@ class Augmenter:
             row[...] = rng.standard_normal(out=row_draw)
         g.setflags(write=False)
         self.g_hat = g
+
+    def leading(self, k: int) -> Augmenter:
+        """The map onto the first ``k`` hidden units, over a view of ``G``.
+
+        Without layer norm its hidden rows are the first ``k`` hidden rows of
+        this map, and its raw rows the same, so its output is a subset of
+        this map's rows; layer norm couples all hidden rows, so with it the
+        ``k`` units are normalized among themselves.
+        """
+        lead = object.__new__(Augmenter)
+        lead.config = replace(self.config, hidden=k)
+        lead.g_hat = self.g_hat[:, :k]
+        return lead
 
     @property
     def output_dim(self) -> int:

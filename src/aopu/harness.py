@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import linalg
 from .augment import AugmentConfig, Augmenter
 from .baselines import RvflnnModel
 from .data import (
@@ -28,6 +27,7 @@ from .data import (
 )
 from .errors import ConstantTargetError, DivergenceError, InvalidInputError
 from .model import AopuModel
+from .survey import _survey_ranks
 
 CURVE_EVERY = 50  # validation-curve sampling cadence, in training iterations
 LOW_RR_THRESHOLD = 0.5  # mean train RR below this flags the run as rank-starved
@@ -215,7 +215,6 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     model = make_model(config, augmenter)
 
     x_val = augmenter.augment(val.features)
-    x_test = augmenter.augment(test.features)
 
     rng = np.random.default_rng(config.seed)
     curve = []
@@ -263,6 +262,9 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     if not np.isfinite(best_val):
         best_val = val_final
         best_w = model.w_tilde.copy()
+    # the test split is augmented only now, once the validation one is freed
+    del x_val
+    x_test = augmenter.augment(test.features)
     # selection property: the kept checkpoint can never validate worse than
     # the final one (test-set transfer is only a correlation, see the caveat)
     assert best_val <= val_final
@@ -380,7 +382,7 @@ def rr_survey(
     them, and each batch's rank ratio is recorded into a histogram. Every
     batch size slices the same seeded permutation, so each seq walks the
     shuffled split once and augments each training window at most once,
-    however many batch sizes the grid holds (see :func:`_survey_ranks`).
+    however many batch sizes the grid holds (see :func:`survey._survey_ranks`).
     A batch size repeated in the grid gets its own, identical cell.
     """
     bs_grid = list(bs_grid)
@@ -408,6 +410,8 @@ def rr_survey(
                     f"batch size {bs} leaves no full training batch at seq {seq}"
                 )
         ranks = _survey_ranks(train, augmenter, set(bs_grid), seed)
+        # freed before the next window length builds its own
+        del train, augmenter
         for bs in bs_grid:
             arr = np.asarray(ranks[bs]) / bs
             counts, _ = np.histogram(arr, bins=RR_HIST_EDGES)
@@ -422,78 +426,6 @@ def rr_survey(
                 )
             )
     return summaries
-
-
-def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
-    """Ranks of the full shuffled training batches of every size in ``sizes``.
-
-    The shuffled split is cut at the union of all sizes' batch boundaries and
-    each segment between two cuts is augmented once. Augmentation acts on
-    each column alone, so a batch's augmented columns are its segments side
-    by side, and its column Gram is the block matrix of the products
-    ``Si.T @ Sj`` of its segments. Each new segment is multiplied with
-    itself and with every earlier live segment that shares a tall batch
-    (more augmented rows than columns) in progress with it. When a cut
-    closes a tall batch, its Gram is assembled from those blocks and
-    certified with its own shifted Cholesky (see
-    :func:`linalg._certifies_full_rank`); a certified batch has full rank.
-    A wide, square or uncertified batch, or one with a non-finite entry, has
-    its segments joined and ranked by :func:`linalg.rank`, which also
-    rejects the non-finite entry. A segment and its products are dropped
-    once no batch in progress needs them, so about one largest batch of
-    augmented columns, and at most the products among them, are live.
-    """
-    n = train.n_windows
-    ((shuffled, _),) = batches(train, n, shuffle=True, seed=seed)
-    ends = {bs: n - n % bs for bs in sizes}  # end of each size's last full batch
-    cuts = sorted({c for bs in sizes for c in range(bs, ends[bs] + 1, bs)})
-    rows = augmenter.output_dim
-    tall = {bs for bs in sizes if rows > bs}
-    ranks = {bs: [] for bs in sizes}
-    live = []  # (first column, augmented segment), in column order
-    blocks = {}  # (first, first') of two live segments -> S.T @ S'
-    start = 0
-    for cut in cuts:
-        seg = augmenter.augment(shuffled[:, start:cut])
-        live.append((start, seg))
-        # first column of the earliest tall batch in progress that holds seg
-        reach = min(
-            (start - start % bs for bs in tall if start < ends[bs]), default=cut
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            for first, other in live:
-                if first >= reach:
-                    blocks[first, start] = other.T @ seg
-        start = cut
-        for bs in sizes:
-            if cut % bs == 0:
-                firsts = [first for first, _ in live if first >= cut - bs]
-                if bs in tall and linalg._certifies_full_rank(
-                    _batch_gram(firsts, blocks), rows
-                ):
-                    ranks[bs].append(bs)
-                else:
-                    parts = [seg for first, seg in live if first >= cut - bs]
-                    ranks[bs].append(
-                        linalg.rank(parts[0] if len(parts) == 1 else np.hstack(parts))
-                    )
-        # first column of the earliest batch still in progress; every batch
-        # boundary is a cut, so no segment straddles it
-        keep = min(
-            (cut - cut % bs for bs in sizes if cut - cut % bs < ends[bs]),
-            default=cut,
-        )
-        live = [(first, seg) for first, seg in live if first >= keep]
-        blocks = {key: block for key, block in blocks.items() if key[0] >= keep}
-    return ranks
-
-
-def _batch_gram(firsts, blocks) -> np.ndarray:
-    """A batch's column Gram, from the products of its segments (by first
-    column); only ``blocks[a, b]`` with ``a <= b`` is stored."""
-    return np.block(
-        [[blocks[a, b] if a <= b else blocks[b, a].T for b in firsts] for a in firsts]
-    )
 
 
 @dataclass
@@ -534,7 +466,8 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        return repr(value)
+        # a numpy float64 is a float whose repr carries its type name
+        return repr(float(value))
     return str(value)
 
 

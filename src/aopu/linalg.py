@@ -20,13 +20,15 @@ value lies above the cutoff, so the rank is the short side (Rump,
 itself, :func:`_certifies_full_rank`, acts on a given Gram and row count:
 its rounding bound holds for each length-``rows`` dot product of the Gram,
 whatever kernel computed it, so a Gram assembled from products of column
-blocks (as ``harness.rr_survey`` builds them) is certified just as
-rigorously. :func:`_certified_gram` makes that route choice once, for
-:func:`rank` and :func:`gram_solver`; a matrix it cannot certify takes the
-exact SVD route. A certified batch is
-solved with the LU factorization of its certified Gram, the column Gram of a
-tall batch or the row Gram of a wide one, so it needs neither eigenvectors
-nor singular vectors. Any other batch is solved with the truncated
+blocks (as ``survey._survey_ranks`` builds them) is certified just as
+rigorously. It may also be the Gram of a subset of the rows, given a bound
+on the squared norm of the others: dropping rows can only lower the
+singular values, so the subset's full rank proves the whole matrix's.
+:func:`_certified_gram` makes that route choice once, for :func:`rank` and
+:func:`gram_solver`; a matrix it cannot certify takes the exact SVD route.
+A certified batch is solved with the LU factorization of its certified
+Gram, the column Gram of a tall batch or the row Gram of a wide one, so it
+needs neither eigenvectors nor singular vectors. Any other batch is solved with the truncated
 pseudo-inverses of ``m`` and ``m.T`` read off its thin SVD; no Gram is
 formed, so the maps scale with the batch rather than with its square.
 """
@@ -57,8 +59,10 @@ def frobenius_norm(m: np.ndarray) -> float:
 
     ``nrm2`` scales while it sums, so the squares of large or tiny entries
     neither overflow nor underflow where the norm itself is representable,
-    as they do in ``np.linalg.norm``.
+    as they do in ``np.linalg.norm``. An empty array has norm 0.
     """
+    if m.size == 0:
+        return 0.0
     return float(scipy.linalg.blas.dnrm2(m.ravel()))
 
 
@@ -120,17 +124,41 @@ def full_rank_gram(m: np.ndarray):
     return gram if _certifies_full_rank(gram, rows) else None
 
 
-def _certifies_full_rank(gram: np.ndarray, rows: int) -> bool:
-    """The certificate of :func:`full_rank_gram` on a given column Gram.
+def _certifies_full_rank(
+    gram: np.ndarray, rows: int, n: int | None = None, rest: float = 0.0
+) -> bool:
+    """The certificate of :func:`full_rank_gram`, on the Gram of some rows.
 
-    ``gram`` is the computed ``b x b`` Gram of a ``rows x b`` matrix ``m``,
-    each entry a length-``rows`` dot product; it may be assembled from
-    products of column blocks of ``m``, since the rounding bound
-    ``gamma_n * ||m||_F**2`` holds for each entry whichever kernel computed
-    it. Returns whether the trace guards pass and ``gram - c*I`` has a
-    Cholesky factorization; ``True`` proves ``m`` has rank ``b``. A
-    non-finite entry of ``m`` makes the trace non-finite, so it never
-    certifies.
+    ``m`` is an ``n x b`` matrix and ``m_S`` any ``rows`` of its rows.
+    ``gram`` is the computed ``b x b`` column Gram of ``m_S``, each entry a
+    length-``rows`` dot product; it may be assembled from products of column
+    blocks of ``m_S``, since the rounding bound ``gamma_rows * ||m_S||_F**2``
+    holds for each entry whichever kernel computed it. ``rest`` is an upper
+    bound on the squared Frobenius norm of the other ``n - rows`` rows
+    ``m_R``; by default ``m_S`` is all of ``m`` (``n = rows``, ``rest = 0``).
+    With ``tr_S = trace(gram)`` the shift is
+    ``c = 2 * (rows + b + 2) * eps * tr_S + 2 * (n * eps)**2 * rest``; with
+    ``rows = n`` and ``rest = 0`` it is the shift of :func:`full_rank_gram`,
+    bit for bit. Success of the Cholesky factorization of ``gram - c*I``
+    proves that ``m`` has rank ``b``:
+
+    - ``s_min(m) >= s_min(m_S)``: ``m.T m = m_S.T m_S + m_R.T m_R`` and the
+      second term is positive semidefinite, so dropping rows can only lower
+      the singular values;
+    - ``s_max(m)**2 <= ||m_S||_F**2 + ||m_R||_F**2 <= tr_S + rest``, up to
+      the rounding of ``tr_S``;
+    - as in :func:`full_rank_gram`, success proves
+      ``s_min(m_S)**2 >= (rows + b + 2) * eps * tr_S + 2 * (n * eps)**2 * rest``,
+      which exceeds the squared cutoff of ``m``,
+      ``(n * eps * s_max(m))**2 <= (n * eps)**2 * (tr_S + rest)``, because
+      ``n**2 * eps`` is far below ``rows + b + 2``.
+
+    So every singular value of ``m`` lies above ``max(n, b) * eps * s_max(m)``
+    and its rank is ``b``. A non-finite trace (the Gram overflowed) or one
+    below ``b * tiny / eps``, a non-finite shift (an infinite or nan
+    ``rest``), ``rows <= b`` or a failed factorization returns ``False``. A
+    non-finite entry of ``m_S`` makes the trace non-finite, so it never
+    certifies; the caller's bound must be infinite if ``m_R`` holds one.
     """
     cols = gram.shape[0]
     if not rows > cols > 0:
@@ -139,7 +167,10 @@ def _certifies_full_rank(gram: np.ndarray, rows: int) -> bool:
         tr = float(np.trace(gram))
     if not (np.isfinite(tr) and tr >= cols * TINY / EPS):
         return False
-    shift = 2.0 * (rows + cols + 2) * EPS * tr
+    n = rows if n is None else n
+    shift = 2.0 * (rows + cols + 2) * EPS * tr + 2.0 * (n * EPS) ** 2 * rest
+    if not np.isfinite(shift):
+        return False
     try:
         np.linalg.cholesky(gram - shift * np.eye(cols))
     except np.linalg.LinAlgError:

@@ -9,6 +9,7 @@ import pytest
 
 from aopu import linalg
 from aopu.augment import (
+    ACTIVATION_SLACK,
     ACTIVATIONS,
     ZERO_MEAN_ACTIVATIONS,
     AugmentConfig,
@@ -120,6 +121,22 @@ class TestAugment:
         assert before == after
         with pytest.raises(ValueError):
             aug.g_hat[0, 0] = 1.0  # read-only buffer
+
+
+class TestLeading:
+    def test_leading_units_are_rows_of_the_full_map(self):
+        aug = Augmenter(AugmentConfig(input_dim=6, hidden=40, activation="relu", seed=4))
+        x = np.random.default_rng(5).standard_normal((6, 24))
+        full = aug.augment(x)
+        for k in (1, 16, 40):
+            lead = aug.leading(k)
+            assert np.shares_memory(lead.g_hat, aug.g_hat)
+            assert not lead.g_hat.flags.writeable
+            assert lead.config.hidden == k and lead.output_dim == k + 6
+            out = lead.augment(x)
+            # equal up to the rounding of a product of another shape
+            np.testing.assert_allclose(out[:k], full[:k], rtol=1e-13, atol=1e-14)
+            np.testing.assert_array_equal(out[k:], x)
 
 
 def _bits(a):
@@ -257,6 +274,17 @@ class TestActivations:
             got = activation_apply(name, x)
             np.testing.assert_array_equal(_bits(got), _bits(formula(x)), err_msg=name)
             np.testing.assert_array_equal(_bits(x), _bits(keep), err_msg=name)
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_growth_is_at_most_the_slack(self, name):
+        # |f(z)| <= |z| + 6 bounds the norm of hidden rows the rank-ratio
+        # survey never computes
+        edges = [0.0, -0.0, 0.5, -0.5, 3.0, -3.0, 6.0, -6.0, 1e300, -1e300]
+        normals = np.random.default_rng(7).standard_normal(10_000)
+        z = np.concatenate([edges, normals, 100.0 * normals]).reshape(1, -1)
+        got = activation_apply(name, z)
+        assert np.all(np.abs(got) <= np.abs(z) + ACTIVATION_SLACK)
+        assert ACTIVATION_SLACK == 6.0
 
     def test_rrelu_deterministic(self):
         x = np.random.default_rng(0).standard_normal((4, 4))

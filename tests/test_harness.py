@@ -1,6 +1,8 @@
 """Harness tests: metrics, stability indices, training runs, repeats,
 rank-ratio surveys and the ablation sweep."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,14 @@ from aopu.harness import (
     ablate,
     format_mean_std,
     metrics,
-    _survey_ranks,
     prepare_windows,
     repeat_experiments,
     rr_survey,
     stability_report,
     train_run,
+    write_rr_hist_csv,
 )
+from aopu.survey import _survey_ranks
 
 
 class TestMetrics:
@@ -357,6 +360,16 @@ class TestRrSurvey:
             assert len(cols) <= train.n_windows
 
 
+class TestReportWriters:
+    def test_rr_hist_bins_parse_as_floats(self, ar_ds, tmp_path):
+        path = tmp_path / "rr_hist.csv"
+        write_rr_hist_csv(path, rr_survey(ar_ds, bs_grid=[16], seq_grid=[2], hidden=0))
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["bin_lo"]) for r in rows] == list(RR_HIST_EDGES[:-1])
+        assert [float(r["bin_hi"]) for r in rows] == list(RR_HIST_EDGES[1:])
+
+
 def _per_batch_ranks(train, augmenter, sizes, seed):
     """linalg.rank of each shuffled batch of every size, augmented whole."""
     return {
@@ -419,9 +432,9 @@ class TestSurveyRanks:
         certified = []
         original = linalg._certifies_full_rank
 
-        def recording(gram, rows):
+        def recording(gram, rows, *bound):
             certified.append(gram.shape)
-            return original(gram, rows)
+            return original(gram, rows, *bound)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.hstack called")
@@ -446,6 +459,75 @@ class TestSurveyRanks:
         assert _survey_ranks(train, aug, set(sizes), 3) == _per_batch_ranks(
             train, aug, sizes, 3
         )
+
+    @pytest.mark.parametrize("case", ["plain", "duplicated", "overflow"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "hardshrink", "sigmoid"])
+    def test_leading_rows_equal_per_batch_reference(
+        self, ar_ds, monkeypatch, activation, case
+    ):
+        # hidden 64 > max(sizes) = 40: each segment is augmented with its
+        # first 40 hidden units only, and a batch its leading rows cannot
+        # certify (a repeated window, or a 1e200 one whose Gram overflows)
+        # is augmented whole and ranked by the SVD
+        train, aug = self._setup(ar_ds, 64, activation)
+        features = train.features.copy()
+        if case == "duplicated":
+            copies = features[:, 1::5].shape[1]
+            features[:, 1::5] = features[:, 0::5][:, :copies]
+        elif case == "overflow":
+            features[:, 7] = 1e200
+        train = WindowedSet(features, train.targets)
+        sizes = (16, 24, 40)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        hidden_units = []
+        original = Augmenter.augment
+
+        def recording(self, x):
+            hidden_units.append(self.config.hidden)
+            return original(self, x)
+
+        monkeypatch.setattr(Augmenter, "augment", recording)
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+        if case == "plain":
+            assert set(hidden_units) == {40}
+        else:
+            assert set(hidden_units) == {40, 64}
+        if case == "duplicated":
+            for bs in sizes:
+                assert min(want[bs]) < bs == max(want[bs])
+
+    def test_huge_skipped_units_fail_the_leading_rows(self, ar_ds):
+        # hidden units 40 to 63 share one weight column scaled by 1e16, so
+        # each batch's SVD cutoff exceeds every singular value of its leading
+        # rows; the bound on the skipped rows keeps them from certifying it
+        train, aug = self._setup(ar_ds, 64, "relu")
+        g = np.array(aug.g_hat)
+        g[:, 40:] = 1e16 * g[:, :1]
+        aug.g_hat = g
+        sizes = (16, 24, 40)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        for bs in sizes:
+            assert max(want[bs]) < bs
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+
+    def test_layer_norm_augments_every_hidden_unit(self, ar_ds, monkeypatch):
+        # layer norm couples all hidden rows, so no leading rows are taken
+        train, _ = self._setup(ar_ds, 0)
+        aug = Augmenter(
+            AugmentConfig(input_dim=train.dim, hidden=48, layer_norm=True, seed=3)
+        )
+        sizes = (16, 24, 40)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        hidden_units = []
+        original = Augmenter.augment
+
+        def recording(self, x):
+            hidden_units.append(self.config.hidden)
+            return original(self, x)
+
+        monkeypatch.setattr(Augmenter, "augment", recording)
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+        assert set(hidden_units) == {48}
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_entry_rejected(self, ar_ds):

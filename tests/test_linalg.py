@@ -102,6 +102,18 @@ class TestRank:
         assert linalg.rank(np.zeros((4, 0))) == 0
 
 
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+    def test_empty_array_has_norm_zero(self, shape):
+        assert linalg.frobenius_norm(np.empty(shape)) == 0.0
+
+    def test_matches_the_sum_of_squares(self):
+        m = np.arange(12.0).reshape(3, 4)
+        np.testing.assert_allclose(
+            linalg.frobenius_norm(m), np.sqrt(np.sum(m**2)), rtol=1e-15
+        )
+
+
 class TestGramSolver:
     """The step's one factorization: an LU solve with the certified column
     Gram of a tall batch or row Gram of a wide one, one thin SVD otherwise."""
@@ -282,6 +294,87 @@ class TestFullRankCertificate:
     def test_only_tall_matrices_are_certified(self, shape):
         m = np.random.default_rng(3).standard_normal(shape)
         assert linalg.full_rank_gram(m) is None
+
+
+# (n, rows, b): a tall n x b matrix certified from the Gram of its first rows
+LEADING_SHAPES = ((2288, 352, 64), (300, 80, 64), (40, 12, 8))
+
+
+def _leading_row_cases():
+    cases = []
+    for n, rows, b in LEADING_SHAPES:
+        for ratio in _spectrum_ratios((rows, b)):
+            cases.append(
+                pytest.param((n, rows, b), ratio, 0.0, id=f"{n}-ratio{ratio:.3g}-zero")
+            )
+        for scale in (1.0, 1e4, 1e8, 1e9, 1e10, 1e12, 1e16, 1e150):
+            for ratio in (1e-1, 1e-4):
+                cases.append(
+                    pytest.param(
+                        (n, rows, b), ratio, scale, id=f"{n}-ratio{ratio:g}-rank1x{scale:g}"
+                    )
+                )
+    return cases
+
+
+class TestLeadingRowCertificate:
+    """The certificate on the Gram of a matrix's first rows, given a bound on
+    the squared norm of the others, never claims a rank the SVD rule denies
+    the whole matrix."""
+
+    @staticmethod
+    def _matrix(shape, ratio, scale):
+        # skipped rows that are zero, or a rank-1 block of norm ``scale``
+        # that lifts the whole matrix's cutoff above the leading rows' s_min
+        n, rows, b = shape
+        rng = np.random.default_rng(4)
+        skipped = np.outer(rng.standard_normal(n - rows), rng.standard_normal(b))
+        skipped *= scale / linalg.frobenius_norm(skipped)
+        return np.vstack([_spectrum_matrix((rows, b), ratio), skipped])
+
+    @pytest.mark.parametrize("shape,ratio,scale", _leading_row_cases())
+    def test_never_certifies_a_deficient_matrix(self, shape, ratio, scale):
+        n, rows, b = shape
+        m = self._matrix(shape, ratio, scale)
+        lead = m[:rows]
+        rest = linalg.frobenius_norm(m[rows:]) ** 2
+        certified = linalg._certifies_full_rank(lead.T @ lead, rows, n, rest)
+        if certified:
+            assert linalg.rank(m) == b
+        if ratio == 1e-1 and scale <= 1e4:
+            assert certified
+        # a cutoff n * eps * scale above the leading rows' s_max = 1 leaves
+        # only the rank-1 block's singular value above it
+        if scale >= 1e16 or ratio <= linalg.default_rtol(m.shape):
+            assert linalg.rank(m) < b
+            assert not certified
+
+    @pytest.mark.parametrize("rest", [np.inf, np.nan])
+    def test_non_finite_bound_never_certifies(self, rest):
+        n, rows, b = LEADING_SHAPES[1]
+        lead = _spectrum_matrix((rows, b), 1e-1)
+        gram = lead.T @ lead
+        assert linalg._certifies_full_rank(gram, rows, n, 0.0)
+        assert not linalg._certifies_full_rank(gram, rows, n, rest)
+
+    def test_whole_matrix_runs_the_default_shift(self, monkeypatch):
+        # rows = n and rest = 0 shift the Gram by exactly the shift of
+        # full_rank_gram: Cholesky sees the same bits
+        seen = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a):
+            seen.append(a.copy())
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        for shape in TALL_SHAPES:
+            m = np.random.default_rng(5).standard_normal(shape)
+            gram = m.T @ m
+            assert linalg._certifies_full_rank(gram, shape[0])
+            assert linalg._certifies_full_rank(gram, shape[0], shape[0], 0.0)
+            default, explicit = seen[-2:]
+            np.testing.assert_array_equal(default.view(np.uint64), explicit.view(np.uint64))
 
 
 def _certified_spectra():
