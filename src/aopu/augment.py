@@ -114,10 +114,34 @@ def layer_norm(m) -> np.ndarray:
     return _layer_norm(a.copy())
 
 
+# rows of squared deviations _layer_norm holds at once: with its running-sum
+# row, about 3% of a 2048-unit hidden block
+NORM_BLOCK_ROWS = 64
+
+
 def _layer_norm(a: np.ndarray) -> np.ndarray:
-    """:func:`layer_norm` of a validated matrix with at least 2 rows, in place."""
+    """:func:`layer_norm` of a validated matrix with at least 2 rows, in place.
+
+    The standard deviation is ``a.std(axis=0)`` of the centered block, with
+    no temporary of the block's size: the squared deviations from its mean
+    are formed ``NORM_BLOCK_ROWS`` rows at a time, below a first row that
+    holds the running sum, so each column is summed row after row as
+    ``np.std`` sums it. The bits are those of ``np.std`` for a block of
+    more than one column (numpy sums a single column pairwise).
+    """
     a -= a.mean(axis=0, keepdims=True)
-    std = a.std(axis=0, keepdims=True)
+    mean = a.mean(axis=0, keepdims=True)
+    h, b = a.shape
+    buf = np.empty((min(h, NORM_BLOCK_ROWS) + 1, b))
+    std = np.zeros((1, b))
+    for start in range(0, h, NORM_BLOCK_ROWS):
+        dev = buf[1 : 1 + min(NORM_BLOCK_ROWS, h - start)]
+        np.subtract(a[start : start + NORM_BLOCK_ROWS], mean, out=dev)
+        dev *= dev
+        buf[0] = std
+        np.add.reduce(buf[: 1 + len(dev)], axis=0, out=std[0])
+    std /= h
+    np.sqrt(std, out=std)
     np.divide(a, std, out=a, where=std > 0)
     np.copyto(a, 0.0, where=~(std > 0))
     return a
@@ -156,7 +180,10 @@ class Augmenter:
 
     The weight matrix is drawn i.i.d. standard normal from the seeded
     generator at construction time, marked read-only, and never changes, so
-    concurrent :meth:`augment` calls are safe.
+    concurrent :meth:`augment` calls are safe. It is drawn one input row at
+    a time, so the ``G`` of input dim ``d`` is the first ``d`` rows of the
+    ``G`` of any wider map with the same seed: one draw at the widest input
+    serves every narrower one through :meth:`prefix`.
     """
 
     def __init__(self, config: AugmentConfig):
@@ -172,18 +199,26 @@ class Augmenter:
         g.setflags(write=False)
         self.g_hat = g
 
-    def leading(self, k: int) -> Augmenter:
-        """The map onto the first ``k`` hidden units, over a view of ``G``.
+    def prefix(self, d: int, k: int) -> Augmenter:
+        """The map of the first ``d`` inputs onto the first ``k`` hidden
+        units, over a view of ``G``.
 
-        Without layer norm its hidden rows are the first ``k`` hidden rows of
-        this map, and its raw rows the same, so its output is a subset of
-        this map's rows; layer norm couples all hidden rows, so with it the
-        ``k`` units are normalized among themselves.
+        With ``k`` equal to this map's hidden size, it is the map an
+        ``Augmenter`` of input dim ``d`` and the same seed draws. Without
+        layer norm its hidden rows are the first ``k`` hidden rows of that
+        map, and its raw rows the same, so its output is a subset of that
+        map's rows; layer norm couples all hidden rows, so with it the ``k``
+        units are normalized among themselves.
         """
-        lead = object.__new__(Augmenter)
-        lead.config = replace(self.config, hidden=k)
-        lead.g_hat = self.g_hat[:, :k]
-        return lead
+        if not (1 <= d <= self.config.input_dim and 0 <= k <= self.config.hidden):
+            raise InvalidInputError(
+                f"prefix ({d}, {k}) exceeds the map's shape "
+                f"({self.config.input_dim}, {self.config.hidden})"
+            )
+        view = object.__new__(Augmenter)
+        view.config = replace(self.config, input_dim=d, hidden=k)
+        view.g_hat = self.g_hat[:d, :k]
+        return view
 
     @property
     def output_dim(self) -> int:

@@ -266,12 +266,14 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
     if seq > ds.n_rows:
         raise InvalidInputError(f"seq {seq} exceeds {ds.n_rows} available rows")
     x = ds.inputs()
-    n = ds.n_rows
-    n_windows = n - seq + 1
-    idx = np.arange(n_windows)[:, None] + np.arange(seq)[None, :]
-    features = x[idx].reshape(n_windows, seq * ds.n_inputs).T
+    d = ds.n_inputs
+    n_windows = ds.n_rows - seq + 1
+    # feature row t*d + i of window k is x[k + t, i]: one slice copy per lag
+    features = np.empty((seq * d, n_windows), dtype=x.dtype)
+    for t in range(seq):
+        features[t * d : (t + 1) * d] = x[t : t + n_windows].T
     targets = ds.target()[seq - 1 :][:, None]
-    return WindowedSet(features=np.ascontiguousarray(features), targets=targets)
+    return WindowedSet(features=features, targets=targets)
 
 
 def split(ws: WindowedSet, ratios=(0.6, 0.2, 0.2)):

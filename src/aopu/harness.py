@@ -383,7 +383,11 @@ def rr_survey(
     batch size slices the same seeded permutation, so each seq walks the
     shuffled split once and augments each training window at most once,
     however many batch sizes the grid holds (see :func:`survey._survey_ranks`).
-    A batch size repeated in the grid gets its own, identical cell.
+    ``G`` is drawn once, for the longest window: the map of each seq is the
+    prefix of its first ``seq * n_inputs`` input rows, the same map an
+    ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`). The
+    whole grid is checked before that draw. A batch size repeated in the
+    grid gets its own, identical cell.
     """
     bs_grid = list(bs_grid)
     seq_grid = list(seq_grid)
@@ -392,18 +396,21 @@ def rr_survey(
     for bs in bs_grid:
         if bs < 1:
             raise InvalidInputError(f"batch size must be >= 1, got {bs}")
+    for seq in seq_grid:
+        if not 1 <= seq <= ds.n_rows:
+            raise InvalidInputError(f"seq must be in [1, {ds.n_rows}], got {seq}")
+    augmenter = Augmenter(
+        AugmentConfig(
+            input_dim=max(seq_grid) * ds.n_inputs,
+            hidden=hidden,
+            activation=activation,
+            layer_norm=layer_norm,
+            seed=seed,
+        )
+    )
     summaries = []
     for seq in seq_grid:
         train, _, _ = prepare_windows(ds, seq, standardize_data)
-        augmenter = Augmenter(
-            AugmentConfig(
-                input_dim=train.dim,
-                hidden=hidden,
-                activation=activation,
-                layer_norm=layer_norm,
-                seed=seed,
-            )
-        )
         for bs in bs_grid:
             if bs > train.n_windows:
                 raise InvalidInputError(
@@ -411,7 +418,7 @@ def rr_survey(
                 )
         ranks = _survey_ranks(train, augmenter, set(bs_grid), seed)
         # freed before the next window length builds its own
-        del train, augmenter
+        del train
         for bs in bs_grid:
             arr = np.asarray(ranks[bs]) / bs
             counts, _ = np.histogram(arr, bins=RR_HIST_EDGES)

@@ -24,8 +24,12 @@ blocks (as ``survey._survey_ranks`` builds them) is certified just as
 rigorously. It may also be the Gram of a subset of the rows, given a bound
 on the squared norm of the others: dropping rows can only lower the
 singular values, so the subset's full rank proves the whole matrix's.
-:func:`_certified_gram` makes that route choice once, for :func:`rank` and
-:func:`gram_solver`; a matrix it cannot certify takes the exact SVD route.
+Its kernel makes one copy of the Gram, subtracts the shift from the
+copy's diagonal in place, and has LAPACK's Cholesky factor it in place
+(``scipy.linalg.cholesky`` of its transpose, which is the same symmetric
+matrix in Fortran order). :func:`_certified_gram` makes that route choice
+once, for :func:`rank` and :func:`gram_solver`; a matrix it cannot certify
+takes the exact SVD route.
 A certified batch is solved with the LU factorization of its certified
 Gram, the column Gram of a tall batch or the row Gram of a wide one, so it
 needs neither eigenvectors nor singular vectors. Any other batch is solved with the truncated
@@ -171,8 +175,15 @@ def _certifies_full_rank(
     shift = 2.0 * (rows + cols + 2) * EPS * tr + 2.0 * (n * EPS) ** 2 * rest
     if not np.isfinite(shift):
         return False
+    # gram - shift*I, bit for bit, in one copy; the Gram is symmetric, so its
+    # transpose is the same matrix in Fortran order and LAPACK factors it in
+    # place (it reads one triangle, and each carries the rounding bound)
+    shifted = gram.copy()
+    shifted.flat[:: cols + 1] -= shift
     try:
-        np.linalg.cholesky(gram - shift * np.eye(cols))
+        scipy.linalg.cholesky(
+            shifted.T, lower=True, overwrite_a=True, check_finite=False
+        )
     except np.linalg.LinAlgError:
         return False
     return True

@@ -21,12 +21,15 @@ from .data import batches
 def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     """Ranks of the full shuffled training batches of every size in ``sizes``.
 
-    The shuffled split is cut at the union of all sizes' batch boundaries
-    and each segment between two cuts is augmented once. A batch of at most
-    ``max(sizes)`` columns needs no more hidden rows than that to show full
-    rank, so without layer norm a segment gets only the first
-    ``k = min(h, max(sizes))`` hidden units plus the raw rows
-    (:meth:`Augmenter.leading`); layer norm couples all hidden rows, so with
+    ``augmenter`` may be wider than the windows: the survey uses the map of
+    its first ``train.dim`` inputs (:meth:`Augmenter.prefix`), which is the
+    map an ``Augmenter`` of that input dim draws, so one draw of ``G``
+    serves every window length. The shuffled split is cut at the union of all
+    sizes' batch boundaries and each segment between two cuts is augmented
+    once. A batch of at most ``max(sizes)`` columns needs no more hidden
+    rows than that to show full rank, so without layer norm a segment gets
+    only the first ``k = min(h, max(sizes))`` hidden units plus the raw rows
+    (:meth:`Augmenter.prefix`); layer norm couples all hidden rows, so with
     it ``k = h``.
 
     Augmentation acts on each column alone, so a batch's augmented columns
@@ -41,7 +44,10 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     ``|f(z)| <= |z| + 6`` and a computed product has
     ``|fl(g.x)| <= (1 + gamma_d) ||g|| ||x||``, so by Cauchy-Schwarz that
     norm is at most ``2 (1 + gamma_d)**2 ||G_R||_F**2 ||x||_F**2 + 72 (h - k) b``
-    for the skipped columns ``G_R`` of ``G``. A certified batch has full
+    for the skipped columns ``G_R`` of ``G``. The survey takes
+    ``||G_R||_F`` over all the inputs of ``augmenter``: a superset of the
+    entries can only raise the norm, and those columns are one contiguous
+    block of ``G.T``, so the norm needs no copy. A certified batch has full
     rank. A product of another shape may round the leading rows differently
     in their last bits, as the segments of a batch already may; that is far
     inside the certificate's margin.
@@ -58,12 +64,13 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     ((shuffled, _),) = batches(train, n, shuffle=True, seed=seed)
     ends = {bs: n - n % bs for bs in sizes}  # end of each size's last full batch
     cuts = sorted({c for bs in sizes for c in range(bs, ends[bs] + 1, bs)})
-    rows = augmenter.output_dim
+    d = train.dim
     h = augmenter.config.hidden
     k = h if augmenter.config.layer_norm else min(h, max(sizes))
-    lead = augmenter.leading(k)
+    full = augmenter.prefix(d, h)
+    lead = augmenter.prefix(d, k)
+    rows = full.output_dim
     tall = {bs for bs in sizes if lead.output_dim > bs}
-    d = augmenter.config.input_dim
     # (1 + gamma_d) * ||G_R||_F, and the activations' share of the bound per
     # batch column
     g_rest = (1.0 + d * linalg.EPS / (1.0 - d * linalg.EPS)) * linalg.frobenius_norm(
@@ -98,7 +105,7 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
                         ranks[bs].append(bs)
                         continue
                 if k < h:
-                    whole = augmenter.augment(shuffled[:, cut - bs : cut])
+                    whole = full.augment(shuffled[:, cut - bs : cut])
                 elif len(batch) == 1:
                     whole = batch[0][1]
                 else:
@@ -116,8 +123,18 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
 
 
 def _batch_gram(firsts, blocks) -> np.ndarray:
-    """A batch's column Gram, from the products of its segments (by first
-    column); only ``blocks[a, b]`` with ``a <= b`` is stored."""
-    return np.block(
-        [[blocks[a, b] if a <= b else blocks[b, a].T for b in firsts] for a in firsts]
-    )
+    """A batch's column Gram, written block by block into one array from
+    the products of its segments (by first column); only ``blocks[a, b]``
+    with ``a <= b`` is stored."""
+    base, last = firsts[0], firsts[-1]
+    size = last - base + blocks[last, last].shape[1]
+    gram = np.empty((size, size))
+    for i, a in enumerate(firsts):
+        for b in firsts[i:]:
+            block = blocks[a, b]
+            rows = slice(a - base, a - base + block.shape[0])
+            cols = slice(b - base, b - base + block.shape[1])
+            gram[rows, cols] = block
+            if a < b:
+                gram[cols, rows] = block.T
+    return gram

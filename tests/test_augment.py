@@ -129,7 +129,7 @@ class TestLeading:
         x = np.random.default_rng(5).standard_normal((6, 24))
         full = aug.augment(x)
         for k in (1, 16, 40):
-            lead = aug.leading(k)
+            lead = aug.prefix(6, k)
             assert np.shares_memory(lead.g_hat, aug.g_hat)
             assert not lead.g_hat.flags.writeable
             assert lead.config.hidden == k and lead.output_dim == k + 6
@@ -137,6 +137,41 @@ class TestLeading:
             # equal up to the rounding of a product of another shape
             np.testing.assert_allclose(out[:k], full[:k], rtol=1e-13, atol=1e-14)
             np.testing.assert_array_equal(out[k:], x)
+
+
+    def test_narrow_draw_is_a_row_prefix_of_a_wide_one(self):
+        # G is drawn one input row at a time, so a narrower map's G is the
+        # first rows of a wider one's, and prefix() reproduces its output
+        wide = Augmenter(AugmentConfig(input_dim=240, hidden=64, seed=7))
+        for d in (1, 80, 120, 160, 200, 240):
+            fresh = Augmenter(AugmentConfig(input_dim=d, hidden=64, seed=7))
+            np.testing.assert_array_equal(_bits(fresh.g_hat), _bits(wide.g_hat[:d]))
+            assert wide.prefix(d, 64).config == fresh.config
+
+    @pytest.mark.parametrize("b", [1, 64])
+    @pytest.mark.parametrize(
+        "name, norm", [("tanh", False), ("relu", True), ("hardshrink", False)]
+    )
+    def test_prefix_augments_as_a_fresh_map(self, name, norm, b):
+        def draw(d):
+            return Augmenter(
+                AugmentConfig(d, hidden=96, activation=name, layer_norm=norm, seed=2)
+            )
+
+        wide = draw(240)
+        for d in (80, 200):
+            fresh = draw(d)
+            view = wide.prefix(d, 96)
+            assert np.shares_memory(view.g_hat, wide.g_hat)
+            x = np.random.default_rng(d).standard_normal((d, b))
+            got, want = view.augment(x), fresh.augment(x)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("d, k", [(0, 4), (7, 4), (6, 41), (6, -1)])
+    def test_prefix_beyond_the_map_rejected(self, d, k):
+        aug = Augmenter(AugmentConfig(input_dim=6, hidden=40, seed=4))
+        with pytest.raises(InvalidInputError, match="exceeds the map"):
+            aug.prefix(d, k)
 
 
 def _bits(a):
@@ -189,6 +224,22 @@ class TestOneBuffer:
 
     def test_warm_call_allocates_only_its_output(self):
         aug = Augmenter(AugmentConfig(input_dim=240, hidden=2048, seed=0))
+        x = np.random.default_rng(0).standard_normal((240, 64))
+        aug.augment(x)  # warm
+        tracemalloc.start()
+        try:
+            out = aug.augment(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+
+    def test_warm_layer_norm_call_allocates_only_its_output(self):
+        # the standard deviation is summed through a few-row buffer, not a
+        # block-sized array of squared deviations
+        aug = Augmenter(
+            AugmentConfig(input_dim=240, hidden=2048, layer_norm=True, seed=0)
+        )
         x = np.random.default_rng(0).standard_normal((240, 64))
         aug.augment(x)  # warm
         tracemalloc.start()
@@ -323,6 +374,15 @@ class TestLayerNorm:
         out = layer_norm(m)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (130, 3), (2048, 64)])
+    def test_equals_numpy_std_reference(self, shape):
+        # the buffered sum reproduces np.std's bits on multi-column blocks
+        m = np.tanh(np.random.default_rng(shape[0]).standard_normal(shape) * 3.0) + 0.1
+        ref = m - m.mean(axis=0, keepdims=True)
+        std = ref.std(axis=0, keepdims=True)
+        np.divide(ref, std, out=ref, where=std > 0)
+        np.testing.assert_array_equal(_bits(layer_norm(m)), _bits(ref))
 
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -214,6 +214,21 @@ class TestWindow:
         # window k covers rows [k, k+3): its target sits at row k+2
         np.testing.assert_array_equal(ws.targets[:, 0], np.arange(2, 10) * 10)
 
+    @pytest.mark.parametrize("n_inputs", [1, 5])
+    @pytest.mark.parametrize("seq", [1, 7, 30])  # 30 = every row: one window
+    def test_equals_gather_reference(self, n_inputs, seq):
+        # the (N, seq, d) fancy-index gather, flattened and transposed
+        v = np.random.default_rng(seq).standard_normal((30, n_inputs + 1))
+        ds = _toy_dataset(v, n_inputs=n_inputs)
+        ws = window(ds, seq)
+        n = 30 - seq + 1
+        idx = np.arange(n)[:, None] + np.arange(seq)[None, :]
+        ref = v[:, :n_inputs][idx].reshape(n, seq * n_inputs).T
+        assert ws.features.flags.c_contiguous
+        np.testing.assert_array_equal(
+            ws.features.view(np.uint64), np.ascontiguousarray(ref).view(np.uint64)
+        )
+
     def test_bad_seq(self):
         ds = _toy_dataset(np.ones((5, 3)) + np.arange(5)[:, None])
         with pytest.raises(InvalidInputError):

@@ -2,6 +2,7 @@
 rank-ratio surveys and the ablation sweep."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from aopu.harness import (
     train_run,
     write_rr_hist_csv,
 )
-from aopu.survey import _survey_ranks
+from aopu.survey import _batch_gram, _survey_ranks
 
 
 class TestMetrics:
@@ -298,6 +299,36 @@ class TestRrSurvey:
         with pytest.raises(InvalidInputError, match=message):
             rr_survey(ar_ds, bs_grid=[16, bs], seq_grid=[2], hidden=0)
 
+    @pytest.mark.parametrize("seq", ["rows+1", 10**7, 0])
+    def test_bad_seq_rejected_before_the_draw(self, ar_ds, seq):
+        # the whole grid is checked before G is drawn for its longest
+        # window, which here would be (5 * seq) x 2048
+        seq = ar_ds.n_rows + 1 if seq == "rows+1" else seq
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="seq must be in"):
+                rr_survey(ar_ds, bs_grid=[16], seq_grid=[2, seq], hidden=2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("seq_grid", [(4, 2, 3), (3, 3, 2)])
+    @pytest.mark.parametrize("hidden", [8, 64])
+    def test_unsorted_seq_grid_equals_per_seq_maps(self, ar_ds, seq_grid, hidden):
+        # one G is drawn for the longest window and each seq takes a prefix
+        # of it; a survey of one seq draws that seq's own G
+        bs_grid = (16, 24, 40)
+        got = rr_survey(ar_ds, bs_grid, seq_grid, hidden=hidden, seed=3)
+        want = [
+            cell
+            for seq in seq_grid
+            for cell in rr_survey(ar_ds, bs_grid, [seq], hidden=hidden, seed=3)
+        ]
+        assert got == want
+        if hidden == 8:
+            assert min(c.mean for c in got) < 1.0
+
     def test_repeated_batch_size_keeps_its_own_cell(self, ar_ds):
         for hidden in (0, 48):  # 10 or 58 augmented rows: wide or tall batches
             (single,) = rr_survey(ar_ds, bs_grid=[24], seq_grid=[2], hidden=hidden)
@@ -409,6 +440,22 @@ class TestSurveyRanks:
         train, aug = self._setup(ar_ds, hidden)
         got = _survey_ranks(train, aug, set(sizes), 3)
         assert got == _per_batch_ranks(train, aug, sizes, 3)
+
+    def test_batch_gram_equals_block_reference(self):
+        rng = np.random.default_rng(0)
+        widths = {0: 5, 5: 3, 8: 8}  # segment widths by first column
+        segs = {first: rng.standard_normal((30, b)) for first, b in widths.items()}
+        blocks = {(a, b): segs[a].T @ segs[b] for a in segs for b in segs if a <= b}
+        for firsts in ([0, 5, 8], [5, 8], [8]):
+            ref = np.block(
+                [
+                    [blocks[a, b] if a <= b else blocks[b, a].T for b in firsts]
+                    for a in firsts
+                ]
+            )
+            np.testing.assert_array_equal(
+                _batch_gram(firsts, blocks).view(np.uint64), ref.view(np.uint64)
+            )
 
     def test_rank_deficient_tall_batches(self, ar_ds):
         # every fifth window repeats the one before it, so a tall batch that
