@@ -114,37 +114,59 @@ def layer_norm(m) -> np.ndarray:
     return _layer_norm(a.copy())
 
 
-# rows of squared deviations _layer_norm holds at once: with its running-sum
-# row, about 3% of a 2048-unit hidden block
-NORM_BLOCK_ROWS = 64
+# rows of the one scratch block _layer_norm works through, below its
+# running-sum row: about 1.4% of a 2048-unit hidden block
+NORM_BLOCK_ROWS = 32
 
 
 def _layer_norm(a: np.ndarray) -> np.ndarray:
     """:func:`layer_norm` of a validated matrix with at least 2 rows, in place.
 
-    The standard deviation is ``a.std(axis=0)`` of the centered block, with
-    no temporary of the block's size: the squared deviations from its mean
-    are formed ``NORM_BLOCK_ROWS`` rows at a time, below a first row that
-    holds the running sum, so each column is summed row after row as
-    ``np.std`` sums it. The bits are those of ``np.std`` for a block of
-    more than one column (numpy sums a single column pairwise).
+    The bits are those of centering ``a`` on ``a.mean(axis=0)`` and dividing
+    it by ``a.std(axis=0)`` of the centered block, for a block of more than
+    one column (numpy sums a single column pairwise). The only scratch is
+    two rows of statistics and one ``NORM_BLOCK_ROWS + 1``-row block. Numpy
+    2.4 gives every broadcast ufunc call an iterator buffer of up to 8192
+    elements, so no row is broadcast against ``a``: the block first holds
+    copies of the row, and ``a`` is updated ``NORM_BLOCK_ROWS`` rows at a
+    time against it. The squared deviations from the centered block's mean
+    are formed in the block too, below a first row that holds their running
+    sum, so each column is summed row after row as ``np.std`` sums it.
     """
-    a -= a.mean(axis=0, keepdims=True)
-    mean = a.mean(axis=0, keepdims=True)
     h, b = a.shape
+    row = np.add.reduce(a, axis=0)
+    row /= h
     buf = np.empty((min(h, NORM_BLOCK_ROWS) + 1, b))
-    std = np.zeros((1, b))
+    rep = buf[1:]
+    rep[...] = row
+    _by_row_blocks(np.subtract, a, rep)
+    np.add.reduce(a, axis=0, out=row)
+    row /= h
+    std = np.zeros(b)
     for start in range(0, h, NORM_BLOCK_ROWS):
-        dev = buf[1 : 1 + min(NORM_BLOCK_ROWS, h - start)]
-        np.subtract(a[start : start + NORM_BLOCK_ROWS], mean, out=dev)
+        part = a[start : start + NORM_BLOCK_ROWS]
+        dev = rep[: len(part)]
+        dev[...] = row
+        np.subtract(part, dev, out=dev)
         dev *= dev
         buf[0] = std
-        np.add.reduce(buf[: 1 + len(dev)], axis=0, out=std[0])
+        np.add.reduce(buf[: 1 + len(dev)], axis=0, out=std)
     std /= h
     np.sqrt(std, out=std)
-    np.divide(a, std, out=a, where=std > 0)
-    np.copyto(a, 0.0, where=~(std > 0))
+    zero = ~(std > 0)
+    std[zero] = 1.0
+    rep[...] = std
+    _by_row_blocks(np.divide, a, rep)
+    np.copyto(a, 0.0, where=zero)
     return a
+
+
+def _by_row_blocks(op, a: np.ndarray, rep: np.ndarray) -> None:
+    """``a = op(a, row)`` in place, ``NORM_BLOCK_ROWS`` rows at a time, with
+    the row given as a block ``rep`` of copies of it."""
+    for start in range(0, a.shape[0], NORM_BLOCK_ROWS):
+        part = a[start : start + NORM_BLOCK_ROWS]
+        op(part, rep[: len(part)], out=part)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ re-fitted on validation or test data.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -302,12 +303,44 @@ def split(ws: WindowedSet, ratios=(0.6, 0.2, 0.2)):
     return tuple(parts)
 
 
-def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0):
+class Batches(Sequence):
+    """The full ``bs``-column mini-batches of a windowed set, in a fixed
+    column order, each gathered only when it is indexed or iterated.
+
+    Batch ``i`` is ``(features[:, cols], targets[cols])`` for the ``i``-th
+    run of ``bs`` entries of the order; the short remainder is dropped. The
+    sequence holds the order alone, so iterating an epoch keeps at most the
+    batch in use and the one being gathered, never every batch at once.
+    """
+
+    def __init__(self, ws: WindowedSet, bs: int, order: np.ndarray):
+        self._ws, self._bs, self._order = ws, bs, order
+
+    def __len__(self) -> int:
+        return self._order.size // self._bs
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"batch {i} out of range for {n} batches")
+        start = (i % n) * self._bs
+        cols = self._order[start : start + self._bs]
+        return self._ws.features[:, cols], self._ws.targets[cols]
+
+
+def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0) -> Batches:
     """Cut a windowed set into (features, targets) mini-batches.
 
     Shuffling uses a seeded permutation. The final short batch is dropped so
     every batch has exactly ``bs`` columns (the rank-ratio semantics assume a
-    constant batch size).
+    constant batch size). The batches come as a lazy :class:`Batches`
+    sequence: only the permutation is made here, and each batch is a fresh
+    copy gathered when it is indexed or iterated, with the values, order and
+    length of a list of them. The sequence holds no mutable state, so any
+    thread may index it: when ``train_run`` runs its augmentation worker,
+    the batches are gathered on that thread, one block ahead of the step.
     """
     if bs < 1:
         raise InvalidInputError(f"batch size must be >= 1, got {bs}")
@@ -315,13 +348,7 @@ def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0):
     order = np.arange(n)
     if shuffle:
         order = np.random.default_rng(seed).permutation(n)
-    out = []
-    for start in range(0, n, bs):
-        cols = order[start : start + bs]
-        if cols.size < bs:
-            break
-        out.append((ws.features[:, cols], ws.targets[cols]))
-    return out
+    return Batches(ws, bs, order)
 
 
 def synth_generate(n: int, n_vars: int, noise: float = 0.0,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from .augment import AugmentConfig, Augmenter
 from .baselines import RvflnnModel
 from .data import (
     Dataset,
-    batches,
     split,
     standardize,
     train_column_stats,
@@ -27,6 +27,7 @@ from .data import (
 )
 from .errors import ConstantTargetError, DivergenceError, InvalidInputError
 from .model import AopuModel
+from .pipeline import _augmented_batches
 from .survey import _survey_ranks
 
 CURVE_EVERY = 50  # validation-curve sampling cadence, in training iterations
@@ -197,6 +198,18 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     and tests with it; ``final`` tests with the last-epoch weights. A
     divergent batch aborts training but the partial curves, the last rank
     ratio and the metrics of the last finite weights are all preserved.
+
+    A batch's augmentation does not depend on the weights, so it can run
+    ahead of the step. While the model steps through one block of
+    ``max(1, 128 // bs)`` training batches, one worker thread, owned by
+    this call, augments the next block; no more than one block is computed
+    ahead (see :func:`pipeline._augmented_batches`). ``G`` is frozen and
+    each batch is still augmented on its own, so every output is bit for
+    bit that of augmenting each batch just before its step. The worker is
+    off, and each batch is augmented inline, when the map has no hidden
+    block (augmentation is then a copy) or the process may run on one CPU
+    only. BLAS keeps its own thread count. The worker is shut down before
+    the call returns or raises, on divergence or any other exception too.
     """
     train, val, test = prepare_windows(ds, config.seq, config.standardize)
     if train.n_windows < config.bs:
@@ -217,6 +230,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     x_val = augmenter.augment(val.features)
 
     rng = np.random.default_rng(config.seed)
+    epoch_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.epochs)]
     curve = []
     val_by_epoch = []
     epoch_hashes = []
@@ -229,30 +243,34 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     divergence_rr = None
     val_zero = _val_mse(np.zeros_like(model.w_tilde), x_val, val.targets)
 
-    for epoch in range(config.epochs):
-        epoch_seed = int(rng.integers(0, 2**31 - 1))
-        for feats, targs in batches(train, config.bs, shuffle=True, seed=epoch_seed):
+    with closing(_augmented_batches(augmenter, train, config.bs, epoch_seeds)) as steps:
+        for x_tilde, targs, epoch_end in steps:
             # the step reports the rank ratio off its own factorization, so no
             # separate rank is taken here
             try:
-                rr_seen.append(model.step(augmenter.augment(feats), targs).rank_ratio)
+                rr_seen.append(model.step(x_tilde, targs).rank_ratio)
             except DivergenceError as exc:
                 diverged = True
                 divergence_rr = exc.rank_ratio
                 rr_seen.append(divergence_rr)
                 break
+            finally:
+                # dropped before the next batch is augmented: without the
+                # worker, a run then holds one augmented batch at a time (one
+                # held across the test split's augmentation grew the next
+                # call's peak RSS by about 10 MB at the paper shape)
+                del x_tilde
             iteration += 1
             if iteration % CURVE_EVERY == 0:
                 curve.append((iteration, _val_mse(model.w_tilde, x_val, val.targets)))
-        if diverged:
-            break
-        epoch_val = _val_mse(model.w_tilde, x_val, val.targets)
-        val_by_epoch.append(epoch_val)
-        epoch_hashes.append(_weights_hash(model.w_tilde))
-        if epoch_val < best_val:
-            best_val = epoch_val
-            best_epoch = epoch
-            best_w = model.w_tilde.copy()
+            if epoch_end:
+                epoch_val = _val_mse(model.w_tilde, x_val, val.targets)
+                val_by_epoch.append(epoch_val)
+                epoch_hashes.append(_weights_hash(model.w_tilde))
+                if epoch_val < best_val:
+                    best_val = epoch_val
+                    best_epoch = len(val_by_epoch) - 1
+                    best_w = model.w_tilde.copy()
 
     val_final = (
         val_by_epoch[-1]

@@ -236,7 +236,8 @@ class TestOneBuffer:
 
     def test_warm_layer_norm_call_allocates_only_its_output(self):
         # the standard deviation is summed through a few-row buffer, not a
-        # block-sized array of squared deviations
+        # block-sized array of squared deviations, and no row is broadcast
+        # against the block, so numpy makes no ufunc buffer
         aug = Augmenter(
             AugmentConfig(input_dim=240, hidden=2048, layer_norm=True, seed=0)
         )
@@ -248,7 +249,7 @@ class TestOneBuffer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * out.nbytes
+        assert peak <= 1.02 * out.nbytes
 
     def test_construction_allocates_only_g_hat(self):
         tracemalloc.start()

@@ -1,6 +1,8 @@
 """Data pipeline tests: CSV ingestion, standardization, windowing, batching,
 splitting, and the synthetic generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,78 @@ class TestBatches:
     def test_bad_batch_size(self):
         with pytest.raises(InvalidInputError):
             batches(self._ws(10), 0)
+
+
+def _eager_batches(ws, bs, shuffle=False, seed=0):
+    """The list that batches() returned before it became lazy."""
+    n = ws.n_windows
+    order = np.random.default_rng(seed).permutation(n) if shuffle else np.arange(n)
+    return [
+        (ws.features[:, order[s : s + bs]], ws.targets[order[s : s + bs]])
+        for s in range(0, n - bs + 1, bs)
+    ]
+
+
+def _assert_same_batches(got, expected):
+    assert len(got) == len(expected)
+    for (f, t), (ef, et) in zip(got, expected):
+        np.testing.assert_array_equal(f, ef)
+        np.testing.assert_array_equal(t, et)
+
+
+class TestLazyBatches:
+    @pytest.fixture(scope="class")
+    def ws(self):
+        ds = synth_generate(n=230, n_vars=3, seed=1)
+        return window(ds, 4)
+
+    @pytest.mark.parametrize("bs", [1, 7, 16, 227])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_equals_eager_reference(self, ws, bs, shuffle):
+        lazy = batches(ws, bs, shuffle=shuffle, seed=5)
+        expected = _eager_batches(ws, bs, shuffle=shuffle, seed=5)
+        # len, iteration (twice) and the drop-last rule
+        assert len(lazy) == ws.n_windows // bs
+        _assert_same_batches(list(lazy), expected)
+        _assert_same_batches(list(lazy), expected)
+        # positive and negative indices and slices
+        for i in range(-len(expected), len(expected)):
+            _assert_same_batches([lazy[i]], [expected[i]])
+        _assert_same_batches(lazy[1::2], expected[1::2])
+        for i in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                lazy[i]
+
+    def test_each_access_is_a_fresh_copy(self, ws):
+        lazy = batches(ws, 8)
+        f, _ = lazy[0]
+        f[...] = np.nan
+        assert np.all(np.isfinite(lazy[0][0]))
+        assert np.all(np.isfinite(ws.features))
+
+    def test_single_full_batch_unpacks(self, ws):
+        # survey._survey_ranks takes the whole shuffled split this way
+        n = ws.n_windows
+        ((f, t),) = batches(ws, n, shuffle=True, seed=9)
+        _assert_same_batches([(f, t)], _eager_batches(ws, n, shuffle=True, seed=9))
+
+    def test_epoch_holds_at_most_two_batch_copies(self):
+        # the train-paper shape: the training split of seq-48 windows over
+        # 5 inputs, bs 64
+        train, _, _ = split(window(synth_generate(n=4000, n_vars=5, seed=0), 48))
+        one = (train.dim + 1) * 64 * 8  # bytes of one batch copy
+        tracemalloc.start()
+        try:
+            lazy = batches(train, 64, shuffle=True, seed=0)
+            for f, t in lazy:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the batch in hand and the one being gathered, plus the permutation
+        # (a sixth of a copy); a list of the batches would hold all 37
+        assert len(lazy) == 37
+        assert peak < 3 * one
 
 
 class TestSynthGenerate:
