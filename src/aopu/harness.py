@@ -207,8 +207,9 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     each batch is still augmented on its own, so every output is bit for
     bit that of augmenting each batch just before its step. The worker is
     off, and each batch is augmented inline, when the map has no hidden
-    block (augmentation is then a copy) or the process may run on one CPU
-    only. BLAS keeps its own thread count. The worker is shut down before
+    block (augmentation is then a copy) or the process may not run on more
+    CPUs than a BLAS call uses threads (BLAS uses every CPU unless its
+    environment says otherwise). BLAS keeps its own thread count. The worker is shut down before
     the call returns or raises, on divergence or any other exception too.
     """
     train, val, test = prepare_windows(ds, config.seq, config.standardize)

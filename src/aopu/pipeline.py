@@ -16,6 +16,9 @@ from .data import batches
 # training columns augmented per job of the worker thread
 BLOCK_COLUMNS = 128
 
+# variables that set the threads of a BLAS call, in the order read here
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def _cpu_count() -> int:
     """CPUs this process may run on."""
@@ -23,6 +26,17 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
         return os.cpu_count() or 1
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads a BLAS call may use: the first of ``BLAS_THREAD_VARS`` set to
+    a positive integer, else ``cpus``, as OpenBLAS and MKL use every CPU
+    when none is set."""
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
 
 
 def _augmented_batches(augmenter, train, bs, epoch_seeds):
@@ -33,21 +47,27 @@ def _augmented_batches(augmenter, train, bs, epoch_seeds):
     batch is augmented on its own, as a serial loop does it.
 
     The worker runs only when the map has a hidden block (without one,
-    augmentation is a copy) and the process may run on more than one CPU.
-    Without it, each epoch's batches are gathered together, and a batch is
-    augmented when the caller asks for it. With it,
-    the batches are gathered and augmented in blocks of
-    ``max(1, BLOCK_COLUMNS // bs)`` consecutive batches, one job per block
-    on a worker thread that this generator owns: block ``i + 1`` is
-    augmented while the caller steps through block ``i``, across epoch ends
-    too. No epoch's batches are gathered all at once then, and a batch is
-    dropped once the caller moves past it, so about two blocks are alive.
-    An exception in the worker reaches the caller, with its own type, when
-    it takes that block. The worker is shut down when the generator ends,
-    raises or is closed.
+    augmentation is a copy) and the process may run on more CPUs than a
+    BLAS call uses threads, so that a CPU is left for it. Without it, each
+    epoch's batches are gathered together, and a batch is augmented when
+    the caller asks for it. With it, the batches are gathered and augmented
+    in blocks of ``max(1, BLOCK_COLUMNS // bs)`` consecutive batches, one
+    job per block on a worker thread that this generator owns: block
+    ``i + 1`` is augmented while the caller steps through block ``i``,
+    across epoch ends too. No epoch's batches are gathered all at once
+    then, and a batch is dropped once the caller moves past it, so about
+    two blocks are alive. An exception in the worker reaches the caller,
+    with its own type, when it takes that block. The worker is shut down
+    when the generator ends, raises or is closed.
     """
     n_batches = train.n_windows // bs
-    if not (augmenter.config.hidden > 0 and _cpu_count() > 1):
+    # the worker costs more than it saves where it is off: it made
+    # train-lowrr (hidden 0) calls about 10% slower in perfbench pairs; on
+    # one CPU, train-paper's set-up, which includes a first call, about
+    # 0.25 s slower; and on two CPUs with BLAS on both, train-paper calls
+    # about 15% slower in process
+    cpus = _cpu_count()
+    if not (augmenter.config.hidden > 0 and cpus > _blas_threads(cpus)):
         # each epoch's batches are gathered together before its steps, as
         # a serial loop gathers them (a gather before each step made a
         # train-lowrr call about 3% slower), and the list is not named, so

@@ -15,6 +15,7 @@ from aopu import harness
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.data import batches, synth_generate
 from aopu.errors import DivergenceError
+from aopu.pipeline import BLAS_THREAD_VARS
 from aopu.harness import (
     CURVE_EVERY,
     TrainConfig,
@@ -39,7 +40,11 @@ def ds():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
+    """Two CPUs and one BLAS thread, so a CPU is left for the worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 @pytest.fixture
@@ -139,6 +144,25 @@ class TestEqualsSerialLoop:
         config = _config(bs=bs, hidden=hidden, model=model)
         report = train_run(ds, config)
         assert set(augment_threads) == {threading.current_thread().name}
+        assert report_fields(report) == serial_run(ds, config)
+
+    @pytest.mark.parametrize("env,worker", [
+        ({}, False),  # BLAS then uses both CPUs
+        ({"OMP_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"MKL_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ])
+    def test_worker_needs_a_cpu_beside_blas(self, ds, two_cpus, augment_threads,
+                                            monkeypatch, env, worker):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        config = _config(bs=48)
+        report = train_run(ds, config)
+        main = threading.current_thread().name
+        assert any(name != main for name in augment_threads) == worker
         assert report_fields(report) == serial_run(ds, config)
 
     def test_layer_norm(self, ds, two_cpus):
