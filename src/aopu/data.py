@@ -329,6 +329,11 @@ class Batches(Sequence):
         cols = self._order[start : start + self._bs]
         return self._ws.features[:, cols], self._ws.targets[cols]
 
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """A fresh copy of the features of entries ``start:stop`` of the
+        order, which may span several batches or part of one."""
+        return self._ws.features[:, self._order[start:stop]]
+
 
 def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0) -> Batches:
     """Cut a windowed set into (features, targets) mini-batches.
@@ -340,7 +345,8 @@ def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0) -> B
     copy gathered when it is indexed or iterated, with the values, order and
     length of a list of them. The sequence holds no mutable state, so any
     thread may index it: when ``train_run`` runs its augmentation worker,
-    the batches are gathered on that thread, one block ahead of the step.
+    each batch is gathered by the thread that augments it, up to a window of
+    batches ahead of the step.
     """
     if bs < 1:
         raise InvalidInputError(f"batch size must be >= 1, got {bs}")

@@ -1,20 +1,29 @@
 """Training batches for ``harness.train_run``, augmented ahead of the step.
 
 A batch's augmentation ``acti(G.T x)`` does not depend on the weights, so
-it can be computed while the model steps through earlier batches. One
-worker thread, owned by the generator that yields the batches, augments
-the next block of batches while the caller steps through the current one.
+any thread can compute it at any time. One worker thread, owned by the
+generator that yields the batches, augments a window of the next batches
+in order while the caller steps. A caller that reaches a batch the worker
+has not finished does not wait idle: it augments that batch itself if the
+worker has not started it, and otherwise the farthest batch of the window
+the worker has not started, so the worker is not the critical path.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from itertools import islice
 
 from .data import batches
 
-# training columns augmented per job of the worker thread
-BLOCK_COLUMNS = 128
+# training columns augmented ahead of the step: the worker's window holds
+# max(2, WINDOW_COLUMNS // bs) batches. train-paper calls (bs 64, one BLAS
+# thread, two CPUs; medians of 8 in one process at seeds 3 and 7) took
+# 0.79 and 0.93 s with 2 batches, 0.74 and 0.87 s with 3, 0.68 and 0.79 s
+# with 4 and 0.67 and 0.72 s with 6, and each batch more keeps one more
+# augmented batch (1.2 MB there) alive
+WINDOW_COLUMNS = 256
 
 # variables that set the threads of a BLAS call, in the order read here
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -44,21 +53,27 @@ def _augmented_batches(augmenter, train, bs, epoch_seeds):
 
     Epoch ``e`` walks ``batches(train, bs, shuffle=True,
     seed=epoch_seeds[e])``, and ``epoch_end`` marks its last batch. Each
-    batch is augmented on its own, as a serial loop does it.
+    batch is augmented by one ``augment`` call of its own, as a serial loop
+    does it, so every output is bit for bit the serial loop's.
 
     The worker runs only when the map has a hidden block (without one,
     augmentation is a copy) and the process may run on more CPUs than a
     BLAS call uses threads, so that a CPU is left for it. Without it, each
     epoch's batches are gathered together, and a batch is augmented when
-    the caller asks for it. With it, the batches are gathered and augmented
-    in blocks of ``max(1, BLOCK_COLUMNS // bs)`` consecutive batches, one
-    job per block on a worker thread that this generator owns: block
-    ``i + 1`` is augmented while the caller steps through block ``i``,
-    across epoch ends too. No epoch's batches are gathered all at once
-    then, and a batch is dropped once the caller moves past it, so about
-    two blocks are alive. An exception in the worker reaches the caller,
-    with its own type, when it takes that block. The worker is shut down
-    when the generator ends, raises or is closed.
+    the caller asks for it. With it, a window of the next
+    ``max(2, WINDOW_COLUMNS // bs)`` batches, across epoch ends too, is
+    queued in order on a worker thread that this generator owns; each job
+    gathers and augments one batch. When the caller takes a batch the
+    worker has not finished, it cancels the job and augments the batch
+    itself if the worker has not started it; if the worker runs it, the
+    caller augments the farthest batch of the window the worker has not
+    started (:meth:`Future.cancel` succeeds only on those) and checks
+    again, and waits only when none is left. No epoch's batches are
+    gathered all at once, and a batch is dropped once the caller moves past
+    it, so about a window of batches is alive. An exception in a
+    batch reaches the caller, with its own type, when it takes that batch,
+    whichever thread augmented it. The worker is shut down when the
+    generator ends, raises or is closed.
     """
     n_batches = train.n_windows // bs
     # the worker costs more than it saves where it is off: it made
@@ -79,34 +94,62 @@ def _augmented_batches(augmenter, train, bs, epoch_seeds):
                 yield augmenter.augment(feats), targs, i == n_batches - 1
         return
 
-    per_block = max(1, BLOCK_COLUMNS // bs)
-
-    def blocks():
+    def jobs():
         for seed in epoch_seeds:
             cut = batches(train, bs, shuffle=True, seed=seed)
-            for start in range(0, n_batches, per_block):
-                yield cut, range(start, min(start + per_block, n_batches))
+            for i in range(n_batches):
+                yield cut, i
 
-    def augmented(cut, indices):
-        for i in indices:
-            feats, targs = cut[i]
-            yield augmenter.augment(feats), targs, i == n_batches - 1
+    def augmented(cut, i):
+        feats, targs = cut[i]
+        return augmenter.augment(feats), targs, i == n_batches - 1
 
-    jobs = blocks()
     # imported only here: a process whose runs start no worker (no hidden
     # block, or one CPU) does not load the module, about 75 KB from source
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
+    def stolen(job):
+        """A finished future of ``augmented(*job)``, computed on this thread."""
+        future = Future()
+        try:
+            future.set_result(augmented(*job))
+        except Exception as exc:  # raised when the caller takes this batch
+            future.set_exception(exc)
+        return future
+
+    def steal():
+        """Augment the farthest batch of the window that the worker has not
+        started; False if it has started them all."""
+        for k in range(len(window) - 1, -1, -1):
+            job, future = window[k]
+            if future.cancel():
+                window[k] = job, stolen(job)
+                return True
+        return False
+
+    def take():
+        """The next batch; the window moves on by one batch first."""
+        job, future = window.popleft()
+        more = next(todo, None)
+        if more is not None:
+            window.append((more, pool.submit(augmented, *more)))
+        if future.cancel():  # the worker has not started it
+            return augmented(*job)
+        # the worker runs it: augment batches it has not started meanwhile
+        while not future.done() and steal():
+            pass
+        return future.result()
+
+    todo = jobs()
     pool = ThreadPoolExecutor(1, thread_name_prefix="aopu-augment")
     try:
-        pending = pool.submit(deque, augmented(*next(jobs)))
-        while pending is not None:
-            block = pending.result()
-            job = next(jobs, None)
-            pending = None if job is None else pool.submit(deque, augmented(*job))
-            while block:
-                yield block.popleft()
+        window = deque(
+            (job, pool.submit(augmented, *job))
+            for job in islice(todo, max(2, WINDOW_COLUMNS // bs))
+        )
+        while window:
+            yield take()
     finally:
-        # waits for a block still in progress, whose result is no longer
+        # waits for a batch still in progress, whose result is no longer
         # wanted once the caller stops early, so no thread outlives the run
         pool.shutdown(cancel_futures=True)

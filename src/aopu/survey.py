@@ -25,10 +25,11 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     its first ``train.dim`` inputs (:meth:`Augmenter.prefix`), which is the
     map an ``Augmenter`` of that input dim draws, so one draw of ``G``
     serves every window length. The shuffled split is cut at the union of all
-    sizes' batch boundaries and each segment between two cuts is augmented
-    once. A batch of at most ``max(sizes)`` columns needs no more hidden
-    rows than that to show full rank, so without layer norm a segment gets
-    only the first ``k = min(h, max(sizes))`` hidden units plus the raw rows
+    sizes' batch boundaries and each segment between two cuts is gathered
+    and augmented once; the split is never gathered whole. A batch of at
+    most ``max(sizes)`` columns needs no more hidden rows than that to show
+    full rank, so without layer norm a segment gets only the first
+    ``k = min(h, max(sizes))`` hidden units plus the raw rows
     (:meth:`Augmenter.prefix`); layer norm couples all hidden rows, so with
     it ``k = h``.
 
@@ -61,7 +62,7 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     augmented columns, and at most the products among them, are live.
     """
     n = train.n_windows
-    ((shuffled, _),) = batches(train, n, shuffle=True, seed=seed)
+    shuffled = batches(train, n, shuffle=True, seed=seed)
     ends = {bs: n - n % bs for bs in sizes}  # end of each size's last full batch
     cuts = sorted({c for bs in sizes for c in range(bs, ends[bs] + 1, bs)})
     d = train.dim
@@ -82,7 +83,7 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     blocks = {}  # (first, first') of two live segments -> S.T @ S'
     start = 0
     for cut in cuts:
-        seg = lead.augment(shuffled[:, start:cut])
+        seg = lead.augment(shuffled.columns(start, cut))
         live.append((start, seg, linalg.frobenius_norm(seg[k:])))
         # first column of the earliest tall batch in progress that holds seg
         reach = min(
@@ -105,7 +106,7 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
                         ranks[bs].append(bs)
                         continue
                 if k < h:
-                    whole = full.augment(shuffled[:, cut - bs : cut])
+                    whole = full.augment(shuffled.columns(cut - bs, cut))
                 elif len(batch) == 1:
                     whole = batch[0][1]
                 else:

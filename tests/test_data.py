@@ -350,11 +350,14 @@ class TestLazyBatches:
         assert np.all(np.isfinite(lazy[0][0]))
         assert np.all(np.isfinite(ws.features))
 
-    def test_single_full_batch_unpacks(self, ws):
-        # survey._survey_ranks takes the whole shuffled split this way
-        n = ws.n_windows
-        ((f, t),) = batches(ws, n, shuffle=True, seed=9)
-        _assert_same_batches([(f, t)], _eager_batches(ws, n, shuffle=True, seed=9))
+    def test_columns_span_batches(self, ws):
+        # survey._survey_ranks gathers each segment of the shuffled split so
+        lazy = batches(ws, 7, shuffle=True, seed=9)
+        whole = np.hstack([f for f, _ in _eager_batches(ws, 7, shuffle=True, seed=9)])
+        for start, stop in [(0, 7), (3, 25), (14, 21), (0, 7 * len(lazy))]:
+            part = lazy.columns(start, stop)
+            assert part.tobytes() == np.ascontiguousarray(whole[:, start:stop]).tobytes()
+            assert not np.shares_memory(part, ws.features)
 
     def test_epoch_holds_at_most_two_batch_copies(self):
         # the train-paper shape: the training split of seq-48 windows over

@@ -1,12 +1,15 @@
-"""train_run's look-ahead augmentation: a worker thread augments the next
-block of training batches while the model steps through the current one.
+"""train_run's look-ahead augmentation: a worker thread augments a window
+of the next training batches while the model steps, and the stepping thread
+augments a batch itself rather than wait for the worker.
 
 Every report must equal, bit for bit, a serial loop that augments each
 batch just before its step; the worker must be gone when the call ends.
 """
 
 import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from aopu import harness
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.data import batches, synth_generate
 from aopu.errors import DivergenceError
-from aopu.pipeline import BLAS_THREAD_VARS
+from aopu.pipeline import BLAS_THREAD_VARS, WINDOW_COLUMNS, _augmented_batches
 from aopu.harness import (
     CURVE_EVERY,
     TrainConfig,
@@ -28,8 +31,8 @@ from aopu.harness import (
 )
 
 # 478 training windows: bs 16, 48 and 200 give 29, 9 and 2 batches per
-# epoch in blocks of 8, 2 and 1, so bs 16 and 48 end each epoch on a
-# partial block
+# epoch in windows of 16, 5 and 2, so every window at bs 16 and 48 spans an
+# epoch end at some point
 N_ROWS, N_VARS, SEQ = 800, 3, 4
 
 
@@ -170,8 +173,158 @@ class TestEqualsSerialLoop:
         assert report_fields(train_run(ds, config)) == serial_run(ds, config)
 
 
+def worker_names():
+    return [t.name for t in threading.enumerate() if t.name.startswith("aopu-augment")]
+
+
+def _train_batches(ds, epochs=3):
+    """The training split, a map with hidden units and the epoch seeds of a
+    run, for driving ``_augmented_batches`` directly."""
+    train = prepare_windows(ds, SEQ)[0]
+    augmenter = Augmenter(AugmentConfig(input_dim=train.dim, hidden=64, seed=1))
+    seeds = [11 + e for e in range(epochs)]
+    return augmenter, train, seeds
+
+
+def serial_batches(augmenter, train, bs, seeds):
+    """What the generator must yield: each batch augmented on its own."""
+    out = []
+    for seed in seeds:
+        cut = list(batches(train, bs, shuffle=True, seed=seed))
+        for i, (feats, targs) in enumerate(cut):
+            out.append((augmenter.augment(feats), targs, i == len(cut) - 1))
+    return out
+
+
+def spy_augment(monkeypatch, worker_s=0.0, main_s=0.0):
+    """Patch Augmenter.augment to sleep ``worker_s`` off the main thread and
+    ``main_s`` on it, and to record per call whether it ran on the main
+    thread, the bytes of its input and how many batches the test had taken
+    by then (the length of ``taken``). Returns ``(calls, taken)``."""
+    calls, taken = [], []
+    augment = Augmenter.augment
+    main = threading.current_thread()
+
+    def spy(self, x):
+        on_main = threading.current_thread() is main
+        calls.append((on_main, x.tobytes(), len(taken)))
+        time.sleep(main_s if on_main else worker_s)
+        return augment(self, x)
+
+    monkeypatch.setattr(Augmenter, "augment", spy)
+    return calls, taken
+
+
+def take_all(augmenter, train, bs, seeds, calls, taken) -> dict:
+    """Take every batch of ``_augmented_batches`` into ``taken`` and check
+    it against a serial loop: the same bits, in order, and one augment call
+    per batch, whichever thread made it. Returns each batch's position in
+    the run, by the bytes of its input."""
+    for item in _augmented_batches(augmenter, train, bs, seeds):
+        taken.append(item)
+    assert not worker_names()
+    made = calls[:]  # before the serial loop adds its own
+    expected = serial_batches(augmenter, train, bs, seeds)
+    assert len(taken) == len(expected)
+    for (x, targs, end), (x0, targs0, end0) in zip(taken, expected):
+        assert x.tobytes() == x0.tobytes()
+        assert targs.tobytes() == targs0.tobytes()
+        assert end == end0
+    order = {
+        feats.tobytes(): k for k, feats in enumerate(
+            feats for seed in seeds
+            for feats, _ in batches(train, bs, shuffle=True, seed=seed)
+        )
+    }
+    assert len(order) == len(expected)
+    assert sorted(order[x] for _, x, _ in made) == list(range(len(expected)))
+    return order
+
+
+class TestCallerHelps:
+    @pytest.mark.parametrize("bs", [16, 48, 200])
+    def test_each_batch_once_in_order(self, ds, two_cpus, monkeypatch, bs):
+        # a slow worker, so the main thread reaches batches it has not
+        # finished and augments some itself
+        calls, taken = spy_augment(monkeypatch, worker_s=0.01, main_s=0.001)
+        augmenter, train, seeds = _train_batches(ds)
+        order = take_all(augmenter, train, bs, seeds, calls, taken)
+        # the main thread augmented batches beyond the next one to take
+        # while the worker ran that one, and the worker augmented some too
+        assert any(on_main and order[x] > n for on_main, x, n in calls)
+        assert not all(on_main for on_main, _, _ in calls)
+
+    def test_each_batch_once_under_fast_switching(self, ds, two_cpus, monkeypatch):
+        calls, taken = spy_augment(monkeypatch)
+        augmenter, train, seeds = _train_batches(ds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            take_all(augmenter, train, 4, seeds, calls, taken)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_train_run_equals_serial_loop(self, ds, two_cpus, monkeypatch):
+        spy_augment(monkeypatch, worker_s=0.01, main_s=0.001)
+        config = _config(bs=16, hidden=64)
+        assert report_fields(train_run(ds, config)) == serial_run(ds, config)
+        assert not worker_names()
+
+    def test_caller_exception_reaches_caller(self, ds, two_cpus, monkeypatch):
+        class CallerFailure(RuntimeError):
+            pass
+
+        augmenter, train, seeds = _train_batches(ds)
+        order = [
+            feats.tobytes() for seed in seeds
+            for feats, _ in batches(train, 16, shuffle=True, seed=seed)
+        ]
+        augment = Augmenter.augment
+        main = threading.current_thread()
+        taken, failed = [], []
+
+        def failing(self, x):
+            if threading.current_thread() is not main:
+                time.sleep(0.01)
+            elif order.index(x.tobytes()) > len(taken):
+                # a batch beyond the next one, augmented while the worker
+                # runs the next one
+                failed.append(order.index(x.tobytes()))
+                raise CallerFailure("augment failed on the main thread")
+            return augment(self, x)
+
+        monkeypatch.setattr(Augmenter, "augment", failing)
+        with pytest.raises(CallerFailure):
+            for item in _augmented_batches(augmenter, train, 16, seeds):
+                taken.append(item)
+        assert not worker_names()
+        # raised when the first failing batch is taken, not when it was
+        # augmented, and every batch before it was yielded
+        assert failed and len(taken) == min(failed)
+
+    def test_close_while_worker_runs(self, ds, two_cpus, monkeypatch):
+        augmenter, train, seeds = _train_batches(ds)
+        augment = Augmenter.augment
+        main = threading.current_thread()
+        running = threading.Event()
+
+        def slow(self, x):
+            if threading.current_thread() is not main:
+                running.set()
+                time.sleep(0.05)
+            return augment(self, x)
+
+        monkeypatch.setattr(Augmenter, "augment", slow)
+        steps = _augmented_batches(augmenter, train, 16, seeds)
+        next(steps)
+        assert running.wait(5)
+        assert worker_names()
+        steps.close()
+        assert not worker_names()
+
+
 class TestFailurePaths:
-    def test_divergence_mid_block(self, ds, two_cpus):
+    def test_divergence_with_batches_queued(self, ds, two_cpus):
         # lr 24 at bs 16 is a relaxation of 3 > 2, so the run diverges
         config = _config(lr=24.0, epochs=40, seed=0)
         before = threading.active_count()
@@ -180,9 +333,10 @@ class TestFailurePaths:
         assert report.diverged
         oracle = serial_run(ds, config)
         assert report_fields(report) == oracle
-        # the failing batch is neither the first nor the last of its block
+        # the run stops with a full window of batches still queued
         per_epoch = prepare_windows(ds, SEQ)[0].n_windows // config.bs
-        assert 0 < report.n_iterations % per_epoch % (128 // config.bs) < 7
+        window = WINDOW_COLUMNS // config.bs
+        assert report.n_iterations + 1 + window <= config.epochs * per_epoch
 
     def test_worker_exception_reaches_caller(self, ds, two_cpus, monkeypatch):
         class AugmentFailure(RuntimeError):
