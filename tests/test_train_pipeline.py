@@ -31,8 +31,7 @@ from aopu.harness import (
 )
 
 # 478 training windows: bs 16, 48 and 200 give 29, 9 and 2 batches per
-# epoch in windows of 16, 5 and 2, so every window at bs 16 and 48 spans an
-# epoch end at some point
+# epoch in windows of 16, 5 and 2 batches, so windows span epoch ends
 N_ROWS, N_VARS, SEQ = 800, 3, 4
 
 
