@@ -403,8 +403,10 @@ def rr_survey(
     fixed-size batches, as :func:`data.batches` with ``shuffle=True`` cuts
     them, and each batch's rank ratio is recorded into a histogram. Every
     batch size slices the same seeded permutation, so each seq walks the
-    shuffled split once and augments each training window at most once,
-    however many batch sizes the grid holds (see :func:`survey._survey_ranks`).
+    shuffled split once, one block of the largest batch size at a time, and
+    augments each training window at most once, however many batch sizes
+    the grid holds; a smaller batch inside a block certified full rank has
+    full rank with no work of its own (see :func:`survey._survey_ranks`).
     ``G`` is drawn once, for the longest window: the map of each seq is the
     prefix of its first ``seq * n_inputs`` input rows, the same map an
     ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`). The

@@ -129,7 +129,11 @@ def full_rank_gram(m: np.ndarray):
 
 
 def _certifies_full_rank(
-    gram: np.ndarray, rows: int, n: int | None = None, rest: float = 0.0
+    gram: np.ndarray,
+    rows: int,
+    n: int | None = None,
+    rest: float = 0.0,
+    overwrite: bool = False,
 ) -> bool:
     """The certificate of :func:`full_rank_gram`, on the Gram of some rows.
 
@@ -163,6 +167,8 @@ def _certifies_full_rank(
     ``rest``), ``rows <= b`` or a failed factorization returns ``False``. A
     non-finite entry of ``m_S`` makes the trace non-finite, so it never
     certifies; the caller's bound must be infinite if ``m_R`` holds one.
+    With ``overwrite``, a C-contiguous ``gram`` is factored in place of the
+    copy, and its contents are lost.
     """
     cols = gram.shape[0]
     if not rows > cols > 0:
@@ -175,10 +181,11 @@ def _certifies_full_rank(
     shift = 2.0 * (rows + cols + 2) * EPS * tr + 2.0 * (n * EPS) ** 2 * rest
     if not np.isfinite(shift):
         return False
-    # gram - shift*I, bit for bit, in one copy; the Gram is symmetric, so its
-    # transpose is the same matrix in Fortran order and LAPACK factors it in
-    # place (it reads one triangle, and each carries the rounding bound)
-    shifted = gram.copy()
+    # gram - shift*I, bit for bit, in one copy (or in gram itself with
+    # overwrite); the Gram is symmetric, so its transpose is the same matrix
+    # in Fortran order and LAPACK factors it in place (it reads one
+    # triangle, and each carries the rounding bound)
+    shifted = gram if overwrite else gram.copy()
     shifted.flat[:: cols + 1] -= shift
     try:
         scipy.linalg.cholesky(

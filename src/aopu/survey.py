@@ -1,15 +1,14 @@
 """Ranks of every shuffled training batch of several sizes, for the
 rank-ratio survey (``harness.rr_survey``).
 
-Each training window is augmented at most once, with only as many hidden
-units as the largest batch needs, and a batch is certified full rank from
-the Gram blocks of its segments, so a survey takes no SVD on a batch it
-certifies.
+The shuffled split is walked one block of the largest batch size at a time.
+Each block is augmented once and certified full rank by one shifted
+Cholesky of its Gram; a smaller batch that lies inside a certified block
+has full rank with no work of its own, so a survey takes no SVD on a batch
+it certifies.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,118 +23,158 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     ``augmenter`` may be wider than the windows: the survey uses the map of
     its first ``train.dim`` inputs (:meth:`Augmenter.prefix`), which is the
     map an ``Augmenter`` of that input dim draws, so one draw of ``G``
-    serves every window length. The shuffled split is cut at the union of all
-    sizes' batch boundaries and each segment between two cuts is gathered
-    and augmented once; the split is never gathered whole. A batch of at
-    most ``max(sizes)`` columns needs no more hidden rows than that to show
-    full rank, so without layer norm a segment gets only the first
-    ``k = min(h, max(sizes))`` hidden units plus the raw rows
-    (:meth:`Augmenter.prefix`); layer norm couples all hidden rows, so with
-    it ``k = h``.
+    serves every window length.
 
-    Augmentation acts on each column alone, so a batch's augmented columns
-    are its segments side by side, and its column Gram is the block matrix
-    of the products ``Si.T @ Sj`` of its segments. Each new segment is
-    multiplied with itself and with every earlier live segment that shares
-    a tall batch (more augmented rows than columns) in progress with it.
-    When a cut closes a tall batch, its Gram is assembled from those blocks
-    and certified with its own shifted Cholesky
-    (:func:`linalg._certifies_full_rank`), given a bound on the squared
-    norm of the ``h - k`` hidden rows never computed. Every activation has
-    ``|f(z)| <= |z| + 6`` and a computed product has
-    ``|fl(g.x)| <= (1 + gamma_d) ||g|| ||x||``, so by Cauchy-Schwarz that
-    norm is at most ``2 (1 + gamma_d)**2 ||G_R||_F**2 ||x||_F**2 + 72 (h - k) b``
-    for the skipped columns ``G_R`` of ``G``. The survey takes
-    ``||G_R||_F`` over all the inputs of ``augmenter``: a superset of the
-    entries can only raise the norm, and those columns are one contiguous
-    block of ``G.T``, so the norm needs no copy. A certified batch has full
-    rank. A product of another shape may round the leading rows differently
-    in their last bits, as the segments of a batch already may; that is far
-    inside the certificate's margin.
+    With ``B = max(sizes)``, the shuffled split is cut into blocks of ``B``
+    columns, up to the end of the last full batch of any size, so the last
+    block (the tail) may be narrower. Each block is gathered and augmented
+    once with the first ``k = min(h, B + 8)`` hidden units and the raw
+    rows (:meth:`Augmenter.prefix`); layer norm couples all hidden rows, so
+    with it ``k = h``. A full block is a batch of size ``B``. Its column Gram
+    is formed once and certified by :func:`linalg._certifies_full_rank`:
 
-    If ``k < h``, every batch is tall, and one the certificate fails is
-    augmented whole and ranked by :func:`linalg.rank`. If ``k = h``, a
-    wide, square or uncertified batch has its segments joined and ranked
-    so. A non-finite entry anywhere in a batch fails the certificate, and
-    :func:`linalg.rank` rejects it. A segment and its products are dropped
-    once no batch in progress needs them, so about one largest batch of
-    augmented columns, and at most the products among them, are live.
+    - if ``k < h``, the Gram is that of the ``k`` hidden rows alone, and the
+      certificate's ``rest`` bounds the squared norm of every row left out.
+      The raw rows add ``||x||_F**2``, their squared column norms summed and
+      rounded up, so an overflow is infinite and fails the certificate.
+      Every activation has ``|f(z)| <= |z| + 6`` and a computed product has
+      ``|fl(g.x)| <= (1 + gamma_d) ||g|| ||x||``, so by Cauchy-Schwarz the
+      ``h - k`` hidden units never computed add at most
+      ``2 (1 + gamma_d)**2 ||G_R||_F**2 ||x||_F**2 + 72 (h - k) b`` for the
+      skipped columns ``G_R`` of ``G``, whose norm is taken over all the
+      inputs of ``augmenter`` (a superset of the entries can only raise it);
+    - if ``k = h``, the Gram is that of every row, and ``rest`` is 0.
+
+    A smaller batch is a column slice of the blocks. The singular values of
+    a subset of a matrix's columns interlace its own, ``s_min`` no lower and
+    ``s_max`` no higher, and the cutoff ``n * eps * s_max`` has the same
+    ``n``, so a batch inside a certified block has full rank. Any other
+    batch, inside an uncertified block, across two blocks or in the tail,
+    is certified from its own Gram: a slice of its block's Gram, or, across
+    two blocks, the two diagonal slices and the product of its two column
+    slices. The batches that run across into a block are certified before
+    it, and only the trailing columns of a block that such batches need are
+    kept into the next one, so a full block's Gram can be factored in place;
+    it is formed again only if its certificate fails, for the batches
+    inside it. A product of another shape may round the leading rows
+    differently in their last bits, as the blocks of a batch already may;
+    that is far inside the certificate's margin.
+
+    A batch that is not certified, or has no more Gram rows than columns,
+    is ranked by :func:`linalg.rank`: augmented whole if ``k < h``, else
+    from its block's columns. A non-finite entry anywhere in a batch fails
+    the certificate, and :func:`linalg.rank` rejects it.
     """
     n = train.n_windows
     shuffled = batches(train, n, shuffle=True, seed=seed)
     ends = {bs: n - n % bs for bs in sizes}  # end of each size's last full batch
-    cuts = sorted({c for bs in sizes for c in range(bs, ends[bs] + 1, bs)})
+    top = max(ends.values())
+    big = max(sizes)
     d = train.dim
     h = augmenter.config.hidden
-    k = h if augmenter.config.layer_norm else min(h, max(sizes))
+    # 8 hidden units past the largest batch give the hidden rows alone room
+    # to show its full rank: with 1, surveys of smoothed random walks fell
+    # back to the SVD on some batches
+    k = h if augmenter.config.layer_norm else min(h, big + 8)
     full = augmenter.prefix(d, h)
     lead = augmenter.prefix(d, k)
-    rows = full.output_dim
-    tall = {bs for bs in sizes if lead.output_dim > bs}
-    # (1 + gamma_d) * ||G_R||_F, and the activations' share of the bound per
-    # batch column
+    used = k if k < h else lead.output_dim  # rows of every Gram
+    # rest = x2 * per_x2 + per_col * b for b columns whose raw rows have
+    # squared norm x2, which is rounded up: each column's sum of d squares
+    # and the sum of b <= big of them each lose less than gamma of their count
     g_rest = (1.0 + d * linalg.EPS / (1.0 - d * linalg.EPS)) * linalg.frobenius_norm(
         augmenter.g_hat.T[k:]
     )
-    slack = 2.0 * ACTIVATION_SLACK**2 * (h - k)
-    ranks = {bs: [] for bs in sizes}
-    live = []  # (first column, augmented segment, norm of its raw rows)
-    blocks = {}  # (first, first') of two live segments -> S.T @ S'
-    start = 0
-    for cut in cuts:
-        seg = lead.augment(shuffled.columns(start, cut))
-        live.append((start, seg, linalg.frobenius_norm(seg[k:])))
-        # first column of the earliest tall batch in progress that holds seg
-        reach = min(
-            (start - start % bs for bs in tall if start < ends[bs]), default=cut
-        )
+    per_x2 = (1.0 + 2.0 * g_rest * g_rest) * (1.0 + 2.0 * (d + big) * linalg.EPS)
+    per_col = 2.0 * ACTIVATION_SLACK**2 * (h - k)
+
+    def certified(gram, *x2, overwrite=False) -> bool:
         with np.errstate(over="ignore", invalid="ignore"):
-            for first, other, _ in live:
-                if first >= reach:
-                    blocks[first, start] = other.T @ seg
-        start = cut
-        for bs in sizes:
-            if cut % bs == 0:
-                batch = [entry for entry in live if entry[0] >= cut - bs]
-                if bs in tall:
-                    # Python floats: an overflow is inf, with no warning
-                    scaled = g_rest * math.hypot(*(norm for _, _, norm in batch))
-                    rest = 2.0 * scaled * scaled + slack * bs
-                    gram = _batch_gram([first for first, _, _ in batch], blocks)
-                    if linalg._certifies_full_rank(gram, lead.output_dim, rows, rest):
-                        ranks[bs].append(bs)
-                        continue
-                if k < h:
-                    whole = full.augment(shuffled.columns(cut - bs, cut))
-                elif len(batch) == 1:
-                    whole = batch[0][1]
-                else:
-                    whole = np.hstack([part for _, part, _ in batch])
-                ranks[bs].append(linalg.rank(whole))
-        # first column of the earliest batch still in progress; every batch
-        # boundary is a cut, so no segment straddles it
-        keep = min(
-            (cut - cut % bs for bs in sizes if cut - cut % bs < ends[bs]),
-            default=cut,
+            raw = sum(float(part.sum()) for part in x2)
+            rest = 0.0 if k == h else raw * per_x2 + per_col * len(gram)
+            return linalg._certifies_full_rank(
+                gram, used, full.output_dim, rest, overwrite
+            )
+
+    def exact(first, stop, *parts) -> int:
+        if k < h:
+            return linalg.rank(full.augment(shuffled.columns(first, stop)))
+        return linalg.rank(parts[0] if len(parts) == 1 else np.hstack(parts))
+
+    def gram_of(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rows.T @ rows
+
+    ranks = {bs: [] for bs in sizes}
+    # the trailing columns of the last block that batches in progress at its
+    # end still need: first column, Gram rows, Gram and raw squared norms
+    kept = kept_rows = kept_gram = kept_x2 = None
+    for start in range(0, top, big):
+        stop = min(start + big, top)
+        aug = lead.augment(shuffled.columns(start, stop))
+        rows = aug[:used]
+        gram = gram_of(rows) if used > min(sizes) else None
+        with np.errstate(over="ignore"):
+            x2 = np.einsum("ij,ij->j", aug[k:], aug[k:]) if k < h else np.zeros(0)
+        ending = [
+            (bs, end - bs, end)
+            for bs in sorted(sizes)
+            for end in range(start - start % bs + bs, min(stop, ends[bs]) + 1, bs)
+        ]
+        # first, the batches that began in the last block
+        for bs, first, end in ending:
+            if first < start:
+                i, c = first - kept, end - start
+                ok = used > bs and certified(
+                    _joined(
+                        kept_gram[i:, i:],
+                        gram[:c, :c],
+                        kept_rows[:, i:],
+                        rows[:, :c],
+                    ),
+                    kept_x2[i:],
+                    x2[:c],
+                )
+                ranks[bs].append(
+                    bs if ok else exact(first, end, kept_rows[:, i:], rows[:, :c])
+                )
+        # first column of the earliest batch still in progress at stop
+        kept = min(
+            (stop - stop % bs for bs in sizes if stop - stop % bs < ends[bs]),
+            default=stop,
         )
-        live = [entry for entry in live if entry[0] >= keep]
-        blocks = {key: block for key, block in blocks.items() if key[0] >= keep}
+        kept_rows = rows[:, kept - start :].copy()
+        kept_x2 = x2[kept - start :].copy()
+        if gram is not None:
+            kept_gram = gram[kept - start :, kept - start :].copy()
+        # a full block is certified in its own Gram, which is formed again
+        # only if the certificate fails
+        block_ok = False
+        if stop - start == big and used > big:
+            block_ok = certified(gram, x2, overwrite=True)
+            if not block_ok:
+                gram = gram_of(rows)
+        for bs, first, end in ending:
+            if first >= start:
+                a, b = first - start, end - start
+                ok = block_ok or (
+                    bs < min(big, used) and certified(gram[a:b, a:b], x2[a:b])
+                )
+                ranks[bs].append(bs if ok else exact(first, end, aug[:, a:b]))
+        # freed before the next block is augmented: no other name holds a
+        # view of them
+        del aug, rows, gram
     return ranks
 
 
-def _batch_gram(firsts, blocks) -> np.ndarray:
-    """A batch's column Gram, written block by block into one array from
-    the products of its segments (by first column); only ``blocks[a, b]``
-    with ``a <= b`` is stored."""
-    base, last = firsts[0], firsts[-1]
-    size = last - base + blocks[last, last].shape[1]
-    gram = np.empty((size, size))
-    for i, a in enumerate(firsts):
-        for b in firsts[i:]:
-            block = blocks[a, b]
-            rows = slice(a - base, a - base + block.shape[0])
-            cols = slice(b - base, b - base + block.shape[1])
-            gram[rows, cols] = block
-            if a < b:
-                gram[cols, rows] = block.T
+def _joined(left_gram, right_gram, left, right) -> np.ndarray:
+    """The column Gram of ``[left, right]`` from the Grams of its two parts
+    and their product, written into one array with no join of the columns."""
+    m = len(left_gram)
+    gram = np.empty((m + len(right_gram),) * 2)
+    gram[:m, :m] = left_gram
+    gram[m:, m:] = right_gram
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram[:m, m:] = left.T @ right
+    gram[m:, :m] = gram[:m, m:].T
     return gram

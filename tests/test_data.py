@@ -351,7 +351,7 @@ class TestLazyBatches:
         assert np.all(np.isfinite(ws.features))
 
     def test_columns_span_batches(self, ws):
-        # survey._survey_ranks gathers each segment of the shuffled split so
+        # survey._survey_ranks gathers each block of the shuffled split so
         lazy = batches(ws, 7, shuffle=True, seed=9)
         whole = np.hstack([f for f, _ in _eager_batches(ws, 7, shuffle=True, seed=9)])
         for start, stop in [(0, 7), (3, 25), (14, 21), (0, 7 * len(lazy))]:

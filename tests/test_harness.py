@@ -9,7 +9,7 @@ import pytest
 
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
-from aopu.data import WindowedSet, batches, synth_generate
+from aopu.data import Dataset, WindowedSet, batches, synth_generate
 from aopu.errors import ConstantTargetError, InvalidInputError
 from aopu.harness import (
     RR_HIST_EDGES,
@@ -25,7 +25,7 @@ from aopu.harness import (
     train_run,
     write_rr_hist_csv,
 )
-from aopu.survey import _batch_gram, _survey_ranks
+from aopu.survey import _survey_ranks
 
 
 class TestMetrics:
@@ -413,8 +413,9 @@ def _per_batch_ranks(train, augmenter, sizes, seed):
 
 
 class TestSurveyRanks:
-    """The survey's per-batch ranks, from block Grams or joined segments,
-    equal a brute-force rank of each batch."""
+    """The survey's per-batch ranks, from the certified blocks of the largest
+    batch size, the Grams of smaller batches or an SVD, equal a brute-force
+    rank of each batch."""
 
     def _setup(self, ds, hidden, activation="tanh"):
         train, _, _ = prepare_windows(ds, 2)  # 10 input rows
@@ -429,7 +430,7 @@ class TestSurveyRanks:
         "sizes, hidden",
         [
             # 58 rows: every batch tall; 16, 24 and 40 do not nest, so
-            # segments straddle the batches of the other sizes
+            # batches of 16 and 24 straddle the blocks of 40
             ((16, 24, 40), 48),
             ((16, 24, 64), 0),  # 10 rows: every batch wide
             ((8, 12, 16, 40), 12),  # 22 rows: tall up to 16, wide at 40
@@ -440,22 +441,6 @@ class TestSurveyRanks:
         train, aug = self._setup(ar_ds, hidden)
         got = _survey_ranks(train, aug, set(sizes), 3)
         assert got == _per_batch_ranks(train, aug, sizes, 3)
-
-    def test_batch_gram_equals_block_reference(self):
-        rng = np.random.default_rng(0)
-        widths = {0: 5, 5: 3, 8: 8}  # segment widths by first column
-        segs = {first: rng.standard_normal((30, b)) for first, b in widths.items()}
-        blocks = {(a, b): segs[a].T @ segs[b] for a in segs for b in segs if a <= b}
-        for firsts in ([0, 5, 8], [5, 8], [8]):
-            ref = np.block(
-                [
-                    [blocks[a, b] if a <= b else blocks[b, a].T for b in firsts]
-                    for a in firsts
-                ]
-            )
-            np.testing.assert_array_equal(
-                _batch_gram(firsts, blocks).view(np.uint64), ref.view(np.uint64)
-            )
 
     def test_rank_deficient_tall_batches(self, ar_ds):
         # every fifth window repeats the one before it, so a tall batch that
@@ -471,10 +456,12 @@ class TestSurveyRanks:
             assert min(want[bs]) < bs == max(want[bs])
         assert _survey_ranks(train, aug, set(sizes), 3) == want
 
-    def test_certified_grid_joins_nothing(self, ar_ds, monkeypatch):
-        # each tall batch is certified by one Cholesky of its own Gram, and
-        # none is copied into a joined array
-        train, aug = self._setup(ar_ds, 48)
+    @pytest.mark.parametrize("hidden", [48, 64], ids=["every-row", "hidden-rows"])
+    def test_certified_grid_joins_nothing(self, ar_ds, monkeypatch, hidden):
+        # each largest batch is certified by one Cholesky of its own Gram,
+        # and so is each smaller batch that is not inside one of them; none
+        # is copied into a joined array
+        train, aug = self._setup(ar_ds, hidden)
         sizes = (16, 24, 40)
         certified = []
         original = linalg._certifies_full_rank
@@ -489,10 +476,18 @@ class TestSurveyRanks:
         monkeypatch.setattr(linalg, "_certifies_full_rank", recording)
         monkeypatch.setattr(np, "hstack", refuse)
         got = _survey_ranks(train, aug, set(sizes), 3)
+        n = train.n_windows
         for bs in sizes:
-            assert got[bs] == [bs] * (train.n_windows // bs)
+            assert got[bs] == [bs] * (n // bs)
+        blocks = n // 40
+        outside = [
+            bs
+            for bs in (16, 24)
+            for first in range(0, n - bs + 1, bs)
+            if first // 40 != (first + bs - 1) // 40 or first // 40 >= blocks
+        ]
         assert sorted(certified) == sorted(
-            (bs, bs) for bs in sizes for _ in range(train.n_windows // bs)
+            [(40, 40)] * blocks + [(bs, bs) for bs in outside]
         )
 
     def test_overflowing_gram_falls_back_to_rank(self, ar_ds):
@@ -512,10 +507,10 @@ class TestSurveyRanks:
     def test_leading_rows_equal_per_batch_reference(
         self, ar_ds, monkeypatch, activation, case
     ):
-        # hidden 64 > max(sizes) = 40: each segment is augmented with its
-        # first 40 hidden units only, and a batch its leading rows cannot
-        # certify (a repeated window, or a 1e200 one whose Gram overflows)
-        # is augmented whole and ranked by the SVD
+        # hidden 64 > max(sizes) + 8 = 48: each block is augmented with its
+        # first 48 hidden units only, and a batch its hidden rows cannot
+        # certify (a repeated window, or a 1e200 one whose raw rows' norm
+        # overflows) is augmented whole and ranked by the SVD
         train, aug = self._setup(ar_ds, 64, activation)
         features = train.features.copy()
         if case == "duplicated":
@@ -536,20 +531,20 @@ class TestSurveyRanks:
         monkeypatch.setattr(Augmenter, "augment", recording)
         assert _survey_ranks(train, aug, set(sizes), 3) == want
         if case == "plain":
-            assert set(hidden_units) == {40}
+            assert set(hidden_units) == {48}
         else:
-            assert set(hidden_units) == {40, 64}
+            assert set(hidden_units) == {48, 64}
         if case == "duplicated":
             for bs in sizes:
                 assert min(want[bs]) < bs == max(want[bs])
 
     def test_huge_skipped_units_fail_the_leading_rows(self, ar_ds):
-        # hidden units 40 to 63 share one weight column scaled by 1e16, so
+        # hidden units 48 to 63 share one weight column scaled by 1e16, so
         # each batch's SVD cutoff exceeds every singular value of its leading
         # rows; the bound on the skipped rows keeps them from certifying it
         train, aug = self._setup(ar_ds, 64, "relu")
         g = np.array(aug.g_hat)
-        g[:, 40:] = 1e16 * g[:, :1]
+        g[:, 48:] = 1e16 * g[:, :1]
         aug.g_hat = g
         sizes = (16, 24, 40)
         want = _per_batch_ranks(train, aug, sizes, 3)
@@ -579,8 +574,8 @@ class TestSurveyRanks:
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_entry_rejected(self, ar_ds):
         # an input of 1e308 overflows the relu hidden block to inf (augment
-        # warns); the batch's Gram trace is then inf, so it is joined and
-        # linalg.rank rejects it
+        # warns); the batch's Gram trace is then inf, so it fails the
+        # certificate and linalg.rank rejects it
         train, aug = self._setup(ar_ds, 48, activation="relu")
         features = train.features.copy()
         features[0, 7] = 1e308
@@ -588,6 +583,120 @@ class TestSurveyRanks:
         assert not np.all(np.isfinite(aug.augment(features[:, 7:8])))
         with pytest.raises(InvalidInputError, match="non-finite"):
             _survey_ranks(train, aug, {16, 24}, 3)
+
+
+    @staticmethod
+    def _record_augments(monkeypatch):
+        """(hidden units, columns) of every ``Augmenter.augment`` call."""
+        calls = []
+        original = Augmenter.augment
+
+        def recording(self, x):
+            calls.append((self.config.hidden, x.shape[1]))
+            return original(self, x)
+
+        monkeypatch.setattr(Augmenter, "augment", recording)
+        return calls
+
+    def test_duplicated_window_in_one_block(self, ar_ds, monkeypatch):
+        # two windows of the first largest batch are equal, and both lie in
+        # its first 16- and 24-column batches: the block fails its
+        # certificate, the three batches that hold both copies are augmented
+        # whole and ranked by the SVD, and each other batch inside the block
+        # is certified by its own slice of the block's Gram
+        train, aug = self._setup(ar_ds, 64)
+        order = np.random.default_rng(3).permutation(train.n_windows)
+        features = train.features.copy()
+        features[:, order[5]] = features[:, order[2]]
+        train = WindowedSet(features, train.targets)
+        sizes = (16, 24, 40)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        assert [want[bs][0] for bs in sizes] == [15, 23, 39]
+        calls = self._record_augments(monkeypatch)
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+        assert sorted(cols for units, cols in calls if units == 64) == [16, 24, 40]
+
+    @pytest.mark.parametrize("hidden", [48, 64], ids=["every-row", "hidden-rows"])
+    def test_straddling_and_tail_batches(self, ar_ds, monkeypatch, hidden):
+        # the blocks of 40 end at 880 of the 899 windows, so 24-column
+        # batches straddle two blocks, and the last 16-column batch (880 to
+        # 896) lies in the tail; a window repeated at positions 30 and 45 of
+        # the shuffled split leaves the straddling batch 24-48 rank
+        # deficient, and one repeated at 882 and 890 the tail batch
+        train, aug = self._setup(ar_ds, hidden)
+        n = train.n_windows
+        assert (n - n % 40, n - n % 24, n - n % 16) == (880, 888, 896)
+        order = np.random.default_rng(3).permutation(n)
+        features = train.features.copy()
+        features[:, order[45]] = features[:, order[30]]
+        features[:, order[890]] = features[:, order[882]]
+        train = WindowedSet(features, train.targets)
+        sizes = (16, 24, 40)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        short = {(bs, i) for bs in sizes for i, r in enumerate(want[bs]) if r < bs}
+        assert short == {(24, 1), (16, 55)}
+        ranked = []
+        original = linalg.rank
+
+        def recording(m):
+            ranked.append(m.shape[1])
+            return original(m)
+
+        monkeypatch.setattr(linalg, "rank", recording)
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+        assert sorted(ranked) == [16, 24]
+
+    @pytest.mark.parametrize("case", ["overflow", "finite"])
+    def test_huge_raw_window_fails_the_hidden_rows(self, ar_ds, monkeypatch, case):
+        # a window of 1e200 or 1e150 saturates its tanh hidden units, so the
+        # Gram of the hidden rows stays finite and well conditioned; the
+        # squared norm of its raw rows overflows or is huge, and with it the
+        # SVD cutoff of each batch that holds the window, so those batches
+        # are augmented whole and ranked by the SVD. In the finite case the
+        # skipped hidden units have zero weights, so only the raw rows'
+        # share of the bound keeps the hidden rows from certifying them
+        train, aug = self._setup(ar_ds, 64)
+        features = train.features.copy()
+        features[:, 7] = 1e200 if case == "overflow" else 1e150
+        if case == "finite":
+            g = np.array(aug.g_hat)
+            g[:, 48:] = 0.0
+            aug.g_hat = g
+        train = WindowedSet(features, train.targets)
+        n = train.n_windows
+        at = int(np.flatnonzero(np.random.default_rng(3).permutation(n) == 7)[0])
+        sizes = (16, 24, 40)
+        holding = sorted(bs for bs in sizes if at < n - n % bs)
+        assert holding
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        calls = self._record_augments(monkeypatch)
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+        assert sorted(cols for units, cols in calls if units == 64) == holding
+
+    @pytest.mark.parametrize("inputs", ["smoothed-walk", "duplicated-input"])
+    def test_correlated_inputs_take_no_fallback(self, ar_ds, monkeypatch, inputs):
+        # windows of a smoothed random walk are nearly collinear, and a
+        # duplicated input variable makes the raw rows rank deficient; the
+        # hidden rows still certify every batch, so nothing is augmented
+        # whole
+        values = ar_ds.values.copy()
+        if inputs == "smoothed-walk":
+            walk = np.cumsum(np.random.default_rng(11).standard_normal((1507, 5)), 0)
+            values[:, :5] = np.lib.stride_tricks.sliding_window_view(
+                walk, 8, axis=0
+            ).mean(axis=2)
+        else:
+            values[:, 1] = values[:, 0]
+        ds = Dataset(values, ar_ds.columns, ar_ds.n_inputs, ar_ds.target_col)
+        sizes = (16, 24, 40)
+        for seq in (2, 4, 8):
+            train, _, _ = prepare_windows(ds, seq)
+            aug = Augmenter(AugmentConfig(input_dim=train.dim, hidden=64, seed=3))
+            want = _per_batch_ranks(train, aug, sizes, 3)
+            with monkeypatch.context() as patch:
+                calls = self._record_augments(patch)
+                assert _survey_ranks(train, aug, set(sizes), 3) == want
+            assert calls and all(units == 48 for units, _ in calls)
 
 
 class TestAblate:

@@ -358,6 +358,19 @@ class TestLeadingRowCertificate:
         assert linalg._certifies_full_rank(gram, rows, n, 0.0)
         assert not linalg._certifies_full_rank(gram, rows, n, rest)
 
+    @pytest.mark.parametrize("ratio", [1e-1, 0.0])
+    def test_overwrite_keeps_the_verdict(self, ratio):
+        # by default the Gram is left as it was; with overwrite it is
+        # factored in place, to the same verdict
+        n, rows, b = LEADING_SHAPES[1]
+        lead = _spectrum_matrix((rows, b), ratio)
+        gram = lead.T @ lead
+        before = gram.tobytes()
+        want = linalg._certifies_full_rank(gram, rows, n, 1.0)
+        assert want == (ratio == 1e-1)
+        assert gram.tobytes() == before
+        assert linalg._certifies_full_rank(gram, rows, n, 1.0, overwrite=True) == want
+
     def test_whole_matrix_runs_the_default_shift(self, monkeypatch):
         # rows = n and rest = 0 shift the Gram by exactly the shift of
         # full_rank_gram: Cholesky sees the same bits
@@ -387,6 +400,15 @@ def _certified_spectra():
     ]
 
 
+def _pinv_references(m, y, d):
+    """``reconstruct_reference(m, d)`` and
+    ``truncated_gradient_reference(m, y, d)`` of ``aopu.verify``, by the same
+    textbook formulas, from one explicit column-Gram pseudo-inverse."""
+    gram_inv = linalg.pinv(linalg.column_gram(m))
+    recon = gram_inv @ (m.T @ d)
+    return recon, -(2.0 / m.shape[1]) * m @ (gram_inv @ (y - recon))
+
+
 class TestCertifiedRoute:
     """A certified batch is solved with its Gram: no eigenvectors, no SVD."""
 
@@ -401,11 +423,18 @@ class TestCertifiedRoute:
         y = rng.standard_normal((shape[1], 1))
         gram = linalg._certified_gram(m)[0]
         bound = min(shape) * linalg.EPS * np.linalg.cond(gram)
-        assert _rel(reconstruct(m, d), reconstruct_reference(m, d)) <= bound
-        assert (
-            _rel(truncated_gradient(m, y, d), truncated_gradient_reference(m, y, d))
-            <= bound
-        )
+        recon, grad = _pinv_references(m, y, d)
+        assert _rel(reconstruct(m, d), recon) <= bound
+        assert _rel(truncated_gradient(m, y, d), grad) <= bound
+
+    def test_pinv_references_are_the_oracles(self):
+        m = _spectrum_matrix((40, 12), 1e-4)
+        rng = np.random.default_rng(4)
+        d = dual(m, rng.standard_normal((40, 1)))
+        y = rng.standard_normal((12, 1))
+        recon, grad = _pinv_references(m, y, d)
+        assert recon.tobytes() == reconstruct_reference(m, d).tobytes()
+        assert grad.tobytes() == truncated_gradient_reference(m, y, d).tobytes()
 
     @staticmethod
     def _refuse_eigen_and_singular_solvers(monkeypatch):
