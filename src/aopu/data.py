@@ -344,9 +344,7 @@ def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0) -> B
     sequence: only the permutation is made here, and each batch is a fresh
     copy gathered when it is indexed or iterated, with the values, order and
     length of a list of them. The sequence holds no mutable state, so any
-    thread may index it: when ``train_run`` runs its augmentation worker,
-    each batch is gathered by the thread that augments it, up to a window of
-    batches ahead of the step.
+    thread may index it.
     """
     if bs < 1:
         raise InvalidInputError(f"batch size must be >= 1, got {bs}")

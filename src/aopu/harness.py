@@ -199,21 +199,10 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     divergent batch aborts training but the partial curves, the last rank
     ratio and the metrics of the last finite weights are all preserved.
 
-    A batch's augmentation does not depend on the weights, so it can run
-    ahead of the step. One worker thread, owned by this call, augments the
-    next ``max(2, 256 // bs)`` training batches in order while the model
-    steps; when the step reaches a batch the worker has not finished, this
-    thread augments that batch itself if the worker has not started it,
-    and otherwise the farthest batch the worker has not started, rather
-    than wait (see :func:`pipeline._augmented_batches`). ``G`` is frozen and
-    each batch is still augmented on its own, so every output is bit for
-    bit that of augmenting each batch just before its step. The worker is
-    off, and each batch is augmented inline, when the map has no hidden
-    block (augmentation is then a copy) or the process may not run on more
-    CPUs than a BLAS call uses threads (BLAS uses every CPU unless its
-    environment says otherwise). BLAS keeps its own thread count. The
-    worker is shut down before the call returns or raises, on divergence or
-    any other exception too.
+    Every output is bit for bit that of augmenting each batch just before
+    its step; a worker thread augments batches ahead of the step only when
+    the map has a hidden block and a CPU is left beside BLAS's threads (see
+    :func:`pipeline._augmented_batches`), and no thread outlives the call.
     """
     train, val, test = prepare_windows(ds, config.seq, config.standardize)
     if train.n_windows < config.bs:

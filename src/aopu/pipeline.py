@@ -1,12 +1,5 @@
-"""Training batches for ``harness.train_run``, augmented ahead of the step.
-
-A batch's augmentation ``acti(G.T x)`` does not depend on the weights, so
-any thread can compute it at any time. One worker thread, owned by the
-generator that yields the batches, augments a window of the next batches
-in order while the caller steps. A caller that reaches a batch the worker
-has not finished does not wait idle: it augments that batch itself if the
-worker has not started it, and otherwise the farthest batch of the window
-the worker has not started, so the worker is not the critical path.
+"""Training batches for ``harness.train_run``, augmented ahead of the step
+(see :func:`_augmented_batches`).
 """
 
 from __future__ import annotations
@@ -54,7 +47,9 @@ def _augmented_batches(augmenter, train, bs, epoch_seeds):
     Epoch ``e`` walks ``batches(train, bs, shuffle=True,
     seed=epoch_seeds[e])``, and ``epoch_end`` marks its last batch. Each
     batch is augmented by one ``augment`` call of its own, as a serial loop
-    does it, so every output is bit for bit the serial loop's.
+    does it, so every output is bit for bit the serial loop's. ``G`` is
+    frozen, so a batch's augmentation does not depend on the weights and may
+    run ahead of the step.
 
     The worker runs only when the map has a hidden block (without one,
     augmentation is a copy) and the process may run on more CPUs than a
