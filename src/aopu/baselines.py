@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .augment import Augmenter
 from .errors import DivergenceError, InvalidInputError, UndefinedConditionalError
-from .model import StepReport, _check_shapes, _squared_error, forward
+from .model import LinearReadout, StepReport, _squared_error, _validated
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -24,35 +24,24 @@ ADAM_EPS = 1e-8
 def mse_gradient(x_tilde, y, w) -> np.ndarray:
     """Plain gradient of the batch MSE through the linear output:
     ``-(2/b) * x_tilde @ (y - x_tilde.T @ w)``."""
-    xt = linalg.as_matrix(x_tilde, "x_tilde")
-    ym = linalg.as_matrix(y, "y")
-    wm = linalg.as_matrix(w, "w")
-    _check_shapes(xt, ym, "w", wm)
+    xt, ym, wm = _validated(x_tilde, y, "w", w)
     return -(2.0 / xt.shape[1]) * xt @ (ym - xt.T @ wm)
 
 
-class RvflnnModel:
+class RvflnnModel(LinearReadout):
     """Random-feature network trained by Adam on plain MSE gradients.
 
-    Structurally identical to the projection unit (same augmenter, zero
-    init); only the update rule differs. Single-writer like the unit.
+    The projection unit's read-out (same augmenter, zero init) with another
+    update rule.
     """
 
-    def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float = 0.005):
-        if not 0 < lr < np.inf:
-            raise InvalidInputError(
-                f"learning rate must be positive and finite, got {lr}"
-            )
-        if out_dim < 1:
-            raise InvalidInputError(f"output width must be >= 1, got {out_dim}")
-        self.lr = float(lr)
-        self.w_tilde = np.zeros((augmenter.output_dim, out_dim))
+    DEFAULT_LR = 0.005
+
+    def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float | None = None):
+        super().__init__(augmenter, out_dim, lr)
         self.adam_m = np.zeros_like(self.w_tilde)
         self.adam_v = np.zeros_like(self.w_tilde)
         self.adam_t = 0
-
-    def forward(self, x_tilde) -> np.ndarray:
-        return forward(x_tilde, self.w_tilde)
 
     def step(self, x_tilde, y) -> StepReport:
         """One Adam update on the plain MSE gradient.
@@ -60,63 +49,55 @@ class RvflnnModel:
         Validates ``x_tilde``, ``y`` and the weights once. The update takes
         no factorization, so the rank ratio it reports (and any
         :class:`DivergenceError` carries) comes from a separate rank of
-        ``x_tilde``.
+        ``x_tilde``. A non-finite loss or update leaves the weights and the
+        Adam state unchanged.
         """
-        xt = linalg.as_matrix(x_tilde, "x_tilde")
-        y = linalg.as_matrix(y, "y")
-        w = linalg.as_matrix(self.w_tilde, "w")
-        _check_shapes(xt, y, "w", w)
-        rank = linalg._rank(xt)
-        rr = rank / xt.shape[1]
+        xt, y, w = _validated(x_tilde, y, "w", self.w_tilde)
         pred = xt.T @ w
-        pre_loss = _squared_error(y, pred)
         grad = -(2.0 / xt.shape[1]) * xt @ (y - pred)
-        if not np.isfinite(pre_loss) or not np.all(np.isfinite(grad)):
-            raise DivergenceError(
-                f"non-finite update on batch with rank ratio {rr:.4f}",
-                rank_ratio=rr,
-            )
-        try:
-            _adam_update(self, grad)
-        except DivergenceError as exc:
-            raise DivergenceError(str(exc), rank_ratio=rr) from exc
-        return StepReport(
-            loss=pre_loss,
-            rank_ratio=rr,
-            grad_norm=linalg.frobenius_norm(grad),
-            rank=rank,
+        t, m, v, update = _adam_moments(self, grad)
+        with np.errstate(over="ignore"):
+            new_w = w - update
+        report = self._apply(
+            linalg._rank(xt), xt.shape[1], _squared_error(y, pred), grad, new_w
         )
+        self.adam_t, self.adam_m, self.adam_v = t, m, v
+        return report
 
 
 def adam_step(model: RvflnnModel, grad) -> RvflnnModel:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place.
+
+    A non-finite update raises :class:`DivergenceError` and leaves the whole
+    optimizer state unchanged.
+    """
     g = linalg.as_matrix(grad, "grad")
     if g.shape != model.w_tilde.shape:
         raise InvalidInputError(
             f"gradient shape {g.shape} does not match weights {model.w_tilde.shape}"
         )
-    return _adam_update(model, g)
+    t, m, v, update = _adam_moments(model, g)
+    if not np.all(np.isfinite(update)):
+        raise DivergenceError("non-finite Adam update")
+    model.adam_t, model.adam_m, model.adam_v = t, m, v
+    model.w_tilde = model.w_tilde - update
+    return model
 
 
-def _adam_update(model: RvflnnModel, g: np.ndarray) -> RvflnnModel:
-    """:func:`adam_step` on a gradient already validated against the weights.
+def _adam_moments(model: RvflnnModel, g: np.ndarray):
+    """The step count, moments and weight update of one Adam step on a
+    gradient already validated against the weights, computed aside.
 
-    The new moments are computed aside and stored only with the weights, so a
-    rejected (non-finite) update leaves the whole optimizer state unchanged.
+    Overflow to inf or nan is left for the caller to detect.
     """
     t = model.adam_t + 1
-    # overflow to inf or nan is what the finiteness check below detects
     with np.errstate(over="ignore", invalid="ignore"):
         m = ADAM_BETA1 * model.adam_m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * model.adam_v + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
         update = model.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if not np.all(np.isfinite(update)):
-        raise DivergenceError("non-finite Adam update")
-    model.adam_t, model.adam_m, model.adam_v = t, m, v
-    model.w_tilde = model.w_tilde - update
-    return model
+    return t, m, v, update
 
 
 @dataclass(frozen=True)

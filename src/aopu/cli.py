@@ -50,11 +50,11 @@ def _add_feature_map_flags(p: argparse.ArgumentParser, activation=True) -> None:
 
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=harness.MODEL_KINDS, default="aopu")
+    p.add_argument("--model", choices=tuple(harness.MODELS), default="aopu")
     p.add_argument("--bs", type=int, default=64)
     p.add_argument("--seq", type=int, default=48)
-    p.add_argument("--lr", type=float, default=None,
-                   help="default: 1.0 for aopu, 0.005 for rvflnn")
+    p.add_argument("--lr", type=float, default=None, help="default: " + ", ".join(
+        f"{cls.DEFAULT_LR} for {kind}" for kind, cls in harness.MODELS.items()))
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--strategy", choices=harness.STRATEGIES, default="final")
 
@@ -97,7 +97,6 @@ def _load_dataset(args) -> data.Dataset:
 
 def _config_from(args, seed: int, **feature_map) -> harness.TrainConfig:
     return harness.TrainConfig(
-        dataset=args.dataset,
         model=args.model,
         bs=args.bs,
         seq=args.seq,
@@ -111,9 +110,10 @@ def _config_from(args, seed: int, **feature_map) -> harness.TrainConfig:
     )
 
 
-def _config_echo(config: harness.TrainConfig, ds: data.Dataset) -> dict:
-    """The run's config plus the target column it actually trained on."""
-    return {**asdict(config), "target_col": ds.target_col}
+def _config_echo(args, config: harness.TrainConfig, ds: data.Dataset) -> dict:
+    """The run's dataset and config plus the target column it actually
+    trained on."""
+    return {"dataset": args.dataset, **asdict(config), "target_col": ds.target_col}
 
 
 def _finish(out_dir, config_echo, written, t0, extra=None) -> None:
@@ -133,7 +133,7 @@ def cmd_train(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     report = harness.train_run(ds, config)
-    echo = _config_echo(config, ds)
+    echo = _config_echo(args, config, ds)
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     curve_path = os.path.join(args.out_dir, "curve.csv")
@@ -169,7 +169,7 @@ def cmd_repeat(args) -> int:
         print(f"{name}: {rep.cell(name)}")
     if rep.diverged_seeds:
         print(f"diverged seeds: {rep.diverged_seeds}")
-    _finish(args.out_dir, _config_echo(config, ds), [metrics_path, curve_path], t0,
+    _finish(args.out_dir, _config_echo(args, config, ds), [metrics_path, curve_path], t0,
             extra={"seeds": args.seeds,
                    "aggregate": {"mean": rep.mean, "std": rep.std},
                    "diverged_seeds": rep.diverged_seeds})
@@ -221,7 +221,7 @@ def cmd_ablate(args) -> int:
         )
     # the sweep is recorded under activations/norm_flags, so the echo drops
     # the config's unused activation and layer_norm defaults
-    echo = _config_echo(config, ds)
+    echo = _config_echo(args, config, ds)
     del echo["activation"], echo["layer_norm"]
     _finish(args.out_dir, echo, [path], t0,
             extra={"activations": args.activations, "norm_flags": args.norm_flags,

@@ -37,9 +37,8 @@ LOW_RR_THRESHOLD = 0.5  # mean train RR below this flags the run as rank-starved
 # fitted on the train fraction of raw rows
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
-MODEL_KINDS = ("aopu", "rvflnn")
+MODELS = {"aopu": AopuModel, "rvflnn": RvflnnModel}
 STRATEGIES = ("best", "final")
-DEFAULT_LR = {"aopu": 1.0, "rvflnn": 0.005}
 
 SELECTION_CAVEAT = (
     "checkpoint selected on validation MSE; the best/final ordering is "
@@ -109,7 +108,6 @@ def stability_report(curve) -> StabilityIndices:
 class TrainConfig:
     """Everything that determines a single training run."""
 
-    dataset: str = "synth"
     model: str = "aopu"
     bs: int = 64
     seq: int = 48
@@ -123,8 +121,8 @@ class TrainConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise InvalidInputError(f"model must be one of {MODEL_KINDS}")
+        if self.model not in MODELS:
+            raise InvalidInputError(f"model must be one of {tuple(MODELS)}")
         if self.strategy not in STRATEGIES:
             raise InvalidInputError(f"strategy must be one of {STRATEGIES}")
         for name in ("bs", "seq", "epochs"):
@@ -136,12 +134,11 @@ class TrainConfig:
             raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
 
     def resolved_lr(self) -> float:
-        return self.lr if self.lr is not None else DEFAULT_LR[self.model]
+        return self.lr if self.lr is not None else MODELS[self.model].DEFAULT_LR
 
 
 def make_model(config: TrainConfig, augmenter: Augmenter):
-    cls = AopuModel if config.model == "aopu" else RvflnnModel
-    return cls(augmenter, lr=config.resolved_lr())
+    return MODELS[config.model](augmenter, lr=config.resolved_lr())
 
 
 def _weights_hash(w: np.ndarray) -> str:
@@ -560,29 +557,24 @@ def write_ablation_csv(path, rows) -> None:
     write_csv(path, header, out)
 
 
-def content_hash(paths) -> str:
-    """Combined content hash of the written artifacts, in path-sorted order."""
-    digest = hashlib.sha1()
-    for p in sorted(str(p) for p in paths):
-        with open(p, "rb") as fh:
-            digest.update(hashlib.sha1(fh.read()).digest())
-    return digest.hexdigest()
-
-
 def write_manifest(path, config_echo: dict, output_paths, wall_time: float,
                    extra: dict | None = None) -> None:
+    """Write ``manifest.json``: the config echo, each output's SHA-1, a
+    ``content_hash`` over those digests in path-sorted order, and the wall
+    time."""
     import json
     import os
 
+    digests = []
+    for p in sorted(str(p) for p in output_paths):
+        with open(p, "rb") as fh:
+            digests.append((os.path.basename(p), hashlib.sha1(fh.read()).digest()))
     doc = {
         "config": config_echo,
-        "outputs": {os.path.basename(str(p)): None for p in output_paths},
-        "content_hash": content_hash(output_paths),
+        "outputs": {name: digest.hex() for name, digest in digests},
+        "content_hash": hashlib.sha1(b"".join(d for _, d in digests)).hexdigest(),
         "wall_time_s": wall_time,
     }
-    for p in output_paths:
-        with open(p, "rb") as fh:
-            doc["outputs"][os.path.basename(str(p))] = hashlib.sha1(fh.read()).hexdigest()
     if extra:
         doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:

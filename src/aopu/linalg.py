@@ -11,17 +11,16 @@ numerical-rank rule: values at or below ``max(rows, cols) * eps`` relative to
 the largest singular value are treated as zero.
 
 A matrix whose columns (if tall) or rows (if wide) are clearly independent
-does not need an SVD to be counted: :func:`full_rank_gram`, of the matrix if
-tall or of its transpose if wide, forms the Gram of the short side and runs
-one Cholesky factorization of that Gram shifted down by a multiple of its
-trace. If that factorization succeeds in floating point, every singular
-value lies above the cutoff, so the rank is the short side (Rump,
-"Verification of positive definiteness", BIT 46, 2006). The certificate
-itself, :func:`_certifies_full_rank`, acts on a given Gram and row count:
-its rounding bound holds for each length-``rows`` dot product of the Gram,
-whatever kernel computed it, so a Gram assembled from products of column
-blocks (as ``survey._survey_ranks`` builds them) is certified just as
-rigorously. It may also be the Gram of a subset of the rows, given a bound
+does not need an SVD to be counted: :func:`_certified_gram` forms the Gram
+of the short side, and :func:`_certifies_full_rank` runs one Cholesky
+factorization of that Gram shifted down by a multiple of its trace. If that
+factorization succeeds in floating point, every singular value lies above
+the cutoff, so the rank is the short side (Rump, "Verification of positive
+definiteness", BIT 46, 2006). The certificate acts on a given Gram and
+row count: its rounding bound holds for each length-``rows`` dot product of
+the Gram, whatever kernel computed it, so a Gram assembled from products of
+column blocks (as ``survey._survey_ranks`` builds them) is certified just
+as rigorously. It may also be the Gram of a subset of the rows, given a bound
 on the squared norm of the others: dropping rows can only lower the
 singular values, so the subset's full rank proves the whole matrix's.
 Its kernel makes one copy of the Gram, subtracts the shift from the
@@ -93,14 +92,30 @@ def _lapack_svd(m: np.ndarray, compute_uv: bool = True):
             raise NumericalError(f"SVD did not converge for shape {m.shape}") from exc
 
 
-def full_rank_gram(m: np.ndarray):
-    """Column Gram ``m.T @ m`` if it certifies full column rank, else ``None``.
+def _certifies_full_rank(
+    gram: np.ndarray,
+    rows: int,
+    n: int | None = None,
+    rest: float = 0.0,
+    overwrite: bool = False,
+) -> bool:
+    """Whether ``gram``, the column Gram of some rows of a matrix, proves
+    that the matrix has full column rank.
 
-    ``m`` must already be a validated float64 matrix (see :func:`as_matrix`);
-    only a tall one (rows > cols > 0) can be certified. With ``n = rows``,
-    ``b = cols``, ``G = fl(m.T @ m)`` and ``tr = trace(G)``, the certificate
-    is a successful Cholesky factorization of ``G - c*I``, where
-    ``c = 2 * (n + b + 2) * eps * tr``. The shift covers three terms:
+    ``m`` is an ``n x b`` matrix and ``m_S`` any ``rows`` of its rows.
+    ``gram`` is the computed ``b x b`` column Gram of ``m_S``, each entry a
+    length-``rows`` dot product; it may be assembled from products of column
+    blocks of ``m_S``, since the rounding bound ``gamma_rows * ||m_S||_F**2``
+    holds for each entry whichever kernel computed it. ``rest`` is an upper
+    bound on the squared Frobenius norm of the other ``n - rows`` rows
+    ``m_R``; by default ``m_S`` is all of ``m`` (``n = rows``, ``rest = 0``).
+    With ``tr_S = trace(gram)`` the shift is
+    ``c = 2 * (rows + b + 2) * eps * tr_S + 2 * (n * eps)**2 * rest``, and
+    the certificate is a successful Cholesky factorization of ``gram - c*I``.
+
+    Take first ``m_S = m``, with ``G = gram = fl(m.T @ m)`` and
+    ``tr = trace(G)``, so ``c = 2 * (n + b + 2) * eps * tr``. The shift
+    covers three terms:
 
     - rounding of the Gram product: ``||G - m.T m||_2 <= gamma_n * ||m||_F**2``
       (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3);
@@ -114,59 +129,30 @@ def full_rank_gram(m: np.ndarray):
     ``(n + b + 2) * eps * tr``, which exceeds the squared cutoff by a factor
     of about ``1 / (n * eps)``. So every singular value of ``m`` lies above
     ``max(n, b) * eps * s_max``: the rank is exactly ``b``, and no eigenvalue
-    of ``G`` falls below ``b * eps * lam_max``. The bound assumes no overflow
-    or underflow, so a non-finite trace (the Gram overflowed, and Cholesky
-    does not reliably reject inf or NaN) or one below ``b * tiny / eps``
-    (underflow error could exceed the shift) returns ``None``, as does a
-    failed factorization. The shift is derived, not tunable.
-    """
-    rows, cols = m.shape
-    if not rows > cols > 0:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = m.T @ m
-    return gram if _certifies_full_rank(gram, rows) else None
+    of ``G`` falls below ``b * eps * lam_max``.
 
-
-def _certifies_full_rank(
-    gram: np.ndarray,
-    rows: int,
-    n: int | None = None,
-    rest: float = 0.0,
-    overwrite: bool = False,
-) -> bool:
-    """The certificate of :func:`full_rank_gram`, on the Gram of some rows.
-
-    ``m`` is an ``n x b`` matrix and ``m_S`` any ``rows`` of its rows.
-    ``gram`` is the computed ``b x b`` column Gram of ``m_S``, each entry a
-    length-``rows`` dot product; it may be assembled from products of column
-    blocks of ``m_S``, since the rounding bound ``gamma_rows * ||m_S||_F**2``
-    holds for each entry whichever kernel computed it. ``rest`` is an upper
-    bound on the squared Frobenius norm of the other ``n - rows`` rows
-    ``m_R``; by default ``m_S`` is all of ``m`` (``n = rows``, ``rest = 0``).
-    With ``tr_S = trace(gram)`` the shift is
-    ``c = 2 * (rows + b + 2) * eps * tr_S + 2 * (n * eps)**2 * rest``; with
-    ``rows = n`` and ``rest = 0`` it is the shift of :func:`full_rank_gram`,
-    bit for bit. Success of the Cholesky factorization of ``gram - c*I``
-    proves that ``m`` has rank ``b``:
+    With fewer rows, success proves that ``m`` has rank ``b`` too:
 
     - ``s_min(m) >= s_min(m_S)``: ``m.T m = m_S.T m_S + m_R.T m_R`` and the
       second term is positive semidefinite, so dropping rows can only lower
       the singular values;
     - ``s_max(m)**2 <= ||m_S||_F**2 + ||m_R||_F**2 <= tr_S + rest``, up to
       the rounding of ``tr_S``;
-    - as in :func:`full_rank_gram`, success proves
+    - as above, success proves
       ``s_min(m_S)**2 >= (rows + b + 2) * eps * tr_S + 2 * (n * eps)**2 * rest``,
       which exceeds the squared cutoff of ``m``,
       ``(n * eps * s_max(m))**2 <= (n * eps)**2 * (tr_S + rest)``, because
       ``n**2 * eps`` is far below ``rows + b + 2``.
 
     So every singular value of ``m`` lies above ``max(n, b) * eps * s_max(m)``
-    and its rank is ``b``. A non-finite trace (the Gram overflowed) or one
-    below ``b * tiny / eps``, a non-finite shift (an infinite or nan
-    ``rest``), ``rows <= b`` or a failed factorization returns ``False``. A
+    and its rank is ``b``. The bound assumes no overflow or underflow, so
+    a non-finite trace (the Gram overflowed, and Cholesky does not reliably
+    reject inf or NaN) or one below ``b * tiny / eps`` (underflow error could
+    exceed the shift) returns ``False``, as do a non-finite shift (an
+    infinite or nan ``rest``), ``rows <= b`` and a failed factorization. A
     non-finite entry of ``m_S`` makes the trace non-finite, so it never
-    certifies; the caller's bound must be infinite if ``m_R`` holds one.
+    certifies; the caller's bound must be infinite if ``m_R`` holds one. The
+    shift is derived, not tunable.
     With ``overwrite``, a C-contiguous ``gram`` is factored in place of the
     copy, and its contents are lost.
     """
@@ -229,13 +215,17 @@ def _certified_gram(m: np.ndarray):
     """The route of ``m``: its certified Gram and whether that is the row Gram.
 
     A tall matrix can only be certified by its column Gram ``m.T @ m`` and a
-    wide one only by its row Gram ``m @ m.T`` (:func:`full_rank_gram` of
-    ``m.T``), so one certificate is tried. Returns ``(gram, wide)``; ``gram``
-    is ``None`` when the certificate fails (or ``m`` is square), and then the
-    matrix takes the SVD route. Success proves the rank is ``min(m.shape)``.
+    wide one only by its row Gram ``m @ m.T``, so one Gram is formed and
+    passed to :func:`_certifies_full_rank`. Returns ``(gram, wide)``;
+    ``gram`` is ``None`` when the certificate fails (or ``m`` is square), and
+    then the matrix takes the SVD route. Success proves the rank is
+    ``min(m.shape)``. ``m`` must already be a validated float64 matrix (see
+    :func:`as_matrix`).
     """
     wide = m.shape[0] < m.shape[1]
-    return full_rank_gram(m.T if wide else m), wide
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ m.T if wide else m.T @ m
+    return (gram if _certifies_full_rank(gram, max(m.shape)) else None), wide
 
 
 def gram_solver(m: np.ndarray):

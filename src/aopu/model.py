@@ -36,14 +36,21 @@ def dual(x_tilde, w) -> np.ndarray:
     Computed in that association order; the (d+h)-square Gram matrix is never
     materialized.
     """
+    xt, _, wm = _validated(x_tilde, None, "w", w)
+    return xt @ (xt.T @ wm)
+
+
+def _validated(x_tilde, y, name: str, m):
+    """``x_tilde``, ``y`` and ``m`` (the weights or a dual image, called
+    ``name``) as matrices (:func:`linalg.as_matrix`) that fit together.
+
+    ``x_tilde`` must hold at least one sample; ``m`` one row per feature of
+    ``x_tilde``; ``y``, unless None, one row per sample and one column per
+    output.
+    """
     xt = linalg.as_matrix(x_tilde, "x_tilde")
-    return xt @ forward(xt, w)
-
-
-def _check_shapes(xt, y, name: str, m) -> None:
-    """``xt`` must hold at least one sample; ``m`` (dual image or weights) one
-    row per feature of ``xt``; ``y``, when given, one row per sample and one
-    column per output."""
+    y = None if y is None else linalg.as_matrix(y, "y")
+    m = linalg.as_matrix(m, name)
     if xt.shape[1] == 0:
         raise InvalidInputError("x_tilde has no columns: batch size must be positive")
     if m.shape[0] != xt.shape[0]:
@@ -54,6 +61,7 @@ def _check_shapes(xt, y, name: str, m) -> None:
         raise InvalidInputError(
             f"y has shape {y.shape}, expected {(xt.shape[1], m.shape[1])}"
         )
+    return xt, y, m
 
 
 def _update(xt, y, d):
@@ -75,9 +83,7 @@ def reconstruct(x_tilde, dual_matrix) -> np.ndarray:
     :func:`forward` to working precision; near-singular batches amplify
     round-off through the reciprocal Gram eigenvalues.
     """
-    xt = linalg.as_matrix(x_tilde, "x_tilde")
-    dm = linalg.as_matrix(dual_matrix, "dual")
-    _check_shapes(xt, None, "dual", dm)
+    xt, _, dm = _validated(x_tilde, None, "dual", dual_matrix)
     return linalg.gram_solver(xt)[1](dm)
 
 
@@ -102,11 +108,7 @@ def truncated_gradient(x_tilde, y, dual_matrix) -> np.ndarray:
     Equals ``-(2/b) * x_tilde @ pinv(x.T x) @ (y - reconstruct)``. This is the
     only gradient the unit ever computes; backpropagation stops at the dual.
     """
-    xt = linalg.as_matrix(x_tilde, "x_tilde")
-    ym = linalg.as_matrix(y, "y")
-    dm = linalg.as_matrix(dual_matrix, "dual")
-    _check_shapes(xt, ym, "dual", dm)
-    return _update(xt, ym, dm)[1]
+    return _update(*_validated(x_tilde, y, "dual", dual_matrix))[1]
 
 
 def natural_gradient_reference(x_tilde, y, w) -> np.ndarray:
@@ -137,15 +139,22 @@ class StepReport:
     rank: int
 
 
-class AopuModel:
-    """Trackable parameter sized by an augmenter, plus the update's learning rate.
+class LinearReadout:
+    """One linear read-out of augmented features: the trackable weights
+    ``w_tilde`` of shape (d+h, o), sized by an augmenter and zero at the
+    start, and the learning rate of their update (by default the subclass's
+    ``DEFAULT_LR``).
 
-    ``step`` mutates the weights and must be externally serialized
+    :class:`AopuModel` and :class:`baselines.RvflnnModel` differ only in
+    ``step``, which mutates the weights and must be externally serialized
     (single-writer); ``forward`` on a fixed weight snapshot is safe to call
     concurrently.
     """
 
-    def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float = 1.0):
+    DEFAULT_LR: float
+
+    def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float | None = None):
+        lr = self.DEFAULT_LR if lr is None else lr
         if not 0 < lr < np.inf:
             raise InvalidInputError(
                 f"learning rate must be positive and finite, got {lr}"
@@ -160,6 +169,32 @@ class AopuModel:
     def forward(self, x_tilde) -> np.ndarray:
         return forward(x_tilde, self.w_tilde)
 
+    def _apply(self, rank: int, bs: int, loss: float, grad, new_w) -> StepReport:
+        """Store ``new_w`` and report the step that computed it.
+
+        A non-finite loss or new weight stores nothing and raises a
+        :class:`DivergenceError` carrying the batch's rank ratio.
+        """
+        rr = rank / bs
+        if not np.isfinite(loss) or not np.all(np.isfinite(new_w)):
+            raise DivergenceError(
+                f"non-finite update on batch with rank ratio {rr:.4f}",
+                rank_ratio=rr,
+            )
+        self.w_tilde = new_w
+        return StepReport(
+            loss=loss,
+            rank_ratio=rr,
+            grad_norm=linalg.frobenius_norm(grad),
+            rank=rank,
+        )
+
+
+class AopuModel(LinearReadout):
+    """The projection unit: a read-out updated by the truncated gradient."""
+
+    DEFAULT_LR = 1.0
+
     def step(self, x_tilde, y) -> StepReport:
         """Apply one truncated-gradient update ``w <- w - lr * grad``.
 
@@ -169,27 +204,11 @@ class AopuModel:
         before any weight change and surfaces a :class:`DivergenceError`
         carrying that rank ratio.
         """
-        xt = linalg.as_matrix(x_tilde, "x_tilde")
-        y = linalg.as_matrix(y, "y")
-        w = linalg.as_matrix(self.w_tilde, "w")
-        _check_shapes(xt, y, "w", w)
+        xt, y, w = _validated(x_tilde, y, "w", self.w_tilde)
         # the dual image, associated as in dual(), so the update equals
         # lr * truncated_gradient(x, y, dual(x, w)) bit for bit
         recon, grad, rank = _update(xt, y, xt @ (xt.T @ w))
-        rr = rank / xt.shape[1]
-        pre_loss = _squared_error(y, recon)
         # w is finite, so the new weights are finite only if the gradient is
         with np.errstate(over="ignore"):
             new_w = w - self.lr * grad
-        if not np.isfinite(pre_loss) or not np.all(np.isfinite(new_w)):
-            raise DivergenceError(
-                f"non-finite update on batch with rank ratio {rr:.4f}",
-                rank_ratio=rr,
-            )
-        self.w_tilde = new_w
-        return StepReport(
-            loss=pre_loss,
-            rank_ratio=rr,
-            grad_norm=linalg.frobenius_norm(grad),
-            rank=rank,
-        )
+        return self._apply(rank, xt.shape[1], _squared_error(y, recon), grad, new_w)

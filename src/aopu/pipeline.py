@@ -18,8 +18,9 @@ from .data import batches
 # augmented batch (1.2 MB there) alive
 WINDOW_COLUMNS = 256
 
-# variables that set the threads of a BLAS call, in the order read here
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# variables that set the threads of an OpenBLAS call (numpy's BLAS), in the
+# order OpenBLAS reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _cpu_count() -> int:
@@ -32,8 +33,8 @@ def _cpu_count() -> int:
 
 def _blas_threads(cpus: int) -> int:
     """Threads a BLAS call may use: the first of ``BLAS_THREAD_VARS`` set to
-    a positive integer, else ``cpus``, as OpenBLAS and MKL use every CPU
-    when none is set."""
+    a positive integer, else ``cpus``, as OpenBLAS uses every CPU when none
+    is set."""
     for var in BLAS_THREAD_VARS:
         value = os.environ.get(var, "")
         if value.isdigit() and int(value) > 0:

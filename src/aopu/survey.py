@@ -30,8 +30,10 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     block (the tail) may be narrower. Each block is gathered and augmented
     once with the first ``k = min(h, B + 8)`` hidden units and the raw
     rows (:meth:`Augmenter.prefix`); layer norm couples all hidden rows, so
-    with it ``k = h``. A full block is a batch of size ``B``. Its column Gram
-    is formed once and certified by :func:`linalg._certifies_full_rank`:
+    with it ``k = h``. A full block is a batch of size ``B``. The column
+    Gram of each block that holds a batch and has more Gram rows than
+    columns is formed once and certified by
+    :func:`linalg._certifies_full_rank`:
 
     - if ``k < h``, the Gram is that of the ``k`` hidden rows alone, and the
       certificate's ``rest`` bounds the squared norm of every row left out.
@@ -48,13 +50,13 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     A smaller batch is a column slice of the blocks. The singular values of
     a subset of a matrix's columns interlace its own, ``s_min`` no lower and
     ``s_max`` no higher, and the cutoff ``n * eps * s_max`` has the same
-    ``n``, so a batch inside a certified block has full rank. Any other
-    batch, inside an uncertified block, across two blocks or in the tail,
-    is certified from its own Gram: a slice of its block's Gram, or, across
-    two blocks, the two diagonal slices and the product of its two column
-    slices. The batches that run across into a block are certified before
+    ``n``, so a batch inside a certified block, the tail included, has full
+    rank. Any other batch, inside an uncertified block or across two
+    blocks, is certified from its own Gram: a slice of its block's Gram,
+    or, across two blocks, the two diagonal slices and the product of its
+    two column slices. The batches that run across into a block are certified before
     it, and only the trailing columns of a block that such batches need are
-    kept into the next one, so a full block's Gram can be factored in place;
+    kept into the next one, so a block's Gram can be factored in place;
     it is formed again only if its certificate fails, for the batches
     inside it. A product of another shape may round the leading rows
     differently in their last bits, as the blocks of a batch already may;
@@ -147,10 +149,10 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
         kept_x2 = x2[kept - start :].copy()
         if gram is not None:
             kept_gram = gram[kept - start :, kept - start :].copy()
-        # a full block is certified in its own Gram, which is formed again
-        # only if the certificate fails
+        # a block that holds a batch is certified in its own Gram, which is
+        # formed again only if the certificate fails
         block_ok = False
-        if stop - start == big and used > big:
+        if used > stop - start >= min(sizes):
             block_ok = certified(gram, x2, overwrite=True)
             if not block_ok:
                 gram = gram_of(rows)
@@ -158,7 +160,8 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
             if first >= start:
                 a, b = first - start, end - start
                 ok = block_ok or (
-                    bs < min(big, used) and certified(gram[a:b, a:b], x2[a:b])
+                    bs < min(stop - start, used)
+                    and certified(gram[a:b, a:b], x2[a:b])
                 )
                 ranks[bs].append(bs if ok else exact(first, end, aug[:, a:b]))
         # freed before the next block is augmented: no other name holds a

@@ -1,6 +1,7 @@
 """End-to-end CLI tests on small synthetic configurations."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -34,10 +35,21 @@ def test_train_writes_all_artifacts(tmp_path):
     assert ckpt.config["seed"] == 1
     # the column actually trained on: synth's single target, after 4 inputs
     assert ckpt.config["target_col"] == 4
+    assert ckpt.config["dataset"] == "synth"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["target_col"] == 4
-    assert "content_hash" in manifest and "wall_time_s" in manifest
+    assert manifest["config"]["dataset"] == "synth"
+    assert "wall_time_s" in manifest
     assert set(manifest["outputs"]) == {"metrics.csv", "curve.csv", "checkpoint.json"}
+    # each output's SHA-1, and one over those digests in path-sorted order
+    digests = [
+        hashlib.sha1((out / name).read_bytes()).digest()
+        for name in sorted(manifest["outputs"])
+    ]
+    assert [manifest["outputs"][name] for name in sorted(manifest["outputs"])] == [
+        d.hex() for d in digests
+    ]
+    assert manifest["content_hash"] == hashlib.sha1(b"".join(digests)).hexdigest()
 
 
 def test_train_rvflnn_checkpoint_kind(tmp_path):

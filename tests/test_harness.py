@@ -126,7 +126,7 @@ class TestTrainConfig:
 
 def _small_config(**kw):
     base = dict(
-        dataset="synth", model="aopu", bs=8, seq=4, hidden=16,
+        model="aopu", bs=8, seq=4, hidden=16,
         epochs=6, seed=0,
     )
     base.update(kw)
@@ -489,6 +489,56 @@ class TestSurveyRanks:
         assert sorted(certified) == sorted(
             [(40, 40)] * blocks + [(bs, bs) for bs in outside]
         )
+
+    @pytest.mark.parametrize("seq", [2, 4])
+    def test_tail_is_certified_like_a_block(self, monkeypatch, seq):
+        # blocks of 96 have fewer Gram rows (74 or 84) than columns, so each
+        # batch of 8 or 12 in them takes its own certificate, and a batch of
+        # 96 is ranked through its row Gram; the narrower tail has more rows
+        # than columns, so its batches share one certificate
+        ds = synth_generate(n=400, n_vars=5, noise=0.3, seed=0)
+        train, _, _ = prepare_windows(ds, seq)
+        aug = Augmenter(AugmentConfig(input_dim=train.dim, hidden=64, seed=3))
+        sizes = (8, 12, 96)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        certified = []
+        original = linalg._certifies_full_rank
+
+        def recording(gram, rows, *bound):
+            certified.append(gram.shape)
+            return original(gram, rows, *bound)
+
+        monkeypatch.setattr(linalg, "_certifies_full_rank", recording)
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+        n = train.n_windows
+        blocks = n // 96
+        tail = max(n - n % bs for bs in sizes) - 96 * blocks
+        in_blocks = [(bs, bs) for bs in (8, 12) for _ in range(96 * blocks // bs)]
+        rows = train.dim + 64
+        assert sorted(certified) == sorted(
+            in_blocks + [(rows, rows)] * blocks + [(tail, tail)]
+        )
+        assert sum(tail // bs for bs in (8, 12)) == 8
+
+    def test_tail_without_a_batch_is_not_certified(self, ar_ds, monkeypatch):
+        # with sizes 24 and 40 the split's last 8 columns lie past the last
+        # block of 40, and only a batch of 24 that straddles into them uses
+        # them, so no Gram narrower than 24 is certified
+        train, aug = self._setup(ar_ds, 48)
+        sizes = (24, 40)
+        want = _per_batch_ranks(train, aug, sizes, 3)
+        n = train.n_windows
+        assert max(n - n % bs for bs in sizes) % 40 == 8
+        certified = []
+        original = linalg._certifies_full_rank
+
+        def recording(gram, rows, *bound):
+            certified.append(len(gram))
+            return original(gram, rows, *bound)
+
+        monkeypatch.setattr(linalg, "_certifies_full_rank", recording)
+        assert _survey_ranks(train, aug, set(sizes), 3) == want
+        assert min(certified) == 24
 
     def test_overflowing_gram_falls_back_to_rank(self, ar_ds):
         # a window of 1e200 augments to finite columns whose Gram overflows,

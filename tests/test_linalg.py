@@ -263,7 +263,8 @@ class TestFullRankCertificate:
     def test_certified_gram_is_the_column_gram(self):
         for shape in ((50, 6),) + TALL_SHAPES:
             m = np.random.default_rng(2).standard_normal(shape)
-            gram = linalg.full_rank_gram(m)
+            gram, wide = linalg._certified_gram(m)
+            assert not wide
             np.testing.assert_array_equal(gram, m.T @ m)
 
     @pytest.mark.parametrize("shape,kind,scale", _block_certificate_cases())
@@ -284,7 +285,7 @@ class TestFullRankCertificate:
         parts = np.split(m, [shape[1] // 4, shape[1] // 4 + shape[1] // 3], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = np.block([[a.T @ b for b in parts] for a in parts])
-        want = linalg.full_rank_gram(m) is not None
+        want = linalg._certified_gram(m)[0] is not None
         assert linalg._certifies_full_rank(gram, shape[0]) == want
         if kind == "full" and scale == 1.0 or kind == 1e-1:
             assert want
@@ -292,9 +293,15 @@ class TestFullRankCertificate:
             assert not want
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (5, 0)])
-    def test_only_tall_matrices_are_certified(self, shape):
+    def test_wide_matrix_is_certified_by_its_row_gram(self, shape):
+        # a square or empty matrix has no short side to certify
         m = np.random.default_rng(3).standard_normal(shape)
-        assert linalg.full_rank_gram(m) is None
+        gram, wide = linalg._certified_gram(m)
+        if shape == (4, 9):
+            assert wide
+            np.testing.assert_array_equal(gram, m @ m.T)
+        else:
+            assert gram is None
 
 
 # (n, rows, b): a tall n x b matrix certified from the Gram of its first rows
@@ -372,8 +379,8 @@ class TestLeadingRowCertificate:
         assert linalg._certifies_full_rank(gram, rows, n, 1.0, overwrite=True) == want
 
     def test_whole_matrix_runs_the_default_shift(self, monkeypatch):
-        # rows = n and rest = 0 shift the Gram by exactly the shift of
-        # full_rank_gram: Cholesky sees the same bits
+        # rows = n and rest = 0 shift the Gram by exactly the whole-matrix
+        # shift: Cholesky sees the same bits
         seen = []
         cholesky = scipy.linalg.cholesky
 

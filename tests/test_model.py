@@ -352,18 +352,59 @@ class TestStep:
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_invalid_hyperparameters(self):
-        aug = Augmenter(AugmentConfig(input_dim=2, hidden=0))
-        for cls in (AopuModel, RvflnnModel):
-            for lr in (0.0, np.nan, np.inf):
-                with pytest.raises(InvalidInputError, match="learning rate"):
-                    cls(aug, lr=lr)
-        with pytest.raises(InvalidInputError):
-            AopuModel(aug, out_dim=0)
 
 
 def _aug5():
     return Augmenter(AugmentConfig(input_dim=5, hidden=0))
+
+
+def _step(cls, x=None, y=None, w=None):
+    """One step of a fresh ``cls`` on a (5, 3) batch, with any of the batch,
+    the targets or the weights replaced."""
+    model = cls(_aug5())
+    if w is not None:
+        model.w_tilde = w
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((5, 3)) if x is None else x
+    return model.step(x, np.zeros((3, 1)) if y is None else y)
+
+
+_NAN_W = np.full((5, 1), np.nan)
+
+# (id, entry point on a read-out class, error type, message pattern)
+READOUT_ERRORS = [
+    ("lr-zero", lambda cls: cls(_aug5(), lr=0.0), InvalidInputError, "learning rate"),
+    ("lr-nan", lambda cls: cls(_aug5(), lr=np.nan), InvalidInputError, "learning rate"),
+    ("lr-inf", lambda cls: cls(_aug5(), lr=np.inf), InvalidInputError, "learning rate"),
+    ("lr-negative", lambda cls: cls(_aug5(), lr=-1.0), InvalidInputError, "learning rate"),
+    ("out-dim-zero", lambda cls: cls(_aug5(), out_dim=0), InvalidInputError, "width"),
+    ("x-1d", lambda cls: _step(cls, x=np.ones(5)), InvalidInputError, "2-D"),
+    ("x-nan", lambda cls: _step(cls, x=np.full((5, 3), np.nan)), InvalidInputError,
+     "non-finite"),
+    ("x-rows", lambda cls: _step(cls, x=np.ones((4, 3))), InvalidInputError, "rows"),
+    ("x-no-columns", lambda cls: _step(cls, x=np.ones((5, 0)), y=np.ones((0, 1))),
+     InvalidInputError, "no columns"),
+    ("y-inf", lambda cls: _step(cls, y=np.full((3, 1), np.inf)), InvalidInputError,
+     "non-finite"),
+    ("y-shape", lambda cls: _step(cls, y=np.ones((4, 1))), InvalidInputError, "y has"),
+    ("w-nan", lambda cls: _step(cls, w=_NAN_W), InvalidInputError, "non-finite"),
+    ("y-overflow", lambda cls: _step(cls, y=np.full((3, 1), 1e200)), DivergenceError,
+     "non-finite update"),
+    ("forward-rows", lambda cls: cls(_aug5()).forward(np.ones((4, 3))),
+     InvalidInputError, "rows"),
+]
+
+
+@pytest.mark.parametrize("cls", [AopuModel, RvflnnModel])
+@pytest.mark.parametrize(
+    "entry,error,match",
+    [case[1:] for case in READOUT_ERRORS],
+    ids=[case[0] for case in READOUT_ERRORS],
+)
+def test_readouts_reject_bad_input_alike(cls, entry, error, match):
+    # both models share construction, validation and the step's epilogue
+    with pytest.raises(error, match=match):
+        entry(cls)
 
 
 @pytest.mark.parametrize(
@@ -373,8 +414,13 @@ def _aug5():
         lambda xt, y, w: RvflnnModel(_aug5()).step(xt, y),
         truncated_gradient,
         mse_gradient,
+        lambda xt, y, w: dual(xt, w),
+        lambda xt, y, w: reconstruct(xt, w),
     ],
-    ids=["aopu-step", "rvflnn-step", "truncated_gradient", "mse_gradient"],
+    ids=[
+        "aopu-step", "rvflnn-step", "truncated_gradient", "mse_gradient", "dual",
+        "reconstruct",
+    ],
 )
 def test_zero_column_batch_rejected(entry):
     # a batch of no samples has no rank ratio and no 2/b scaling

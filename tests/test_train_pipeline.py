@@ -152,12 +152,15 @@ class TestEqualsSerialLoop:
         ({}, False),  # BLAS then uses both CPUs
         ({"OMP_NUM_THREADS": "2"}, False),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        ({"MKL_NUM_THREADS": "1"}, True),
+        # numpy's OpenBLAS never reads MKL_NUM_THREADS
+        ({"MKL_NUM_THREADS": "1"}, False),
+        ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
     ])
     def test_worker_needs_a_cpu_beside_blas(self, ds, two_cpus, augment_threads,
                                             monkeypatch, env, worker):
-        for var in BLAS_THREAD_VARS:
+        for var in BLAS_THREAD_VARS + ("MKL_NUM_THREADS",):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
