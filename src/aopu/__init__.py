@@ -11,13 +11,10 @@ from .augment import (
     ZERO_MEAN_ACTIVATIONS,
     AugmentConfig,
     Augmenter,
-    activation_apply,
-    layer_norm,
 )
 from .baselines import (
     LinearMve,
     RvflnnModel,
-    adam_step,
     conditional_mean_mve,
     linear_mve_fit,
     mse_gradient,
@@ -64,7 +61,6 @@ from .model import (
     dual,
     forward,
     loss_value,
-    natural_gradient_reference,
     reconstruct,
     truncated_gradient,
 )

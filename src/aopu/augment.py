@@ -89,38 +89,17 @@ ACTIVATION_SLACK = 6.0
 ZERO_MEAN_ACTIVATIONS = ("hardshrink", "tanh", "tanhshrink", "softsign", "softshrink")
 
 
-def activation_apply(name: str, m) -> np.ndarray:
-    """Apply a catalog activation element-wise to a copy of ``m``."""
-    try:
-        fn = ACTIVATIONS[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown activation {name!r}; available: {sorted(ACTIVATIONS)}"
-        ) from None
-    return fn(np.array(m, dtype=np.float64))
-
-
-def layer_norm(m) -> np.ndarray:
-    """Rescale each column (sample) to zero mean and unit variance over rows.
-
-    No learnable affine parameters. Columns with zero variance are left at
-    zero after centering rather than divided.
-    """
-    a = linalg.as_matrix(m, "layer_norm input")
-    if a.shape[0] < 2:
-        raise InvalidInputError(
-            f"layer normalization needs at least 2 feature rows, got {a.shape[0]}"
-        )
-    return _layer_norm(a.copy())
-
-
 # rows of the one scratch block _layer_norm works through, below its
 # running-sum row: about 1.4% of a 2048-unit hidden block
 NORM_BLOCK_ROWS = 32
 
 
 def _layer_norm(a: np.ndarray) -> np.ndarray:
-    """:func:`layer_norm` of a validated matrix with at least 2 rows, in place.
+    """Rescale each column (sample) of a float64 matrix with at least 2 rows
+    to zero mean and unit variance over rows, in place.
+
+    No learnable affine parameters. Columns with zero variance are left at
+    zero after centering rather than divided.
 
     The bits are those of centering ``a`` on ``a.mean(axis=0)`` and dividing
     it by ``a.std(axis=0)`` of the centered block, for a block of more than

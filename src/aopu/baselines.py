@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .augment import Augmenter
-from .errors import DivergenceError, InvalidInputError, UndefinedConditionalError
+from .errors import InvalidInputError, UndefinedConditionalError
 from .model import LinearReadout, StepReport, _squared_error, _validated
 
 ADAM_BETA1 = 0.9
@@ -53,51 +53,22 @@ class RvflnnModel(LinearReadout):
         Adam state unchanged.
         """
         xt, y, w = _validated(x_tilde, y, "w", self.w_tilde)
-        pred = xt.T @ w
-        grad = -(2.0 / xt.shape[1]) * xt @ (y - pred)
-        t, m, v, update = _adam_moments(self, grad)
-        with np.errstate(over="ignore"):
-            new_w = w - update
+        # the step count and moments are formed aside; overflow to inf or nan
+        # is left for _apply to detect
+        t = self.adam_t + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = xt.T @ w
+            grad = -(2.0 / xt.shape[1]) * xt @ (y - pred)
+            m = ADAM_BETA1 * self.adam_m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * self.adam_v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            new_w = w - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         report = self._apply(
             linalg._rank(xt), xt.shape[1], _squared_error(y, pred), grad, new_w
         )
         self.adam_t, self.adam_m, self.adam_v = t, m, v
         return report
-
-
-def adam_step(model: RvflnnModel, grad) -> RvflnnModel:
-    """Standard bias-corrected Adam update, applied in place.
-
-    A non-finite update raises :class:`DivergenceError` and leaves the whole
-    optimizer state unchanged.
-    """
-    g = linalg.as_matrix(grad, "grad")
-    if g.shape != model.w_tilde.shape:
-        raise InvalidInputError(
-            f"gradient shape {g.shape} does not match weights {model.w_tilde.shape}"
-        )
-    t, m, v, update = _adam_moments(model, g)
-    if not np.all(np.isfinite(update)):
-        raise DivergenceError("non-finite Adam update")
-    model.adam_t, model.adam_m, model.adam_v = t, m, v
-    model.w_tilde = model.w_tilde - update
-    return model
-
-
-def _adam_moments(model: RvflnnModel, g: np.ndarray):
-    """The step count, moments and weight update of one Adam step on a
-    gradient already validated against the weights, computed aside.
-
-    Overflow to inf or nan is left for the caller to detect.
-    """
-    t = model.adam_t + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = ADAM_BETA1 * model.adam_m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * model.adam_v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        update = model.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return t, m, v, update
 
 
 @dataclass(frozen=True)

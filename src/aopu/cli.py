@@ -196,9 +196,13 @@ def cmd_rr_survey(args) -> int:
     harness.write_rr_summary_csv(summary_path, summaries)
     for s in summaries:
         print(f"bs={s.bs:4d} seq={s.seq:3d} mean RR={s.mean:.4f} (n={s.count})")
+    # seed, standardize and target_col under the names the training echo uses
     _finish(args.out_dir, {"bs_grid": args.bs_grid, "seq_grid": args.seq_grid,
                            "hidden": args.hidden, "activation": args.activation,
-                           "layer_norm": args.layer_norm, "dataset": args.dataset},
+                           "layer_norm": args.layer_norm, "dataset": args.dataset,
+                           "seed": args.seed,
+                           "standardize": not args.no_standardize,
+                           "target_col": ds.target_col},
             [hist_path, summary_path], t0)
     return 0
 

@@ -25,6 +25,10 @@ from .errors import AopuError, InvalidInputError
 
 AR_COEFF = 0.8  # synthetic per-variable autoregression coefficient
 
+# chronological train/validation/test split; standardization statistics are
+# fitted on the train fraction of raw rows
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
+
 
 class CsvError(AopuError, ValueError):
     """Base class for CSV ingestion problems."""
@@ -214,7 +218,9 @@ class ColumnStats:
     std: np.ndarray
 
 
-def train_column_stats(ds: Dataset, train_fraction: float = 0.6) -> ColumnStats:
+def train_column_stats(
+    ds: Dataset, train_fraction: float = SPLIT_RATIOS[0]
+) -> ColumnStats:
     """Mean/std per column over the chronologically first fraction of rows."""
     if not (0.0 < train_fraction <= 1.0):
         raise InvalidInputError(f"train_fraction must be in (0, 1], got {train_fraction}")
@@ -277,7 +283,7 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
     return WindowedSet(features=features, targets=targets)
 
 
-def split(ws: WindowedSet, ratios=(0.6, 0.2, 0.2)):
+def split(ws: WindowedSet, ratios=SPLIT_RATIOS):
     """Chronological, contiguous train/validation/test split.
 
     Train and validation sizes are floored; the remainder goes to test.

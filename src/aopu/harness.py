@@ -19,6 +19,7 @@ import numpy as np
 from .augment import AugmentConfig, Augmenter
 from .baselines import RvflnnModel
 from .data import (
+    SPLIT_RATIOS,
     Dataset,
     split,
     standardize,
@@ -32,10 +33,6 @@ from .survey import _survey_ranks
 
 CURVE_EVERY = 50  # validation-curve sampling cadence, in training iterations
 LOW_RR_THRESHOLD = 0.5  # mean train RR below this flags the run as rank-starved
-
-# chronological train/validation/test split; standardization statistics are
-# fitted on the train fraction of raw rows
-SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 MODELS = {"aopu": AopuModel, "rvflnn": RvflnnModel}
 STRATEGIES = ("best", "final")
@@ -133,12 +130,9 @@ class TrainConfig:
         if self.lr is not None and not 0 < self.lr < np.inf:
             raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
 
-    def resolved_lr(self) -> float:
-        return self.lr if self.lr is not None else MODELS[self.model].DEFAULT_LR
-
 
 def make_model(config: TrainConfig, augmenter: Augmenter):
-    return MODELS[config.model](augmenter, lr=config.resolved_lr())
+    return MODELS[config.model](augmenter, lr=config.lr)
 
 
 def _weights_hash(w: np.ndarray) -> str:
@@ -396,8 +390,11 @@ def rr_survey(
     ``G`` is drawn once, for the longest window: the map of each seq is the
     prefix of its first ``seq * n_inputs`` input rows, the same map an
     ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`). The
-    whole grid is checked before that draw. A batch size repeated in the
-    grid gets its own, identical cell.
+    sign of every batch size and the range of every seq are checked before
+    that draw; each seq's batch sizes are checked against its training split
+    just before that seq is surveyed, so a batch size too large for a later
+    seq raises after the earlier seqs are surveyed. A batch size repeated
+    in the grid gets its own, identical cell.
     """
     bs_grid = list(bs_grid)
     seq_grid = list(seq_grid)

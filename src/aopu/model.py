@@ -111,20 +111,6 @@ def truncated_gradient(x_tilde, y, dual_matrix) -> np.ndarray:
     return _update(*_validated(x_tilde, y, "dual", dual_matrix))[1]
 
 
-def natural_gradient_reference(x_tilde, y, w) -> np.ndarray:
-    """Fisher-preconditioned plain gradient, as an independent oracle.
-
-    Preconditions ``-(2/b) x (y - x.T w)`` with the pseudo-inverse of the
-    feature Gram ``x x.T`` (the Fisher information of the unit-covariance
-    Gaussian output). Materializes the (d+h)-square Gram, so intended for
-    small verification instances rather than training.
-    """
-    xt = linalg.as_matrix(x_tilde, "x_tilde")
-    ym = linalg.as_matrix(y, "y")
-    grad = -(2.0 / xt.shape[1]) * xt @ (ym - forward(xt, w))
-    return linalg.pinv(linalg.row_gram(xt)) @ grad
-
-
 @dataclass(frozen=True)
 class StepReport:
     """Pre-step loss, batch rank, rank ratio and gradient norm for one update.

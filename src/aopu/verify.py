@@ -20,7 +20,6 @@ from .model import (
     dual,
     forward,
     loss_value,
-    natural_gradient_reference,
     reconstruct,
     truncated_gradient,
 )
@@ -105,6 +104,18 @@ def truncated_gradient_reference(x_tilde, y, dual_matrix) -> np.ndarray:
     gram_inv = linalg.pinv(linalg.column_gram(xt))
     resid = ym - gram_inv @ (xt.T @ dm)
     return -(2.0 / xt.shape[1]) * xt @ (gram_inv @ resid)
+
+
+def natural_gradient_reference(x_tilde, y, w) -> np.ndarray:
+    """``pinv(x x.T) @ mse_gradient(x, y, w)``: the plain gradient
+    preconditioned by the pseudo-inverse of the feature Gram ``x x.T`` (the
+    Fisher information of the unit-covariance Gaussian output).
+
+    The textbook form of the natural gradient that
+    :func:`aopu.model.truncated_gradient` approximates. It materializes the
+    (d+h)-square Gram, so it is meant for small verification instances.
+    """
+    return linalg.pinv(linalg.row_gram(x_tilde)) @ mse_gradient(x_tilde, y, w)
 
 
 # ---------------------------------------------------------------------------

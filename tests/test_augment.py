@@ -14,10 +14,20 @@ from aopu.augment import (
     ZERO_MEAN_ACTIVATIONS,
     AugmentConfig,
     Augmenter,
-    activation_apply,
-    layer_norm,
+    _layer_norm,
 )
 from aopu.errors import InvalidInputError
+
+
+def _act(name, m):
+    """The catalog activation on a fresh float64 copy of ``m`` (the catalog
+    writes in place)."""
+    return ACTIVATIONS[name](np.array(m, dtype=np.float64))
+
+
+def _norm(m):
+    """The layer norm on a fresh float64 copy of ``m``."""
+    return _layer_norm(np.array(m, dtype=np.float64))
 
 
 class TestInitAugmenter:
@@ -108,8 +118,8 @@ class TestAugment:
         monkeypatch.setattr(linalg, "as_matrix", counting)
         out = aug.augment(x)
         assert len(calls) == 1
-        hidden = activation_apply("tanh", aug.g_hat.T @ x)
-        np.testing.assert_array_equal(out[:2048], layer_norm(hidden))  # bit-for-bit
+        hidden = _act("tanh", aug.g_hat.T @ x)
+        np.testing.assert_array_equal(out[:2048], _norm(hidden))  # bit-for-bit
 
     def test_freezing_under_repeated_calls(self):
         aug = Augmenter(AugmentConfig(input_dim=3, hidden=4, seed=9))
@@ -189,9 +199,9 @@ class TestOneBuffer:
             AugmentConfig(input_dim=7, hidden=16, activation=name, layer_norm=norm, seed=4)
         )
         x = np.random.default_rng(b).standard_normal((7, b)) * 3.0
-        hidden = activation_apply(name, aug.g_hat.T @ x)
+        hidden = _act(name, aug.g_hat.T @ x)
         if norm:
-            hidden = layer_norm(hidden)
+            hidden = _norm(hidden)
         ref = np.vstack([hidden, x])
         np.testing.assert_array_equal(_bits(aug.augment(x)), _bits(ref))
 
@@ -263,7 +273,7 @@ class TestOneBuffer:
 
 class TestActivations:
     def test_closed_forms(self):
-        z = lambda name, v: float(activation_apply(name, np.array([[v]]))[0, 0])
+        z = lambda name, v: float(_act(name, np.array([[v]]))[0, 0])
         assert z("tanh", 0.0) == 0.0
         assert z("softsign", 1.0) == 0.5
         assert z("hardshrink", 0.3) == 0.0
@@ -280,19 +290,15 @@ class TestActivations:
         np.testing.assert_allclose(z("hardswish", 4.0), 4.0, atol=1e-15)
 
     def test_mish_composition(self):
-        got = float(activation_apply("mish", np.array([[1.0]]))[0, 0])
+        got = float(_act("mish", np.array([[1.0]]))[0, 0])
         expected = 1.0 * math.tanh(math.log1p(math.e))  # independent composition
         np.testing.assert_allclose(got, expected, atol=1e-12)
         np.testing.assert_allclose(got, 0.86509, atol=1e-5)
 
-    def test_unknown_name(self):
-        with pytest.raises(InvalidInputError):
-            activation_apply("swishish", np.ones((1, 1)))
-
     def test_all_catalog_entries_finite_on_wide_range(self):
         x = np.linspace(-20, 20, 401).reshape(1, -1)
         for name in ACTIVATIONS:
-            out = activation_apply(name, x)
+            out = _act(name, x)
             assert out.shape == x.shape
             assert np.all(np.isfinite(out)), name
 
@@ -323,7 +329,7 @@ class TestActivations:
         x = np.concatenate([np.linspace(-30, 30, 2000), edges]).reshape(3, -1)
         keep = x.copy()
         for name, formula in formulas.items():
-            got = activation_apply(name, x)
+            got = _act(name, x)
             np.testing.assert_array_equal(_bits(got), _bits(formula(x)), err_msg=name)
             np.testing.assert_array_equal(_bits(x), _bits(keep), err_msg=name)
 
@@ -334,45 +340,45 @@ class TestActivations:
         edges = [0.0, -0.0, 0.5, -0.5, 3.0, -3.0, 6.0, -6.0, 1e300, -1e300]
         normals = np.random.default_rng(7).standard_normal(10_000)
         z = np.concatenate([edges, normals, 100.0 * normals]).reshape(1, -1)
-        got = activation_apply(name, z)
+        got = _act(name, z)
         assert np.all(np.abs(got) <= np.abs(z) + ACTIVATION_SLACK)
         assert ACTIVATION_SLACK == 6.0
 
     def test_rrelu_deterministic(self):
         x = np.random.default_rng(0).standard_normal((4, 4))
         np.testing.assert_array_equal(
-            activation_apply("rrelu", x), activation_apply("rrelu", x)
+            _act("rrelu", x), _act("rrelu", x)
         )
 
     def test_zero_mean_catalog(self):
         rng = np.random.default_rng(42)
         z = rng.standard_normal((1, 1_000_000))
         for name in ZERO_MEAN_ACTIVATIONS:
-            assert abs(float(activation_apply(name, z).mean())) < 0.01, name
+            assert abs(float(_act(name, z).mean())) < 0.01, name
         for name in ("sigmoid", "relu6", "rrelu"):
-            assert abs(float(activation_apply(name, z).mean())) > 0.1, name
+            assert abs(float(_act(name, z).mean())) > 0.1, name
 
 
 class TestLayerNorm:
     def test_constant_column_zeroed(self):
-        out = layer_norm(np.full((4, 2), 3.5))
+        out = _norm(np.full((4, 2), 3.5))
         np.testing.assert_array_equal(out, np.zeros((4, 2)))
 
     def test_constant_column_with_inexact_mean_zeroed(self):
         # the mean of three 0.1s is not 0.1, so centering leaves a constant
         # -1.4e-17 whose std is 0; the column must still come out zero
         m = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])
-        out = layer_norm(m)
+        out = _norm(m)
         np.testing.assert_array_equal(_bits(out[:, 0]), _bits(np.zeros(3)))
 
     def test_already_normalized_unchanged(self):
         col = np.array([[1.0], [-1.0]])
-        np.testing.assert_allclose(layer_norm(col), col, atol=1e-15)
+        np.testing.assert_allclose(_norm(col), col, atol=1e-15)
 
     def test_random_column_moments(self):
         rng = np.random.default_rng(8)
         m = rng.standard_normal((50, 3)) * 4.0 + 2.0
-        out = layer_norm(m)
+        out = _norm(m)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-10)
 
@@ -383,11 +389,7 @@ class TestLayerNorm:
         ref = m - m.mean(axis=0, keepdims=True)
         std = ref.std(axis=0, keepdims=True)
         np.divide(ref, std, out=ref, where=std > 0)
-        np.testing.assert_array_equal(_bits(layer_norm(m)), _bits(ref))
-
-    def test_single_row_rejected(self):
-        with pytest.raises(InvalidInputError):
-            layer_norm(np.ones((1, 3)))
+        np.testing.assert_array_equal(_bits(_norm(m)), _bits(ref))
 
 
 class TestNonlinearityBreaksTracking:

@@ -8,8 +8,10 @@ import pytest
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     RvflnnModel,
-    adam_step,
     conditional_mean_mve,
     linear_mve_fit,
     mse_gradient,
@@ -56,7 +58,22 @@ class TestMseGradient:
             assert rel < 1e-5
 
 
+def _textbook_adam(w, m, v, t, g, lr):
+    """Bias-corrected Adam (Kingma & Ba, 2015, Algorithm 1), written out."""
+    t += 1
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    # the squared gradient is associated as (1 - beta2) * g * g, as the step
+    # forms it, so the two agree bit for bit
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return w - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v, t
+
+
 class TestAdam:
+    """The Adam behaviours of ``RvflnnModel.step``. With unit features
+    ``x_tilde = I`` and zero weights, the gradient is ``-(2/b) y``."""
+
     def _model(self, dh=3, lr=0.005):
         aug = Augmenter(AugmentConfig(input_dim=dh, hidden=0, seed=0))
         return RvflnnModel(aug, lr=lr)
@@ -64,53 +81,54 @@ class TestAdam:
     def test_zero_gradient_fresh_state_no_move(self):
         model = self._model()
         before = model.w_tilde.copy()
-        adam_step(model, np.zeros_like(before))
+        model.step(np.eye(3), np.zeros((3, 1)))
         np.testing.assert_array_equal(model.w_tilde, before)
 
     def test_first_step_magnitude_is_learning_rate(self):
-        # after bias correction a constant gradient moves each coordinate by
+        # after bias correction a first gradient moves each coordinate by
         # almost exactly lr: m_hat = g, v_hat = g^2, update = lr * g / |g|
         model = self._model(lr=0.005)
-        g = np.array([[2.0], [-0.5], [0.01]])
-        adam_step(model, g)
+        y = np.array([[2.0], [-0.5], [0.01]])
+        model.step(np.eye(3), y)
         np.testing.assert_allclose(
             np.abs(model.w_tilde), 0.005 * np.ones((3, 1)), rtol=1e-5
         )
-        np.testing.assert_allclose(
-            np.sign(model.w_tilde), -np.sign(g), atol=0
-        )
+        # the gradient is -(2/3) y, so each weight moves towards its target
+        np.testing.assert_allclose(np.sign(model.w_tilde), np.sign(y), atol=0)
 
     def test_deterministic_trajectories(self):
         rng = np.random.default_rng(2)
-        grads = [rng.standard_normal((3, 1)) for _ in range(20)]
+        batches = [
+            (rng.standard_normal((3, 4)), rng.standard_normal((4, 1)))
+            for _ in range(20)
+        ]
 
         def run():
             model = self._model()
-            for g in grads:
-                adam_step(model, g)
+            for xt, y in batches:
+                model.step(xt, y)
             return model.w_tilde
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            adam_step(self._model(), np.zeros((4, 1)))
-
     def test_step_counter_monotone(self):
         model = self._model()
         for expected in (1, 2, 3):
-            adam_step(model, np.ones((3, 1)))
+            model.step(np.eye(3), np.ones((3, 1)))
             assert model.adam_t == expected
 
     def test_rejected_update_leaves_state(self):
+        # a finite loss and gradient whose update overflows: the first moment
+        # leaves the float range once it is bias-corrected
         model = self._model(dh=2)
         model.adam_m = np.full((2, 1), 1.7e308)
         state = [model.adam_t, model.adam_m.copy(), model.adam_v.copy(), model.w_tilde.copy()]
         # the overflow must surface as the typed error, never as a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DivergenceError):
-                adam_step(model, np.full((2, 1), 1.7e308))
+            with pytest.raises(DivergenceError) as err:
+                model.step(1e200 * np.eye(2), np.ones((2, 1)))
+        assert err.value.rank_ratio == 1.0
         assert model.adam_t == state[0]
         for name, before in zip(("adam_m", "adam_v", "w_tilde"), state[1:]):
             np.testing.assert_array_equal(getattr(model, name), before)
@@ -124,22 +142,24 @@ class TestAdam:
 
 class TestRvflnnStep:
     @pytest.mark.parametrize("warm_steps", [0, 2])
-    def test_matches_adam_on_the_mse_gradient(self, warm_steps):
-        # the step must equal adam_step(mse_gradient(...)) bit for bit, on a
-        # fresh model and on one with non-zero Adam moments
+    def test_matches_textbook_adam_on_the_mse_gradient(self, warm_steps):
+        # the step must equal textbook Adam on mse_gradient bit for bit, on
+        # a fresh model and on one with non-zero Adam moments
         rng = np.random.default_rng(21)
         aug = Augmenter(AugmentConfig(input_dim=4, hidden=6, seed=3))
-        model, twin = RvflnnModel(aug), RvflnnModel(aug)
+        model = RvflnnModel(aug)
+        w = m = v = np.zeros((aug.output_dim, 1))
+        t = 0
         for _ in range(warm_steps + 1):
             xt = aug.augment(rng.standard_normal((4, 7)))
             y = rng.standard_normal((7, 1))
-            grad = mse_gradient(xt, y, twin.w_tilde)
-            loss = loss_value(y, forward(xt, twin.w_tilde))
-            adam_step(twin, grad)
+            grad = mse_gradient(xt, y, w)
+            loss = loss_value(y, forward(xt, w))
+            w, m, v, t = _textbook_adam(w, m, v, t, grad, model.lr)
             report = model.step(xt, y)
-        assert model.adam_t == twin.adam_t == warm_steps + 1
-        for name in ("w_tilde", "adam_m", "adam_v"):
-            assert getattr(model, name).tobytes() == getattr(twin, name).tobytes()
+        assert model.adam_t == t == warm_steps + 1
+        for name, want in (("w_tilde", w), ("adam_m", m), ("adam_v", v)):
+            assert getattr(model, name).tobytes() == want.tobytes(), name
         assert report.loss == loss
         assert report.rank == linalg.rank(xt)
         assert report.rank_ratio == report.rank / 7

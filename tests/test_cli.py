@@ -291,3 +291,20 @@ def test_ablate_manifest_records_only_the_sweep(tmp_path):
     assert "activation" not in manifest["config"]
     assert "layer_norm" not in manifest["config"]
     assert manifest["activations"] == ["relu"] and manifest["norm_flags"] == [1]
+
+
+def test_rr_survey_manifest_records_seed_standardization_and_target(tmp_path):
+    # the seed draws G and the shuffle, so two seeds' echoes must differ in it
+    base = ["rr-survey", "--synth-n", "400", "--hidden", "8", "--bs-grid", "16",
+            "--seq-grid", "2"]
+    configs = {}
+    for name, flags in [("seed1", ["--seed", "1"]), ("seed2", ["--seed", "2"]),
+                        ("raw", ["--seed", "1", "--no-standardize"])]:
+        out = tmp_path / name
+        assert main([*base, *flags, "--out-dir", str(out)]) == 0
+        configs[name] = json.loads((out / "manifest.json").read_text())["config"]
+    assert configs["seed1"]["seed"] == 1 and configs["seed2"]["seed"] == 2
+    assert {**configs["seed1"], "seed": 2} == configs["seed2"]
+    assert configs["seed1"]["standardize"] is True
+    assert configs["seed1"]["target_col"] == 5
+    assert {**configs["seed1"], "standardize": False} == configs["raw"]

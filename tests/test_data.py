@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aopu import harness
 from aopu.baselines import linear_mve_fit
 from aopu.data import (
+    SPLIT_RATIOS,
     ColumnCountError,
     Dataset,
     EmptyCsvError,
@@ -261,6 +263,10 @@ class TestSplit:
     def test_empty_partition_rejected(self):
         with pytest.raises(InvalidInputError):
             split(self._ws(4), (0.9, 0.05, 0.05))
+
+    def test_ratios_have_one_owner(self):
+        # the README names the data module's ratios as harness.SPLIT_RATIOS
+        assert harness.SPLIT_RATIOS is SPLIT_RATIOS == (0.6, 0.2, 0.2)
 
     def test_invalid_ratios_rejected(self):
         ws = self._ws(10)

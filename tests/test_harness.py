@@ -17,6 +17,7 @@ from aopu.harness import (
     TrainConfig,
     ablate,
     format_mean_std,
+    make_model,
     metrics,
     prepare_windows,
     repeat_experiments,
@@ -100,9 +101,11 @@ class TestStabilityReport:
 
 class TestTrainConfig:
     def test_default_learning_rates(self):
-        assert TrainConfig(model="aopu").resolved_lr() == 1.0
-        assert TrainConfig(model="rvflnn").resolved_lr() == 0.005
-        assert TrainConfig(model="rvflnn", lr=0.1).resolved_lr() == 0.1
+        # lr=None takes the model's DEFAULT_LR
+        aug = Augmenter(AugmentConfig(input_dim=2, hidden=0))
+        assert make_model(TrainConfig(model="aopu"), aug).lr == 1.0
+        assert make_model(TrainConfig(model="rvflnn"), aug).lr == 0.005
+        assert make_model(TrainConfig(model="rvflnn", lr=0.1), aug).lr == 0.1
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aopu.errors import InvalidInputError
-from aopu.model import dual, loss_value, reconstruct, truncated_gradient
+from aopu.model import dual, forward, loss_value, reconstruct, truncated_gradient
 from aopu.verify import (
     CoherenceInstance,
     GaussianOutputSpec,
@@ -16,6 +16,7 @@ from aopu.verify import (
     check_mve_optimality,
     check_natural_gradient_identity,
     finite_diff_gradient,
+    natural_gradient_reference,
     run_default_suite,
 )
 
@@ -42,6 +43,48 @@ class TestFiniteDiffGradient:
         np.testing.assert_allclose(
             fd, truncated_gradient(xt, y, d), rtol=1e-6, atol=1e-8
         )
+
+
+class TestNaturalGradientReference:
+    def test_full_rank_identity(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            b = int(rng.integers(1, 6))
+            dh = int(rng.integers(b + 1, b + 6))
+            xt = rng.standard_normal((dh, b))
+            w = rng.standard_normal((dh, 1))
+            y = rng.standard_normal((b, 1))
+            tg = truncated_gradient(xt, y, dual(xt, w))
+            ng = natural_gradient_reference(xt, y, w)
+            rel = np.linalg.norm(tg - ng) / max(np.linalg.norm(ng), 1e-12)
+            assert rel < 1e-8
+
+    def test_zero_at_fit(self):
+        rng = np.random.default_rng(10)
+        xt = rng.standard_normal((4, 2))
+        w = rng.standard_normal((4, 1))
+        g = natural_gradient_reference(xt, forward(xt, w), w)
+        assert np.max(np.abs(g)) < 1e-12
+
+    def test_rank_deficient_agreement_via_commutation(self):
+        rng = np.random.default_rng(11)
+        deviations = []
+        for _ in range(10):
+            xt = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+            w = rng.standard_normal((6, 1))
+            y = rng.standard_normal((5, 1))
+            tg = truncated_gradient(xt, y, dual(xt, w))
+            ng = natural_gradient_reference(xt, y, w)
+            deviations.append(
+                np.linalg.norm(tg - ng) / max(np.linalg.norm(ng), 1e-12)
+            )
+        assert all(np.isfinite(deviations))
+        assert max(deviations) < 1e-8  # clean rank deficiency stays benign
+
+    def test_zero_column_batch_rejected(self):
+        # the plain gradient's 2/b scaling needs a sample
+        with pytest.raises(InvalidInputError, match="no columns"):
+            natural_gradient_reference(np.zeros((5, 0)), np.zeros((0, 1)), np.zeros((5, 1)))
 
 
 class TestGradientOracleChecks:
