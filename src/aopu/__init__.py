@@ -47,11 +47,10 @@ from .harness import (
     RunReport,
     StabilityIndices,
     TrainConfig,
-    ablate,
     metrics,
-    repeat_experiments,
     rr_survey,
     stability_report,
+    sweep,
     train_run,
 )
 from .linalg import pinv, rank, rank_ratio

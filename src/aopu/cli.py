@@ -159,7 +159,7 @@ def cmd_repeat(args) -> int:
         args, args.seeds[0], activation=args.activation, layer_norm=args.layer_norm
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    rep = harness.repeat_experiments(ds, config, args.seeds)
+    (rep,) = harness.sweep(ds, config, {}, args.seeds)
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     curve_path = os.path.join(args.out_dir, "curve.csv")
@@ -213,15 +213,15 @@ def cmd_ablate(args) -> int:
     # the sweep sets activation and layer_norm on every row
     config = _config_from(args, args.seeds[0])
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = harness.ablate(
-        ds, args.activations, args.norm_flags, config, args.seeds
-    )
+    grid = {"layer_norm": [bool(f) for f in args.norm_flags],
+            "activation": args.activations}
+    rows = harness.sweep(ds, config, grid, args.seeds)
     path = os.path.join(args.out_dir, "ablation.csv")
-    harness.write_ablation_csv(path, rows)
+    harness.write_ablation_csv(path, rows, ("activation", "layer_norm"))
     for row in rows:
         print(
-            f"acti={row.activation:<11s} norm={int(row.layer_norm)} "
-            f"r2={row.report.cell('r2')}"
+            f"acti={row.config.activation:<11s} norm={int(row.config.layer_norm)} "
+            f"r2={row.cell('r2')}"
         )
     # the sweep is recorded under activations/norm_flags, so the echo drops
     # the config's unused activation and layer_norm defaults
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training_flags(p)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p.add_argument("--activations", nargs="+", default=["tanh", "relu"])
-    p.add_argument("--norm-flags", type=int, nargs="+", default=[0, 1])
+    p.add_argument("--norm-flags", type=int, choices=(0, 1), nargs="+", default=[0, 1])
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("synth", help="write a synthetic dataset CSV")

@@ -1,4 +1,4 @@
-"""Training loops, metrics, rank-ratio surveys and repeat-seed aggregation.
+"""Training loops, metrics, rank-ratio surveys and seed-repeated sweeps.
 
 Every run is fully determined by (dataset, config): the config seed drives
 the frozen feature map and the per-epoch shuffling jointly, weights start at
@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 from contextlib import closing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import product
 
 import numpy as np
 
@@ -130,6 +131,17 @@ class TrainConfig:
         if self.lr is not None and not 0 < self.lr < np.inf:
             raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
 
+    def augment_config(self, input_dim: int) -> AugmentConfig:
+        """The feature map of this run on ``input_dim``-row windows; building
+        it checks the map's fields (activation, layer norm, seed)."""
+        return AugmentConfig(
+            input_dim=input_dim,
+            hidden=self.hidden,
+            activation=self.activation,
+            layer_norm=self.layer_norm,
+            seed=self.seed,
+        )
+
 
 def make_model(config: TrainConfig, augmenter: Augmenter):
     return MODELS[config.model](augmenter, lr=config.lr)
@@ -201,14 +213,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
             f"batch size {config.bs} exceeds the {train.n_windows} training "
             "windows; no full batch can be formed"
         )
-    aug_config = AugmentConfig(
-        input_dim=train.dim,
-        hidden=config.hidden,
-        activation=config.activation,
-        layer_norm=config.layer_norm,
-        seed=config.seed,
-    )
-    augmenter = Augmenter(aug_config)
+    augmenter = Augmenter(config.augment_config(train.dim))
     model = make_model(config, augmenter)
 
     x_val = augmenter.augment(val.features)
@@ -306,14 +311,24 @@ AGGREGATE_FIELDS = ("mse", "mape", "r2")
 
 @dataclass
 class RepeatReport:
-    """Per-seed table plus mean/std aggregation of a repeated experiment."""
+    """One cell of a sweep: its per-seed runs, the mean and std of each of
+    ``AGGREGATE_FIELDS`` over the finite runs, and the seeds that diverged."""
 
-    config: TrainConfig
+    config: TrainConfig  # the cell's config at seeds[0]
     seeds: list
     runs: list  # RunReport per seed
-    mean: dict
-    std: dict
-    diverged_seeds: list
+    mean: dict = field(init=False)
+    std: dict = field(init=False)
+    diverged_seeds: list = field(init=False)
+
+    def __post_init__(self):
+        self.mean, self.std = {}, {}
+        for name in AGGREGATE_FIELDS:
+            vals = np.asarray([getattr(r, name) for r in self.runs], dtype=np.float64)
+            finite = vals[np.isfinite(vals)]
+            self.mean[name] = float(finite.mean()) if finite.size else float("nan")
+            self.std[name] = float(finite.std()) if finite.size else float("nan")
+        self.diverged_seeds = [s for s, r in zip(self.seeds, self.runs) if r.diverged]
 
     def cell(self, name: str, digits: int = 4) -> str:
         return format_mean_std(self.mean[name], self.std[name], digits)
@@ -324,32 +339,40 @@ def format_mean_std(mean: float, std: float, digits: int = 4) -> str:
     return f"{mean:.{digits}f}±{std:.{digits}f}"
 
 
-def repeat_experiments(ds: Dataset, config: TrainConfig, seeds) -> RepeatReport:
-    """Run one config under several seeds and aggregate mean/std per metric.
+def sweep(ds: Dataset, config: TrainConfig, grid: dict, seeds) -> list:
+    """Run ``config`` under every seed in each cell of ``grid``'s product.
 
-    Seeds vary the frozen feature map and the shuffling order jointly (the
-    weights always start at zero). Divergent seeds stay in the table and are
-    listed explicitly, never silently dropped.
+    ``grid`` maps ``TrainConfig`` field names other than ``seed`` to lists of
+    values; the first key is the outermost loop, and an empty grid is one
+    cell. Returns one :class:`RepeatReport` per cell. Seeds vary the frozen
+    feature map and the shuffling order jointly (the weights always start at
+    zero). Divergent seeds stay in the table and are listed explicitly,
+    never silently dropped. Every cell's config and feature map is checked
+    under every seed before the first run trains.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
         raise InvalidInputError(f"need at least 2 seeds, got {len(seeds)}")
-    runs = [train_run(ds, replace(config, seed=s)) for s in seeds]
-    mean = {}
-    std = {}
-    for name in AGGREGATE_FIELDS:
-        vals = np.asarray([getattr(r, name) for r in runs], dtype=np.float64)
-        finite = vals[np.isfinite(vals)]
-        mean[name] = float(finite.mean()) if finite.size else float("nan")
-        std[name] = float(finite.std()) if finite.size else float("nan")
-    return RepeatReport(
-        config=config,
-        seeds=seeds,
-        runs=runs,
-        mean=mean,
-        std=std,
-        diverged_seeds=[s for s, r in zip(seeds, runs) if r.diverged],
-    )
+    grid = {name: list(values) for name, values in grid.items()}
+    names = {f.name for f in fields(TrainConfig)}
+    for name, values in grid.items():
+        if name == "seed":
+            raise InvalidInputError("seed is set by the seeds argument, not by the grid")
+        if name not in names:
+            raise InvalidInputError(f"grid key {name!r} is not a TrainConfig field")
+        if not values:
+            raise InvalidInputError(f"grid key {name!r} has no values")
+    cells = [
+        [replace(config, **dict(zip(grid, values)), seed=s) for s in seeds]
+        for values in product(*grid.values())
+    ]
+    for configs in cells:
+        for c in configs:
+            c.augment_config(c.seq * ds.n_inputs)
+    return [
+        RepeatReport(configs[0], seeds, [train_run(ds, c) for c in configs])
+        for configs in cells
+    ]
 
 
 RR_HIST_EDGES = np.linspace(0.0, 1.0, 21)
@@ -442,33 +465,6 @@ def rr_survey(
     return summaries
 
 
-@dataclass
-class AblationRow:
-    activation: str
-    layer_norm: bool
-    report: RepeatReport
-
-
-def ablate(ds: Dataset, activations, norm_flags, config: TrainConfig, seeds):
-    """Repeat the experiment for every activation x normalization combination."""
-    activations = list(activations)
-    norm_flags = [bool(f) for f in norm_flags]
-    if not activations or not norm_flags:
-        raise InvalidInputError("activation and normalization lists must be non-empty")
-    rows = []
-    for norm in norm_flags:
-        for acti in activations:
-            combo = replace(config, activation=acti, layer_norm=norm)
-            rows.append(
-                AblationRow(
-                    activation=acti,
-                    layer_norm=norm,
-                    report=repeat_experiments(ds, combo, seeds),
-                )
-            )
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # report writers
 # ---------------------------------------------------------------------------
@@ -535,21 +531,18 @@ def write_rr_summary_csv(path, summaries) -> None:
     write_csv(path, ["bs", "seq", "count", "mean_rr", "std_rr"], rows)
 
 
-def write_ablation_csv(path, rows) -> None:
-    header = [
-        "activation", "layer_norm",
-        "mse_mean", "mse_std", "mape_mean", "mape_std", "r2_mean", "r2_std",
-        "n_seeds", "diverged_seeds",
-    ]
+def write_ablation_csv(path, rows, columns) -> None:
+    """One line per sweep row: the swept ``columns`` of its config, then the
+    mean and std of each aggregate, the seed count and the diverged seeds."""
+    stats = [(name, agg) for name in AGGREGATE_FIELDS for agg in ("mean", "std")]
+    header = [*columns, *(f"{name}_{agg}" for name, agg in stats),
+              "n_seeds", "diverged_seeds"]
     out = []
     for row in rows:
-        rep = row.report
         out.append([
-            row.activation, row.layer_norm,
-            rep.mean["mse"], rep.std["mse"],
-            rep.mean["mape"], rep.std["mape"],
-            rep.mean["r2"], rep.std["r2"],
-            len(rep.seeds), ";".join(str(s) for s in rep.diverged_seeds),
+            *(getattr(row.config, c) for c in columns),
+            *(getattr(row, agg)[name] for name, agg in stats),
+            len(row.seeds), ";".join(str(s) for s in row.diverged_seeds),
         ])
     write_csv(path, header, out)
 

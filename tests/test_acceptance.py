@@ -9,7 +9,6 @@ notice. All other criteria run self-contained on synthetic data.
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +18,8 @@ from aopu.data import load_csv, synth_generate
 from aopu.harness import (
     TrainConfig,
     prepare_windows,
-    repeat_experiments,
     rr_survey,
+    sweep,
     train_run,
 )
 from aopu.model import dual
@@ -225,9 +224,8 @@ def test_criterion_08_published_metric_reproduction():
         model="aopu", bs=64, seq=48, hidden=2048, epochs=40,
         strategy="final", seed=0,
     )
-    rep_deb = repeat_experiments(deb, cfg, seeds)
-    rep_sru = repeat_experiments(sru, cfg, seeds)
-    rep_deb_best = repeat_experiments(deb, replace(cfg, strategy="best"), seeds)
+    rep_deb, rep_deb_best = sweep(deb, cfg, {"strategy": ["final", "best"]}, seeds)
+    (rep_sru,) = sweep(sru, cfg, {}, seeds)
     strategy_drop = rep_deb_best.mean["r2"] - rep_deb.mean["r2"]
     ok = (
         rep_deb.mean["r2"] >= 0.55
@@ -254,15 +252,13 @@ def test_criterion_09_stability_dominance():
     else:
         ds = synth_generate(n=2400, n_vars=5, noise=0.3, seed=33)
         hidden, seeds, source = 512, [0, 1, 2, 3, 4], "synthetic fallback"
+    cfg = TrainConfig(
+        bs=64, seq=48, hidden=hidden, epochs=40, strategy="final", seed=0,
+    )
     stats = {}
-    for model in ("aopu", "rvflnn"):
-        cfg = TrainConfig(
-            model=model, bs=64, seq=48, hidden=hidden, epochs=40,
-            strategy="final", seed=0,
-        )
-        rep = repeat_experiments(ds, cfg, seeds)
+    for rep in sweep(ds, cfg, {"model": ["aopu", "rvflnn"]}, seeds):
         fluct = float(np.mean([r.stability.fluctuation for r in rep.runs]))
-        stats[model] = (fluct, rep.std["r2"], rep.mean["r2"])
+        stats[rep.config.model] = (fluct, rep.std["r2"], rep.mean["r2"])
     ok = (
         stats["aopu"][0] < stats["rvflnn"][0]
         and stats["aopu"][1] < stats["rvflnn"][1]
@@ -291,21 +287,18 @@ def test_criterion_10_ablation_directions():
         model="aopu", bs=64, seq=48, hidden=2048, epochs=40,
         strategy="final", seed=0,
     )
-
-    def r2_of(activation, norm):
-        return repeat_experiments(
-            deb, replace(cfg, activation=activation, layer_norm=norm), seeds
-        ).mean["r2"]
-
-    tanh_plain = r2_of("tanh", False)
-    relu_plain = r2_of("relu", False)
-    tanh_norm = r2_of("tanh", True)
-    relu_norm = r2_of("relu", True)
-    zero_mean = {
-        name: r2_of(name, False)
-        for name in ("hardshrink", "tanhshrink", "softsign", "softshrink")
-    }
-    zero_mean["tanh"] = tanh_plain
+    zero_mean_family = ["hardshrink", "tanhshrink", "softsign", "softshrink"]
+    rows = [
+        *sweep(deb, cfg, {"layer_norm": [False, True],
+                          "activation": ["tanh", "relu"]}, seeds),
+        *sweep(deb, cfg, {"activation": zero_mean_family}, seeds),
+    ]
+    r2 = {(r.config.activation, r.config.layer_norm): r.mean["r2"] for r in rows}
+    tanh_plain = r2["tanh", False]
+    relu_plain = r2["relu", False]
+    tanh_norm = r2["tanh", True]
+    relu_norm = r2["relu", True]
+    zero_mean = {name: r2[name, False] for name in ["tanh", *zero_mean_family]}
     spread = max(zero_mean.values()) - min(zero_mean.values())
     ok = (
         tanh_plain > relu_plain

@@ -103,6 +103,21 @@ def test_ablate_table(tmp_path):
         assert r["r2_mean"] != ""
 
 
+def test_one_cell_ablate_matches_repeat(tmp_path):
+    # both run one sweep cell: tanh without layer norm, seeds 0 and 1
+    seeds = ["--seeds", "0", "1"]
+    assert main(["repeat", *SMALL, *seeds, "--out-dir", str(tmp_path / "rep")]) == 0
+    assert main([
+        "ablate", *SMALL, *seeds, "--activations", "tanh", "--norm-flags", "0",
+        "--out-dir", str(tmp_path / "ab"),
+    ]) == 0
+    aggregate = json.loads((tmp_path / "rep" / "manifest.json").read_text())["aggregate"]
+    (row,) = _read_csv(tmp_path / "ab" / "ablation.csv")
+    for name in ("mse", "mape", "r2"):
+        assert float(row[f"{name}_mean"]) == aggregate["mean"][name]
+        assert float(row[f"{name}_std"]) == aggregate["std"][name]
+
+
 def test_synth_round_trips_through_loader(tmp_path):
     path = tmp_path / "synth.csv"
     assert main([
@@ -168,9 +183,12 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
         ["rr-survey", "--strategy", "best"],
         ["rr-survey", "--model", "rvflnn"],
         ["ablate", "--layer-norm"],
+        ["ablate", "--norm-flags", "2"],
+        ["ablate", "--norm-flags", "0", "-1"],
     ],
     ids=["rr-survey-epochs", "rr-survey-lr", "rr-survey-strategy",
-         "rr-survey-model", "ablate-layer-norm"],
+         "rr-survey-model", "ablate-layer-norm", "ablate-norm-flag-2",
+         "ablate-norm-flag-minus-1"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

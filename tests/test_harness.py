@@ -1,8 +1,9 @@
-"""Harness tests: metrics, stability indices, training runs, repeats,
-rank-ratio surveys and the ablation sweep."""
+"""Harness tests: metrics, stability indices, training runs, seed-repeated
+sweeps over config grids and rank-ratio surveys."""
 
 import csv
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,16 +14,16 @@ from aopu.data import Dataset, WindowedSet, batches, synth_generate
 from aopu.errors import ConstantTargetError, InvalidInputError
 from aopu.harness import (
     RR_HIST_EDGES,
+    RepeatReport,
     StabilityIndices,
     TrainConfig,
-    ablate,
     format_mean_std,
     make_model,
     metrics,
     prepare_windows,
-    repeat_experiments,
     rr_survey,
     stability_report,
+    sweep,
     train_run,
     write_rr_hist_csv,
 )
@@ -229,18 +230,14 @@ class TestTrainRun:
             train_run(small_ds, _small_config(bs=100000))
 
 
-class TestRepeatExperiments:
+class TestSweep:
     def test_duplicated_seed_zero_std(self, small_ds):
-        rep = repeat_experiments(small_ds, _small_config(epochs=3), [7, 7])
+        (rep,) = sweep(small_ds, _small_config(epochs=3), {}, [7, 7])
         assert rep.std["mse"] == 0.0
         assert rep.std["r2"] == 0.0
 
-    def test_needs_two_seeds(self, small_ds):
-        with pytest.raises(InvalidInputError):
-            repeat_experiments(small_ds, _small_config(), [0])
-
     def test_mean_std_layout(self, small_ds):
-        rep = repeat_experiments(small_ds, _small_config(epochs=3), [0, 1, 2])
+        (rep,) = sweep(small_ds, _small_config(epochs=3), {}, [0, 1, 2])
         cell = rep.cell("r2")
         assert "±" in cell
         mean_str, std_str = cell.split("±")
@@ -249,11 +246,67 @@ class TestRepeatExperiments:
         assert len(rep.runs) == 3
 
     def test_seed_variation_changes_runs(self, small_ds):
-        rep = repeat_experiments(small_ds, _small_config(epochs=3), [0, 1])
+        (rep,) = sweep(small_ds, _small_config(epochs=3), {}, [0, 1])
         assert rep.runs[0].r2 != rep.runs[1].r2  # feature map + order vary
 
     def test_format_mean_std(self):
         assert format_mean_std(0.6054, 0.0094) == "0.6054±0.0094"
+
+    def test_aggregates_skip_non_finite_runs(self):
+        runs = [
+            SimpleNamespace(mse=mse, mape=1.0, r2=0.5, diverged=diverged)
+            for mse, diverged in ((1.0, False), (np.inf, True), (3.0, False))
+        ]
+        rep = RepeatReport(_small_config(), [4, 5, 6], runs)
+        assert (rep.mean["mse"], rep.std["mse"]) == (2.0, 1.0)
+        assert (rep.mean["r2"], rep.std["r2"]) == (0.5, 0.0)
+        assert rep.diverged_seeds == [5]
+
+    def test_grid_cells_first_key_outermost(self, small_ds):
+        rows = sweep(
+            small_ds, _small_config(epochs=2, seed=5),
+            {"layer_norm": [False, True], "activation": ["tanh", "relu"]}, [0, 1],
+        )
+        assert [(r.config.layer_norm, r.config.activation) for r in rows] == [
+            (False, "tanh"), (False, "relu"), (True, "tanh"), (True, "relu")
+        ]
+        for row in rows:
+            assert row.config.seed == 0
+            assert [r.config.seed for r in row.runs] == [0, 1]
+            assert np.isfinite(row.mean["r2"])
+
+    @pytest.mark.parametrize(
+        "grid, seeds, message",
+        [
+            ({}, [0], "need at least 2 seeds, got 1"),
+            ({"activation": []}, [0, 1], "grid key 'activation' has no values"),
+            ({"width": [8]}, [0, 1], "grid key 'width' is not a TrainConfig field"),
+            ({"seed": [3, 4]}, [0, 1], "seed is set by the seeds argument"),
+        ],
+        ids=["one-seed", "empty-values", "unknown-key", "seed-key"],
+    )
+    def test_rejected(self, small_ds, grid, seeds, message):
+        with pytest.raises(InvalidInputError, match=message):
+            sweep(small_ds, _small_config(), grid, seeds)
+
+    @pytest.mark.parametrize(
+        "config, grid, seeds, message",
+        [
+            ({}, {}, [0, 1, -1], "seed must be a non-negative integer"),
+            ({}, {"activation": ["tanh", "nosuch"]}, [0, 1], "unknown activation"),
+            ({"hidden": 0}, {"layer_norm": [False, True]}, [0, 1],
+             "layer_norm requires a hidden block"),
+        ],
+        ids=["negative-last-seed", "unknown-last-activation", "layer-norm-no-hidden"],
+    )
+    def test_bad_last_cell_raises_before_any_run(
+        self, small_ds, monkeypatch, config, grid, seeds, message
+    ):
+        calls = []
+        monkeypatch.setattr("aopu.harness.train_run", lambda ds, c: calls.append(c))
+        with pytest.raises(InvalidInputError, match=message):
+            sweep(small_ds, _small_config(**config), grid, seeds)
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -750,25 +803,3 @@ class TestSurveyRanks:
                 calls = self._record_augments(patch)
                 assert _survey_ranks(train, aug, set(sizes), 3) == want
             assert calls and all(units == 48 for units, _ in calls)
-
-
-class TestAblate:
-    def test_sweep_shape_and_cells(self, small_ds):
-        rows = ablate(
-            small_ds,
-            activations=["tanh", "relu"],
-            norm_flags=[False, True],
-            config=_small_config(epochs=2),
-            seeds=[0, 1],
-        )
-        assert len(rows) == 4
-        combos = {(r.activation, r.layer_norm) for r in rows}
-        assert combos == {
-            ("tanh", False), ("relu", False), ("tanh", True), ("relu", True)
-        }
-        for row in rows:
-            assert np.isfinite(row.report.mean["r2"])
-
-    def test_empty_lists_rejected(self, small_ds):
-        with pytest.raises(InvalidInputError):
-            ablate(small_ds, [], [False], _small_config(), [0, 1])
