@@ -131,8 +131,8 @@ def cmd_train(args) -> int:
     config = _config_from(
         args, args.seed, activation=args.activation, layer_norm=args.layer_norm
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     report = harness.train_run(ds, config)
+    os.makedirs(args.out_dir, exist_ok=True)
     echo = _config_echo(args, config, ds)
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
@@ -158,8 +158,8 @@ def cmd_repeat(args) -> int:
     config = _config_from(
         args, args.seeds[0], activation=args.activation, layer_norm=args.layer_norm
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     (rep,) = harness.sweep(ds, config, {}, args.seeds)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     curve_path = os.path.join(args.out_dir, "curve.csv")
@@ -179,7 +179,6 @@ def cmd_repeat(args) -> int:
 def cmd_rr_survey(args) -> int:
     t0 = time.perf_counter()
     ds = _load_dataset(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     summaries = harness.rr_survey(
         ds,
         bs_grid=args.bs_grid,
@@ -190,6 +189,7 @@ def cmd_rr_survey(args) -> int:
         seed=args.seed,
         standardize_data=not args.no_standardize,
     )
+    os.makedirs(args.out_dir, exist_ok=True)
     hist_path = os.path.join(args.out_dir, "rr_hist.csv")
     summary_path = os.path.join(args.out_dir, "rr_summary.csv")
     harness.write_rr_hist_csv(hist_path, summaries)
@@ -212,10 +212,10 @@ def cmd_ablate(args) -> int:
     ds = _load_dataset(args)
     # the sweep sets activation and layer_norm on every row
     config = _config_from(args, args.seeds[0])
-    os.makedirs(args.out_dir, exist_ok=True)
     grid = {"layer_norm": [bool(f) for f in args.norm_flags],
             "activation": args.activations}
     rows = harness.sweep(ds, config, grid, args.seeds)
+    os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "ablation.csv")
     harness.write_ablation_csv(path, rows, ("activation", "layer_norm"))
     for row in rows:

@@ -268,10 +268,8 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
     Window k spans raw rows [k, k+seq) and takes its target at row k+seq-1,
     giving N = n_rows - seq + 1 windows.
     """
-    if seq < 1:
-        raise InvalidInputError(f"seq must be >= 1, got {seq}")
-    if seq > ds.n_rows:
-        raise InvalidInputError(f"seq {seq} exceeds {ds.n_rows} available rows")
+    if not 1 <= seq <= ds.n_rows:
+        raise InvalidInputError(f"seq must be in [1, {ds.n_rows}], got {seq}")
     x = ds.inputs()
     d = ds.n_inputs
     n_windows = ds.n_rows - seq + 1
@@ -283,30 +281,47 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
     return WindowedSet(features=features, targets=targets)
 
 
-def split(ws: WindowedSet, ratios=SPLIT_RATIOS):
-    """Chronological, contiguous train/validation/test split.
-
-    Train and validation sizes are floored; the remainder goes to test.
-    Shuffled splits are rejected by construction - there is no option.
-    """
+def _partition_sizes(n: int, ratios=SPLIT_RATIOS) -> tuple:
+    """Sizes of the train/validation/test partitions of ``n`` windows: train
+    and validation are floored, and the remainder goes to test."""
     r = tuple(float(x) for x in ratios)
     if len(r) != 3 or any(x <= 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
         raise InvalidInputError(f"ratios must be 3 positive values summing to 1, got {ratios}")
-    n = ws.n_windows
-    n_train = int(n * r[0])
-    n_val = int(n * r[1])
-    n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) < 1:
+    n_train, n_val = int(n * r[0]), int(n * r[1])
+    sizes = (n_train, n_val, n - n_train - n_val)
+    if min(sizes) < 1:
         raise InvalidInputError(f"split of {n} windows leaves an empty partition")
+    return sizes
+
+
+def split(ws: WindowedSet, ratios=SPLIT_RATIOS):
+    """Chronological, contiguous train/validation/test split.
+
+    Shuffled splits are rejected by construction - there is no option.
+    """
     parts = []
     start = 0
-    for size in (n_train, n_val, n_test):
+    for size in _partition_sizes(ws.n_windows, ratios):
         sl = slice(start, start + size)
         parts.append(
             WindowedSet(features=ws.features[:, sl], targets=ws.targets[sl])
         )
         start += size
     return tuple(parts)
+
+
+def check_shape(n_rows: int, seq: int, bs: int) -> None:
+    """Check, by arithmetic alone, that length-``seq`` windows of ``n_rows``
+    raw rows split into non-empty partitions whose training split holds a
+    full batch of ``bs`` columns; nothing is windowed or drawn."""
+    if not 1 <= seq <= n_rows:
+        raise InvalidInputError(f"seq must be in [1, {n_rows}], got {seq}")
+    if bs < 1:
+        raise InvalidInputError(f"batch size must be >= 1, got {bs}")
+    if bs > _partition_sizes(n_rows - seq + 1)[0]:
+        raise InvalidInputError(
+            f"batch size {bs} leaves no full training batch at seq {seq}"
+        )
 
 
 class Batches(Sequence):
@@ -320,10 +335,10 @@ class Batches(Sequence):
     """
 
     def __init__(self, ws: WindowedSet, bs: int, order: np.ndarray):
-        self._ws, self._bs, self._order = ws, bs, order
+        self._ws, self.bs, self._order = ws, bs, order
 
     def __len__(self) -> int:
-        return self._order.size // self._bs
+        return self._order.size // self.bs
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -331,8 +346,8 @@ class Batches(Sequence):
         n = len(self)
         if not -n <= i < n:
             raise IndexError(f"batch {i} out of range for {n} batches")
-        start = (i % n) * self._bs
-        cols = self._order[start : start + self._bs]
+        start = (i % n) * self.bs
+        cols = self._order[start : start + self.bs]
         return self._ws.features[:, cols], self._ws.targets[cols]
 
     def columns(self, start: int, stop: int) -> np.ndarray:

@@ -22,6 +22,8 @@ from .baselines import RvflnnModel
 from .data import (
     SPLIT_RATIOS,
     Dataset,
+    batches,
+    check_shape,
     split,
     standardize,
     train_column_stats,
@@ -202,17 +204,16 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     divergent batch aborts training but the partial curves, the last rank
     ratio and the metrics of the last finite weights are all preserved.
 
+    The shape is checked before any windowing (:func:`data.check_shape`).
+    Each epoch steps through one shuffled cut, ``batches(train, bs,
+    shuffle=True, seed=s)`` with its own seed ``s`` drawn from the config's.
     Every output is bit for bit that of augmenting each batch just before
     its step; a worker thread augments batches ahead of the step only when
     the map has a hidden block and a CPU is left beside BLAS's threads (see
     :func:`pipeline._augmented_batches`), and no thread outlives the call.
     """
+    check_shape(ds.n_rows, config.seq, config.bs)
     train, val, test = prepare_windows(ds, config.seq, config.standardize)
-    if train.n_windows < config.bs:
-        raise InvalidInputError(
-            f"batch size {config.bs} exceeds the {train.n_windows} training "
-            "windows; no full batch can be formed"
-        )
     augmenter = Augmenter(config.augment_config(train.dim))
     model = make_model(config, augmenter)
 
@@ -220,6 +221,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
 
     rng = np.random.default_rng(config.seed)
     epoch_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.epochs)]
+    cuts = [batches(train, config.bs, shuffle=True, seed=s) for s in epoch_seeds]
     curve = []
     val_by_epoch = []
     epoch_hashes = []
@@ -232,7 +234,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     divergence_rr = None
     val_zero = _val_mse(np.zeros_like(model.w_tilde), x_val, val.targets)
 
-    with closing(_augmented_batches(augmenter, train, config.bs, epoch_seeds)) as steps:
+    with closing(_augmented_batches(augmenter, cuts)) as steps:
         for x_tilde, targs, epoch_end in steps:
             # the step reports the rank ratio off its own factorization, so no
             # separate rank is taken here
@@ -347,8 +349,9 @@ def sweep(ds: Dataset, config: TrainConfig, grid: dict, seeds) -> list:
     cell. Returns one :class:`RepeatReport` per cell. Seeds vary the frozen
     feature map and the shuffling order jointly (the weights always start at
     zero). Divergent seeds stay in the table and are listed explicitly,
-    never silently dropped. Every cell's config and feature map is checked
-    under every seed before the first run trains.
+    never silently dropped. Every cell's shape (:func:`data.check_shape`),
+    config and feature map is checked under every seed before the first run
+    trains.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
@@ -368,6 +371,7 @@ def sweep(ds: Dataset, config: TrainConfig, grid: dict, seeds) -> list:
     ]
     for configs in cells:
         for c in configs:
+            check_shape(ds.n_rows, c.seq, c.bs)
             c.augment_config(c.seq * ds.n_inputs)
     return [
         RepeatReport(configs[0], seeds, [train_run(ds, c) for c in configs])
@@ -412,23 +416,18 @@ def rr_survey(
     full rank with no work of its own (see :func:`survey._survey_ranks`).
     ``G`` is drawn once, for the longest window: the map of each seq is the
     prefix of its first ``seq * n_inputs`` input rows, the same map an
-    ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`). The
-    sign of every batch size and the range of every seq are checked before
-    that draw; each seq's batch sizes are checked against its training split
-    just before that seq is surveyed, so a batch size too large for a later
-    seq raises after the earlier seqs are surveyed. A batch size repeated
-    in the grid gets its own, identical cell.
+    ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`).
+    Every (bs, seq) pair is checked (:func:`data.check_shape`) before that
+    draw, so a bad shape anywhere in the grid raises before any seq is
+    surveyed. A batch size repeated in the grid gets its own, identical
+    cell.
     """
     bs_grid = list(bs_grid)
     seq_grid = list(seq_grid)
     if not bs_grid or not seq_grid:
         raise InvalidInputError("bs and seq grids must be non-empty")
-    for bs in bs_grid:
-        if bs < 1:
-            raise InvalidInputError(f"batch size must be >= 1, got {bs}")
-    for seq in seq_grid:
-        if not 1 <= seq <= ds.n_rows:
-            raise InvalidInputError(f"seq must be in [1, {ds.n_rows}], got {seq}")
+    for seq, bs in product(seq_grid, bs_grid):
+        check_shape(ds.n_rows, seq, bs)
     augmenter = Augmenter(
         AugmentConfig(
             input_dim=max(seq_grid) * ds.n_inputs,
@@ -441,11 +440,6 @@ def rr_survey(
     summaries = []
     for seq in seq_grid:
         train, _, _ = prepare_windows(ds, seq, standardize_data)
-        for bs in bs_grid:
-            if bs > train.n_windows:
-                raise InvalidInputError(
-                    f"batch size {bs} leaves no full training batch at seq {seq}"
-                )
         ranks = _survey_ranks(train, augmenter, set(bs_grid), seed)
         # freed before the next window length builds its own
         del train

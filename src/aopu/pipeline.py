@@ -8,8 +8,6 @@ import os
 from collections import deque
 from itertools import islice
 
-from .data import batches
-
 # training columns augmented ahead of the step: the worker's window holds
 # max(2, WINDOW_COLUMNS // bs) batches. train-paper calls (bs 64, one BLAS
 # thread, two CPUs; medians of 8 in one process at seeds 3 and 7) took
@@ -42,36 +40,36 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def _augmented_batches(augmenter, train, bs, epoch_seeds):
-    """``(x_tilde, targets, epoch_end)`` for every training step, in order.
+def _augmented_batches(augmenter, cuts):
+    """``(x_tilde, targets, last)`` for every batch of every cut in the
+    non-empty list ``cuts``, in order; ``last`` marks a cut's last batch.
 
-    Epoch ``e`` walks ``batches(train, bs, shuffle=True,
-    seed=epoch_seeds[e])``, and ``epoch_end`` marks its last batch. Each
-    batch is augmented by one ``augment`` call of its own, as a serial loop
-    does it, so every output is bit for bit the serial loop's. ``G`` is
-    frozen, so a batch's augmentation does not depend on the weights and may
-    run ahead of the step.
+    A cut is a :class:`data.Batches`: ``train_run`` passes one shuffled cut
+    per epoch, and a chronological pass would be ``[batches(ws, bs)]``.
+    Each batch is augmented by one ``augment`` call of its own, as a serial
+    loop does it, so every output is bit for bit the serial loop's. ``G``
+    is frozen, so a batch's augmentation does not depend on the weights and
+    may run ahead of the step.
 
     The worker runs only when the map has a hidden block (without one,
     augmentation is a copy) and the process may run on more CPUs than a
     BLAS call uses threads, so that a CPU is left for it. Without it, each
-    epoch's batches are gathered together, and a batch is augmented when
-    the caller asks for it. With it, a window of the next
-    ``max(2, WINDOW_COLUMNS // bs)`` batches, across epoch ends too, is
-    queued in order on a worker thread that this generator owns; each job
-    gathers and augments one batch. When the caller takes a batch the
-    worker has not finished, it cancels the job and augments the batch
-    itself if the worker has not started it; if the worker runs it, the
-    caller augments the farthest batch of the window the worker has not
+    cut's batches are gathered together, and a batch is augmented when the
+    caller asks for it. With it, a window of the next ``max(2,
+    WINDOW_COLUMNS // bs)`` batches, ``bs`` read off the first cut, is
+    queued in order across cut ends on a worker thread that this generator
+    owns; each job gathers and augments one batch. When the caller takes a
+    batch the worker has not finished, it cancels the job and augments the
+    batch itself if the worker has not started it; if the worker runs it,
+    the caller augments the farthest batch of the window the worker has not
     started (:meth:`Future.cancel` succeeds only on those) and checks
-    again, and waits only when none is left. No epoch's batches are
-    gathered all at once, and a batch is dropped once the caller moves past
-    it, so about a window of batches is alive. An exception in a
-    batch reaches the caller, with its own type, when it takes that batch,
-    whichever thread augmented it. The worker is shut down when the
-    generator ends, raises or is closed.
+    again, and waits only when none is left. No cut's batches are gathered
+    all at once, and a batch is dropped once the caller moves past it, so
+    about a window of batches is alive. An exception in a batch reaches the
+    caller, with its own type, when it takes that batch, whichever thread
+    augmented it. The worker is shut down when the generator ends, raises
+    or is closed.
     """
-    n_batches = train.n_windows // bs
     # the worker costs more than it saves where it is off: it made
     # train-lowrr (hidden 0) calls about 10% slower in perfbench pairs; on
     # one CPU, train-paper's set-up, which includes a first call, about
@@ -79,26 +77,18 @@ def _augmented_batches(augmenter, train, bs, epoch_seeds):
     # about 15% slower in process
     cpus = _cpu_count()
     if not (augmenter.config.hidden > 0 and cpus > _blas_threads(cpus)):
-        # each epoch's batches are gathered together before its steps, as
+        # each cut's batches are gathered together before its steps, as
         # a serial loop gathers them (a gather before each step made a
         # train-lowrr call about 3% slower), and the list is not named, so
-        # it is freed before the next epoch's is gathered
-        for seed in epoch_seeds:
-            for i, (feats, targs) in enumerate(
-                list(batches(train, bs, shuffle=True, seed=seed))
-            ):
-                yield augmenter.augment(feats), targs, i == n_batches - 1
+        # it is freed before the next cut's is gathered
+        for cut in cuts:
+            for i, (feats, targs) in enumerate(list(cut)):
+                yield augmenter.augment(feats), targs, i == len(cut) - 1
         return
-
-    def jobs():
-        for seed in epoch_seeds:
-            cut = batches(train, bs, shuffle=True, seed=seed)
-            for i in range(n_batches):
-                yield cut, i
 
     def augmented(cut, i):
         feats, targs = cut[i]
-        return augmenter.augment(feats), targs, i == n_batches - 1
+        return augmenter.augment(feats), targs, i == len(cut) - 1
 
     # imported only here: a process whose runs start no worker (no hidden
     # block, or one CPU) does not load the module, about 75 KB from source
@@ -136,12 +126,12 @@ def _augmented_batches(augmenter, train, bs, epoch_seeds):
             pass
         return future.result()
 
-    todo = jobs()
+    todo = ((cut, i) for cut in cuts for i in range(len(cut)))
     pool = ThreadPoolExecutor(1, thread_name_prefix="aopu-augment")
     try:
         window = deque(
             (job, pool.submit(augmented, *job))
-            for job in islice(todo, max(2, WINDOW_COLUMNS // bs))
+            for job in islice(todo, max(2, WINDOW_COLUMNS // cuts[0].bs))
         )
         while window:
             yield take()

@@ -262,6 +262,33 @@ def test_missing_dataset_exits_2_and_creates_no_out_dir(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "repeat", "rr-survey", "ablate"])
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        ("config", "unknown activation 'nosuch'"),
+        ("shape", "batch size 100000 leaves no full training batch at seq 4"),
+    ],
+    ids=["config", "shape"],
+)
+def test_library_error_exits_2_and_creates_no_out_dir(
+    tmp_path, capsys, command, error, message
+):
+    out = tmp_path / "run"
+    argv = [command, "--synth-n", "400", "--hidden", "16", "--out-dir", str(out)]
+    if command == "rr-survey":
+        argv += ["--seq-grid", "4", "--bs-grid", "100000" if error == "shape" else "16"]
+    else:
+        argv += ["--seq", "4", "--epochs", "2", "--bs", "100000" if error == "shape" else "16"]
+    if error == "config":
+        argv += ["--activations" if command == "ablate" else "--activation", "nosuch"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aopu: error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unreadable_dataset_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     binary = tmp_path / "binary.csv"

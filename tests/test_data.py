@@ -18,6 +18,7 @@ from aopu.data import (
     SCHEMAS,
     ZeroVarianceError,
     batches,
+    check_shape,
     load_csv,
     split,
     standardize,
@@ -276,6 +277,41 @@ class TestSplit:
             split(ws, (0.8, 0.3, -0.1))
         with pytest.raises(InvalidInputError):
             split(ws, (0.5, 0.4, 0.2))
+
+
+class TestCheckShape:
+    @pytest.mark.parametrize("n_rows", [4, 11, 37])
+    def test_agrees_with_windowing_and_splitting(self, n_rows):
+        # the arithmetic check accepts a shape exactly when windowing and
+        # splitting the rows leave at least bs training windows
+        v = np.column_stack([np.arange(n_rows, dtype=float)] * 2)
+        ds = _toy_dataset(v, n_inputs=1, target_col=1)
+        for seq in range(-1, n_rows + 2):
+            try:
+                n_train = split(window(ds, seq))[0].n_windows
+            except InvalidInputError:
+                n_train = 0
+            for bs in range(-1, n_train + 3):
+                if 1 <= bs <= n_train:
+                    check_shape(n_rows, seq, bs)
+                else:
+                    with pytest.raises(InvalidInputError):
+                        check_shape(n_rows, seq, bs)
+
+    @pytest.mark.parametrize(
+        "seq, bs, message",
+        [
+            (0, 8, r"seq must be in \[1, 100\], got 0"),
+            (101, 8, r"seq must be in \[1, 100\], got 101"),
+            (4, 0, "batch size must be >= 1, got 0"),
+            (99, 1, "split of 2 windows leaves an empty partition"),
+            (4, 59, "batch size 59 leaves no full training batch at seq 4"),
+        ],
+    )
+    def test_messages(self, seq, bs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            check_shape(100, seq, bs)
+        check_shape(100, 4, 58)  # 97 windows: 58 train, 19 validation, 20 test
 
 
 class TestBatches:

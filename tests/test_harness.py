@@ -225,9 +225,25 @@ class TestTrainRun:
         assert rep.mean_train_rr == pytest.approx(16 / 160)
         assert rep.low_rr_warning
 
-    def test_batch_larger_than_training_split_rejected(self, small_ds):
-        with pytest.raises(InvalidInputError):
-            train_run(small_ds, _small_config(bs=100000))
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"bs": 100000}, "batch size 100000 leaves no full training batch at seq 4"),
+            ({"seq": 500}, "split of 1 windows leaves an empty partition"),
+            ({"seq": 501}, r"seq must be in \[1, 500\], got 501"),
+        ],
+        ids=["bs", "empty-partition", "seq"],
+    )
+    def test_bad_shape_raises_before_windowing(
+        self, small_ds, monkeypatch, config, message
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "aopu.harness.prepare_windows", lambda *args: calls.append(args)
+        )
+        with pytest.raises(InvalidInputError, match=message):
+            train_run(small_ds, _small_config(**config))
+        assert calls == []
 
 
 class TestSweep:
@@ -296,8 +312,15 @@ class TestSweep:
             ({}, {"activation": ["tanh", "nosuch"]}, [0, 1], "unknown activation"),
             ({"hidden": 0}, {"layer_norm": [False, True]}, [0, 1],
              "layer_norm requires a hidden block"),
+            ({}, {"bs": [16, 100000]}, [0, 1],
+             "batch size 100000 leaves no full training batch at seq 4"),
+            ({"bs": 100}, {"seq": [4, 400]}, [0, 1],
+             "batch size 100 leaves no full training batch at seq 400"),
+            ({}, {"seq": [4, 500]}, [0, 1],
+             "split of 1 windows leaves an empty partition"),
         ],
-        ids=["negative-last-seed", "unknown-last-activation", "layer-norm-no-hidden"],
+        ids=["negative-last-seed", "unknown-last-activation", "layer-norm-no-hidden",
+             "bs-past-the-split", "seq-past-the-split", "seq-empty-partition"],
     )
     def test_bad_last_cell_raises_before_any_run(
         self, small_ds, monkeypatch, config, grid, seeds, message
@@ -367,6 +390,28 @@ class TestRrSurvey:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_batch_too_large_for_a_later_seq_rejected_before_any_survey(
+        self, ar_ds, monkeypatch
+    ):
+        # bs 800 fits the 899 training windows of seq 2 but not the 780 of
+        # seq 200; nothing is surveyed and G, (5 * 200) x 2048, is not drawn
+        calls = []
+        monkeypatch.setattr(
+            "aopu.harness._survey_ranks", lambda *args: calls.append(args)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                InvalidInputError,
+                match="batch size 800 leaves no full training batch at seq 200",
+            ):
+                rr_survey(ar_ds, bs_grid=[16, 800], seq_grid=[2, 200], hidden=2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
         assert peak < 2**20
 
     @pytest.mark.parametrize("seq_grid", [(4, 2, 3), (3, 3, 2)])

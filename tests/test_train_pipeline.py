@@ -188,11 +188,16 @@ def _train_batches(ds, epochs=3):
     return augmenter, train, seeds
 
 
-def serial_batches(augmenter, train, bs, seeds):
+def epoch_cuts(train, bs, seeds):
+    """One shuffled cut per epoch seed, as train_run builds them."""
+    return [batches(train, bs, shuffle=True, seed=seed) for seed in seeds]
+
+
+def serial_batches(augmenter, cuts):
     """What the generator must yield: each batch augmented on its own."""
     out = []
-    for seed in seeds:
-        cut = list(batches(train, bs, shuffle=True, seed=seed))
+    for cut in cuts:
+        cut = list(cut)
         for i, (feats, targs) in enumerate(cut):
             out.append((augmenter.augment(feats), targs, i == len(cut) - 1))
     return out
@@ -217,26 +222,24 @@ def spy_augment(monkeypatch, worker_s=0.0, main_s=0.0):
     return calls, taken
 
 
-def take_all(augmenter, train, bs, seeds, calls, taken) -> dict:
-    """Take every batch of ``_augmented_batches`` into ``taken`` and check
-    it against a serial loop: the same bits, in order, and one augment call
-    per batch, whichever thread made it. Returns each batch's position in
-    the run, by the bytes of its input."""
-    for item in _augmented_batches(augmenter, train, bs, seeds):
+def take_all(augmenter, cuts, calls, taken) -> dict:
+    """Take every batch of ``_augmented_batches`` over ``cuts`` into
+    ``taken`` and check it against a serial loop: the same bits, in order,
+    and one augment call per batch, whichever thread made it. Returns each
+    batch's position in the run, by the bytes of its input."""
+    for item in _augmented_batches(augmenter, cuts):
         taken.append(item)
     assert not worker_names()
     made = calls[:]  # before the serial loop adds its own
-    expected = serial_batches(augmenter, train, bs, seeds)
+    expected = serial_batches(augmenter, cuts)
     assert len(taken) == len(expected)
     for (x, targs, end), (x0, targs0, end0) in zip(taken, expected):
         assert x.tobytes() == x0.tobytes()
         assert targs.tobytes() == targs0.tobytes()
         assert end == end0
     order = {
-        feats.tobytes(): k for k, feats in enumerate(
-            feats for seed in seeds
-            for feats, _ in batches(train, bs, shuffle=True, seed=seed)
-        )
+        feats.tobytes(): k
+        for k, feats in enumerate(feats for cut in cuts for feats, _ in cut)
     }
     assert len(order) == len(expected)
     assert sorted(order[x] for _, x, _ in made) == list(range(len(expected)))
@@ -250,7 +253,7 @@ class TestCallerHelps:
         # finished and augments some itself
         calls, taken = spy_augment(monkeypatch, worker_s=0.01, main_s=0.001)
         augmenter, train, seeds = _train_batches(ds)
-        order = take_all(augmenter, train, bs, seeds, calls, taken)
+        order = take_all(augmenter, epoch_cuts(train, bs, seeds), calls, taken)
         # the main thread augmented batches beyond the next one to take
         # while the worker ran that one, and the worker augmented some too
         assert any(on_main and order[x] > n for on_main, x, n in calls)
@@ -262,7 +265,7 @@ class TestCallerHelps:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            take_all(augmenter, train, 4, seeds, calls, taken)
+            take_all(augmenter, epoch_cuts(train, 4, seeds), calls, taken)
         finally:
             sys.setswitchinterval(interval)
 
@@ -277,10 +280,8 @@ class TestCallerHelps:
             pass
 
         augmenter, train, seeds = _train_batches(ds)
-        order = [
-            feats.tobytes() for seed in seeds
-            for feats, _ in batches(train, 16, shuffle=True, seed=seed)
-        ]
+        cuts = epoch_cuts(train, 16, seeds)
+        order = [feats.tobytes() for cut in cuts for feats, _ in cut]
         augment = Augmenter.augment
         main = threading.current_thread()
         taken, failed = [], []
@@ -297,7 +298,7 @@ class TestCallerHelps:
 
         monkeypatch.setattr(Augmenter, "augment", failing)
         with pytest.raises(CallerFailure):
-            for item in _augmented_batches(augmenter, train, 16, seeds):
+            for item in _augmented_batches(augmenter, cuts):
                 taken.append(item)
         assert not worker_names()
         # raised when the first failing batch is taken, not when it was
@@ -317,12 +318,34 @@ class TestCallerHelps:
             return augment(self, x)
 
         monkeypatch.setattr(Augmenter, "augment", slow)
-        steps = _augmented_batches(augmenter, train, 16, seeds)
+        steps = _augmented_batches(augmenter, epoch_cuts(train, 16, seeds))
         next(steps)
         assert running.wait(5)
         assert worker_names()
         steps.close()
         assert not worker_names()
+
+
+class TestChronologicalCut:
+    """One unshuffled cut, ``[batches(train, bs)]``: the single
+    chronological pass that a test-then-train run steps through."""
+
+    @pytest.mark.parametrize("cpus", ["two_cpus", "one_cpu"])
+    @pytest.mark.parametrize("bs", [16, 48])
+    def test_equals_serial_loop(self, ds, request, monkeypatch, cpus, bs):
+        request.getfixturevalue(cpus)
+        calls, taken = spy_augment(monkeypatch, worker_s=0.01, main_s=0.001)
+        augmenter, train, _ = _train_batches(ds)
+        take_all(augmenter, [batches(train, bs)], calls, taken)
+        # the worker path let the worker augment some batches; the inline
+        # path augmented all of them on the caller's thread
+        assert all(on_main for on_main, _, _ in calls) == (cpus == "one_cpu")
+        n = train.n_windows // bs
+        assert [end for _, _, end in taken] == [False] * (n - 1) + [True]
+        for k, (x, targs, _) in enumerate(taken):
+            cols = slice(k * bs, (k + 1) * bs)
+            assert x.tobytes() == augmenter.augment(train.features[:, cols]).tobytes()
+            assert targs.tobytes() == train.targets[cols].tobytes()
 
 
 class TestFailurePaths:
