@@ -5,11 +5,13 @@ generator and frozen; the hidden block is passed through one of the catalog
 activations and (optionally) per-sample layer normalization. The raw input
 block is always appended verbatim below the hidden block.
 
-Each augmented batch is built in one (d+h)-by-b buffer. G is stored in
-Fortran order, so G.T is C-contiguous, and the product G.T @ x is written
-straight into the buffer's first h rows. The activation and the layer norm
-then overwrite those rows in place, and x is copied into the last d rows.
-No intermediate block of the batch's size is allocated.
+Each augmented batch is built in one (d+h)-by-b buffer, which the caller
+may pass in. x is copied into the buffer's last d rows first, so the product
+reads a C-ordered block whatever the strides of x (a batch gathered from a
+read-only window view, or a split of one). G is stored in Fortran order, so
+G.T is C-contiguous, and the product G.T @ x is written straight into the
+buffer's first h rows. The activation and the layer norm then overwrite
+those rows in place. No intermediate block of the batch's size is allocated.
 """
 
 from __future__ import annotations
@@ -148,6 +150,15 @@ def _by_row_blocks(op, a: np.ndarray, rep: np.ndarray) -> None:
         op(part, rep[: len(part)], out=part)
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Raise unless ``value`` is a Python or numpy integer, not a bool, and
+    at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     """Shape, activation, normalization and seed of the augmentation block."""
@@ -159,10 +170,8 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.hidden < 0:
-            raise InvalidInputError(f"hidden must be >= 0, got {self.hidden}")
+        check_count("input_dim", self.input_dim, 1)
+        check_count("hidden", self.hidden, 0)
         if self.activation not in ACTIVATIONS:
             raise InvalidInputError(
                 f"unknown activation {self.activation!r}; "
@@ -225,19 +234,39 @@ class Augmenter:
     def output_dim(self) -> int:
         return self.config.input_dim + self.config.hidden
 
-    def augment(self, x) -> np.ndarray:
-        """Map a d-by-b input block to its (d+h)-by-b augmented form."""
+    def augment(self, x, *, out=None) -> np.ndarray:
+        """Map a d-by-b input block to its (d+h)-by-b augmented form.
+
+        The form is written into ``out`` and returned when it is given: a
+        writeable, C-contiguous float64 array of shape (d+h, b) that shares
+        no memory with ``x``. Otherwise it is written into a new array.
+        """
         xm = linalg.as_matrix(x, "x")
         if xm.shape[0] != self.config.input_dim:
             raise InvalidInputError(
                 f"x has {xm.shape[0]} rows, augmenter expects {self.config.input_dim}"
             )
         h = self.config.hidden
-        out = np.empty((self.output_dim, xm.shape[1]))
+        shape = (self.output_dim, xm.shape[1])
+        if out is None:
+            out = np.empty(shape)
+        elif not (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.shape == shape
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise InvalidInputError(
+                f"out must be a writeable C-contiguous float64 array of shape {shape}"
+            )
+        elif np.shares_memory(out, xm):
+            raise InvalidInputError("out must share no memory with x")
+        # the raw rows first: the product then reads them C-ordered
+        out[h:] = xm
         hidden = out[:h]
-        np.matmul(self.g_hat.T, xm, out=hidden)
+        np.matmul(self.g_hat.T, out[h:], out=hidden)
         ACTIVATIONS[self.config.activation](hidden)
         if self.config.layer_norm:
             _layer_norm(hidden)
-        out[h:] = xm
         return out

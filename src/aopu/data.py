@@ -7,6 +7,11 @@ are process variables and whose remaining columns are candidate targets.
 Windowed features are column-per-sample matrices of shape (seq * n_inputs, N)
 where window k concatenates input rows k .. k+seq-1 in time order
 (variable-major within each step) and the target is taken at row k+seq-1.
+They are a read-only strided view over one private, C-ordered copy of the
+input columns: window k starts k * n_inputs floats into that copy and is its
+next seq * n_inputs floats, so a column of the features is contiguous and
+the series is held once, not seq times. Splits are column slices of the
+view, and batches are fresh, writeable copies gathered from it.
 
 Standardization statistics are always fitted on the chronologically earliest
 fraction of raw rows and applied unchanged everywhere else; nothing is ever
@@ -20,6 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AopuError, InvalidInputError
 
@@ -248,7 +254,11 @@ def standardize(ds: Dataset, stats: ColumnStats) -> Dataset:
 
 @dataclass(frozen=True)
 class WindowedSet:
-    """Flattened sliding windows: features (seq*n_inputs, N), targets (N, o)."""
+    """Flattened sliding windows: features (seq*n_inputs, N), targets (N, o).
+
+    ``features`` is a read-only view (see the module's layout conventions);
+    gather batches from it with :func:`batches` to get arrays to write.
+    """
 
     features: np.ndarray
     targets: np.ndarray
@@ -267,16 +277,19 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
 
     Window k spans raw rows [k, k+seq) and takes its target at row k+seq-1,
     giving N = n_rows - seq + 1 windows.
+
+    The features are a read-only strided view over a private C-ordered copy
+    of the input columns, the only array made here: n_rows * n_inputs
+    floats, where a copy of every window would take seq times as many. The
+    view shares no memory with ``ds.values``.
     """
     if not 1 <= seq <= ds.n_rows:
         raise InvalidInputError(f"seq must be in [1, {ds.n_rows}], got {seq}")
-    x = ds.inputs()
+    x = np.array(ds.inputs(), order="C")
     d = ds.n_inputs
-    n_windows = ds.n_rows - seq + 1
-    # feature row t*d + i of window k is x[k + t, i]: one slice copy per lag
-    features = np.empty((seq * d, n_windows), dtype=x.dtype)
-    for t in range(seq):
-        features[t * d : (t + 1) * d] = x[t : t + n_windows].T
+    # feature row t*d + i of window k is x[k + t, i], flat index (k + t)*d + i
+    # of x: the seq*d floats from k*d on
+    features = sliding_window_view(x.ravel(), seq * d)[::d].T
     targets = ds.target()[seq - 1 :][:, None]
     return WindowedSet(features=features, targets=targets)
 
@@ -297,7 +310,9 @@ def _partition_sizes(n: int, ratios=SPLIT_RATIOS) -> tuple:
 def split(ws: WindowedSet, ratios=SPLIT_RATIOS):
     """Chronological, contiguous train/validation/test split.
 
-    Shuffled splits are rejected by construction - there is no option.
+    Shuffled splits are rejected by construction - there is no option. Each
+    part's features are a column slice of ``ws.features``, so a split of a
+    :func:`window` view is a read-only view of the same private copy.
     """
     parts = []
     start = 0
@@ -332,6 +347,9 @@ class Batches(Sequence):
     run of ``bs`` entries of the order; the short remainder is dropped. The
     sequence holds the order alone, so iterating an epoch keeps at most the
     batch in use and the one being gathered, never every batch at once.
+    Every gather is a fresh, writeable array, also from the read-only view
+    of a :func:`window` set, whose columns it reads as contiguous runs of
+    ``dim`` floats.
     """
 
     def __init__(self, ws: WindowedSet, bs: int, order: np.ndarray):

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .augment import AugmentConfig, Augmenter
+from .augment import AugmentConfig, Augmenter, check_count
 from .baselines import RvflnnModel
 from .data import (
     SPLIT_RATIOS,
@@ -126,10 +126,8 @@ class TrainConfig:
         if self.strategy not in STRATEGIES:
             raise InvalidInputError(f"strategy must be one of {STRATEGIES}")
         for name in ("bs", "seq", "epochs"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
-        if self.hidden < 0:
-            raise InvalidInputError("hidden must be >= 0")
+            check_count(name, getattr(self, name), 1)
+        check_count("hidden", self.hidden, 0)
         if self.lr is not None and not 0 < self.lr < np.inf:
             raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
 

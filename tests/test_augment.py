@@ -16,6 +16,7 @@ from aopu.augment import (
     Augmenter,
     _layer_norm,
 )
+from aopu.data import synth_generate, window
 from aopu.errors import InvalidInputError
 
 
@@ -45,6 +46,17 @@ class TestInitAugmenter:
         a1 = Augmenter(AugmentConfig(input_dim=4, hidden=8, seed=5))
         a2 = Augmenter(AugmentConfig(input_dim=4, hidden=8, seed=6))
         assert np.any(a1.g_hat != a2.g_hat)
+
+    @pytest.mark.parametrize("field", ["input_dim", "hidden"])
+    @pytest.mark.parametrize("value", [4.0, 4.5, True, False, np.float64(4.0), "4"])
+    def test_non_integer_shape_rejected(self, field, value):
+        kwargs = {"input_dim": 2, "hidden": 4, field: value}
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            AugmentConfig(**kwargs)
+
+    def test_numpy_integer_shape_accepted(self):
+        aug = Augmenter(AugmentConfig(input_dim=np.int32(3), hidden=np.int64(5)))
+        assert aug.augment(np.ones((3, 2))).shape == (8, 2)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -269,6 +281,116 @@ class TestOneBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * aug.g_hat.nbytes
+
+
+def _strided(kind, d, b, seed):
+    """A d-by-b float64 input that is not C-contiguous: a column slice of a
+    window view, an F-ordered array or a column slice of a C array."""
+    rng = np.random.default_rng(seed)
+    if kind == "window-view":
+        ds = synth_generate(n=60, n_vars=d // 3, seed=seed)
+        x = window(ds, 3).features[:, 7 : 7 + b]
+        assert not x.flags.writeable
+    elif kind == "fortran":
+        x = np.asfortranarray(rng.standard_normal((d, b)))
+    else:
+        x = rng.standard_normal((d, 3 * b + 2))[:, 2 : 2 + b]
+    assert not x.flags.c_contiguous or b == 1
+    return x
+
+
+class TestStridedInputs:
+    """augment reads an input of any strides as it reads its C-ordered copy."""
+
+    @pytest.mark.parametrize("kind", ["window-view", "fortran", "column-slice"])
+    @pytest.mark.parametrize("norm", [False, True])
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_equals_contiguous_copy(self, name, norm, kind):
+        aug = Augmenter(
+            AugmentConfig(input_dim=6, hidden=16, activation=name, layer_norm=norm, seed=3)
+        )
+        x = _strided(kind, 6, 5, seed=2)
+        np.testing.assert_array_equal(
+            _bits(aug.augment(x)), _bits(aug.augment(np.ascontiguousarray(x)))
+        )
+
+    def test_warm_call_on_a_view_allocates_only_its_output(self):
+        # a batch of the train-paper windows, read straight from the view
+        x = window(synth_generate(n=400, n_vars=5, seed=0), 48).features[:, 100:164]
+        aug = Augmenter(AugmentConfig(input_dim=240, hidden=2048, seed=0))
+        aug.augment(x)  # warm
+        tracemalloc.start()
+        try:
+            out = aug.augment(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+
+
+def _read_only(shape):
+    a = np.empty(shape)
+    a.setflags(write=False)
+    return a
+
+
+class TestOut:
+    @pytest.mark.parametrize("norm", [False, True])
+    @pytest.mark.parametrize("hidden", [0, 16])
+    def test_fills_and_returns_out(self, norm, hidden):
+        aug = Augmenter(
+            AugmentConfig(input_dim=6, hidden=hidden, layer_norm=norm and hidden > 0,
+                          seed=1)
+        )
+        x = _strided("fortran", 6, 5, seed=4)
+        out = np.full((aug.output_dim, 5), np.nan)
+        assert aug.augment(x, out=out) is out
+        np.testing.assert_array_equal(_bits(out), _bits(aug.augment(x)))
+
+    def test_warm_call_into_out_allocates_no_batch(self):
+        aug = Augmenter(AugmentConfig(input_dim=240, hidden=2048, seed=0))
+        x = np.random.default_rng(0).standard_normal((240, 64))
+        out = np.empty((aug.output_dim, 64))
+        aug.augment(x, out=out)  # warm
+        tracemalloc.start()
+        try:
+            aug.augment(x, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's mask of x, a sixty-fourth of x_tilde
+        assert peak <= 0.05 * out.nbytes
+
+    @pytest.mark.parametrize("kind", [
+        "shape", "short", "float32", "fortran", "column-slice", "read-only", "list",
+    ])
+    def test_bad_out_rejected(self, kind):
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=4, seed=0))
+        x = np.ones((3, 5))
+        out = {
+            "shape": lambda: np.empty((7, 6)),
+            "short": lambda: np.empty((6, 5)),
+            "float32": lambda: np.empty((7, 5), dtype=np.float32),
+            "fortran": lambda: np.empty((7, 5), order="F"),
+            "column-slice": lambda: np.empty((7, 10))[:, :5],
+            "read-only": lambda: _read_only((7, 5)),
+            "list": lambda: [[0.0] * 5] * 7,
+        }[kind]()
+        with pytest.raises(InvalidInputError, match="out must be a writeable"):
+            aug.augment(x, out=out)
+
+    def test_out_sharing_memory_with_x_rejected(self):
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=4, seed=0))
+        out = np.zeros((7, 5))
+        for x in (out[4:], out[:3], out[2:5]):
+            with pytest.raises(InvalidInputError, match="share no memory"):
+                aug.augment(x, out=out)
+        np.testing.assert_array_equal(out, 0.0)
+
+    def test_out_is_keyword_only(self):
+        aug = Augmenter(AugmentConfig(input_dim=3, hidden=4, seed=0))
+        with pytest.raises(TypeError):
+            aug.augment(np.ones((3, 5)), np.empty((7, 5)))
 
 
 class TestActivations:

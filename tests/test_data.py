@@ -229,10 +229,35 @@ class TestWindow:
         n = 30 - seq + 1
         idx = np.arange(n)[:, None] + np.arange(seq)[None, :]
         ref = v[:, :n_inputs][idx].reshape(n, seq * n_inputs).T
-        assert ws.features.flags.c_contiguous
+        # a read-only view of the window's own copy of the inputs
+        assert not ws.features.flags.writeable
+        assert not np.shares_memory(ws.features, ds.values)
         np.testing.assert_array_equal(
             ws.features.view(np.uint64), np.ascontiguousarray(ref).view(np.uint64)
         )
+
+    def test_holds_one_copy_of_the_inputs(self):
+        ds = synth_generate(n=4000, n_vars=5, seed=0)
+        tracemalloc.start()
+        try:
+            ws = window(ds, 48)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of every window would be 48 times as large
+        assert ws.dim * ws.n_windows == 240 * 3953
+        assert peak <= 1.1 * 4000 * 5 * 8
+
+    def test_prepare_windows_allocates_under_a_mib(self):
+        ds = synth_generate(n=4000, n_vars=5, seed=0)
+        tracemalloc.start()
+        try:
+            train, val, test = harness.prepare_windows(ds, 48)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert train.n_windows + val.n_windows + test.n_windows == 3953
+        assert peak < 2**20
 
     def test_bad_seq(self):
         ds = _toy_dataset(np.ones((5, 3)) + np.arange(5)[:, None])
@@ -391,6 +416,23 @@ class TestLazyBatches:
         f[...] = np.nan
         assert np.all(np.isfinite(lazy[0][0]))
         assert np.all(np.isfinite(ws.features))
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_gathers_from_a_view_are_fresh_and_writeable(self, ws, part):
+        sub = split(ws)[part]
+        assert not sub.features.flags.writeable
+        copy = np.ascontiguousarray(sub.features)
+        bs = 5
+        lazy = batches(sub, bs, shuffle=True, seed=4)
+        order = np.random.default_rng(4).permutation(sub.n_windows)
+        for i, (f, t) in enumerate(lazy):
+            cols = order[i * bs : (i + 1) * bs]
+            assert f.tobytes() == copy[:, cols].tobytes()
+            assert t.tobytes() == sub.targets[cols].tobytes()
+            assert f.flags.writeable and not np.shares_memory(f, ws.features)
+        part = lazy.columns(2, 13)
+        assert part.tobytes() == copy[:, order[2:13]].tobytes()
+        assert part.flags.writeable and not np.shares_memory(part, ws.features)
 
     def test_columns_span_batches(self, ws):
         # survey._survey_ranks gathers each block of the shuffled split so

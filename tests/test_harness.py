@@ -119,6 +119,26 @@ class TestTrainConfig:
             with pytest.raises(InvalidInputError, match="lr must be positive"):
                 TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("field", ["bs", "seq", "hidden", "epochs"])
+    @pytest.mark.parametrize("value", [16.0, 4.5, 2.5, True, np.float64(8.0), "16"])
+    def test_non_integer_shape_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_bool_batch_size_does_not_train(self):
+        # True once trained at bs 1
+        with pytest.raises(InvalidInputError, match="bs must be an integer, got True"):
+            _small_config(bs=True)
+
+    def test_numpy_integer_shape_accepted(self):
+        ds = synth_generate(n=200, n_vars=3, seed=0)
+        config = _small_config(
+            bs=np.int64(8), seq=np.int32(4), hidden=np.int64(16), epochs=np.int16(2)
+        )
+        report, plain = train_run(ds, config), train_run(ds, _small_config(epochs=2))
+        assert report.n_iterations == plain.n_iterations == 2 * (118 // 8)
+        assert report.epoch_weight_hashes == plain.epoch_weight_hashes
+
     @pytest.mark.parametrize("seed", (-1, 1.5))
     def test_seed_must_be_a_non_negative_integer(self, seed):
         ds = synth_generate(n=200, n_vars=3, seed=0)
@@ -318,9 +338,11 @@ class TestSweep:
              "batch size 100 leaves no full training batch at seq 400"),
             ({}, {"seq": [4, 500]}, [0, 1],
              "split of 1 windows leaves an empty partition"),
+            ({}, {"bs": [16, 32.0]}, [0, 1], "bs must be an integer, got 32.0"),
         ],
         ids=["negative-last-seed", "unknown-last-activation", "layer-norm-no-hidden",
-             "bs-past-the-split", "seq-past-the-split", "seq-empty-partition"],
+             "bs-past-the-split", "seq-past-the-split", "seq-empty-partition",
+             "float-last-bs"],
     )
     def test_bad_last_cell_raises_before_any_run(
         self, small_ds, monkeypatch, config, grid, seeds, message

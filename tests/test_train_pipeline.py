@@ -10,11 +10,12 @@ import os
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aopu import harness
+from aopu import harness, pipeline
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.data import batches, synth_generate
 from aopu.errors import DivergenceError
@@ -60,9 +61,9 @@ def augment_threads(monkeypatch):
     names = []
     augment = Augmenter.augment
 
-    def spy(self, x):
+    def spy(self, x, *, out=None):
         names.append(threading.current_thread().name)
-        return augment(self, x)
+        return augment(self, x, out=out)
 
     monkeypatch.setattr(Augmenter, "augment", spy)
     return names
@@ -212,11 +213,11 @@ def spy_augment(monkeypatch, worker_s=0.0, main_s=0.0):
     augment = Augmenter.augment
     main = threading.current_thread()
 
-    def spy(self, x):
+    def spy(self, x, *, out=None):
         on_main = threading.current_thread() is main
         calls.append((on_main, x.tobytes(), len(taken)))
         time.sleep(main_s if on_main else worker_s)
-        return augment(self, x)
+        return augment(self, x, out=out)
 
     monkeypatch.setattr(Augmenter, "augment", spy)
     return calls, taken
@@ -286,7 +287,7 @@ class TestCallerHelps:
         main = threading.current_thread()
         taken, failed = [], []
 
-        def failing(self, x):
+        def failing(self, x, *, out=None):
             if threading.current_thread() is not main:
                 time.sleep(0.01)
             elif order.index(x.tobytes()) > len(taken):
@@ -294,7 +295,7 @@ class TestCallerHelps:
                 # runs the next one
                 failed.append(order.index(x.tobytes()))
                 raise CallerFailure("augment failed on the main thread")
-            return augment(self, x)
+            return augment(self, x, out=out)
 
         monkeypatch.setattr(Augmenter, "augment", failing)
         with pytest.raises(CallerFailure):
@@ -311,11 +312,11 @@ class TestCallerHelps:
         main = threading.current_thread()
         running = threading.Event()
 
-        def slow(self, x):
+        def slow(self, x, *, out=None):
             if threading.current_thread() is not main:
                 running.set()
                 time.sleep(0.05)
-            return augment(self, x)
+            return augment(self, x, out=out)
 
         monkeypatch.setattr(Augmenter, "augment", slow)
         steps = _augmented_batches(augmenter, epoch_cuts(train, 16, seeds))
@@ -324,6 +325,55 @@ class TestCallerHelps:
         assert worker_names()
         steps.close()
         assert not worker_names()
+
+
+class TestBuffers:
+    """The worker augments into buffers that the stepping thread allocates
+    when it queues each batch, so the worker allocates no batch itself."""
+
+    @pytest.fixture
+    def buffers(self, monkeypatch):
+        """``(made, calls)``: each buffer the pipeline allocates with the
+        name of the allocating thread, and each augment call's ``out`` with
+        the name of the calling thread."""
+        made, calls = [], []
+        empty, augment = np.empty, Augmenter.augment
+
+        def recording_empty(*args, **kwargs):
+            buf = empty(*args, **kwargs)
+            made.append((buf, threading.current_thread().name))
+            return buf
+
+        def spy(self, x, *, out=None):
+            calls.append((out, threading.current_thread().name))
+            return augment(self, x, out=out)
+
+        monkeypatch.setattr(pipeline, "np", SimpleNamespace(empty=recording_empty))
+        monkeypatch.setattr(Augmenter, "augment", spy)
+        return made, calls
+
+    @pytest.mark.parametrize("bs", [16, 200])
+    def test_worker_path(self, ds, two_cpus, monkeypatch, buffers, bs):
+        made, calls = buffers
+        augmenter, train, seeds = _train_batches(ds)
+        taken = list(_augmented_batches(augmenter, epoch_cuts(train, bs, seeds)))
+        main = threading.current_thread().name
+        assert len(made) == len(calls) == len(taken)
+        assert {name for _, name in made} == {main}
+        assert any(name != main for _, name in calls)
+        # each batch is the buffer queued for it, in order, and one call,
+        # on either thread, filled it
+        assert all(x is buf for (buf, _), (x, _, _) in zip(made, taken))
+        assert sorted(id(out) for out, _ in calls) == sorted(id(buf) for buf, _ in made)
+        assert all(buf.shape == (augmenter.output_dim, bs) for buf, _ in made)
+
+    def test_inline_path_allocates_in_augment(self, ds, one_cpu, buffers):
+        made, calls = buffers
+        augmenter, train, seeds = _train_batches(ds)
+        taken = list(_augmented_batches(augmenter, epoch_cuts(train, 16, seeds)))
+        assert made == []
+        assert len(calls) == len(taken)
+        assert all(out is None for out, _ in calls)
 
 
 class TestChronologicalCut:
@@ -370,10 +420,10 @@ class TestFailurePaths:
         augment = Augmenter.augment
         main = threading.current_thread()
 
-        def failing(self, x):
+        def failing(self, x, *, out=None):
             if threading.current_thread() is not main:
                 raise AugmentFailure("augment failed on the worker")
-            return augment(self, x)
+            return augment(self, x, out=out)
 
         monkeypatch.setattr(Augmenter, "augment", failing)
         before = threading.active_count()
