@@ -6,12 +6,7 @@ gradient descent and minimum-variance estimation, with rank-ratio
 diagnostics that predict when those approximations are trustworthy.
 """
 
-from .augment import (
-    ACTIVATIONS,
-    ZERO_MEAN_ACTIVATIONS,
-    AugmentConfig,
-    Augmenter,
-)
+from .augment import ACTIVATIONS, AugmentConfig, Augmenter
 from .baselines import (
     LinearMve,
     RvflnnModel,

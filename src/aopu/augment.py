@@ -87,9 +87,6 @@ ACTIVATIONS = {
 # cap), which bounds the norm of hidden rows that are never computed.
 ACTIVATION_SLACK = 6.0
 
-# Odd activations whose expectation under a symmetric input law is zero.
-ZERO_MEAN_ACTIVATIONS = ("hardshrink", "tanh", "tanhshrink", "softsign", "softshrink")
-
 
 # rows of the one scratch block _layer_norm works through, below its
 # running-sum row: about 1.4% of a 2048-unit hidden block
@@ -172,6 +169,7 @@ class AugmentConfig:
     def __post_init__(self):
         check_count("input_dim", self.input_dim, 1)
         check_count("hidden", self.hidden, 0)
+        check_count("seed", self.seed, 0)
         if self.activation not in ACTIVATIONS:
             raise InvalidInputError(
                 f"unknown activation {self.activation!r}; "
@@ -179,10 +177,6 @@ class AugmentConfig:
             )
         if self.layer_norm and self.hidden < 2:
             raise InvalidInputError("layer_norm requires a hidden block of >= 2 rows")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidInputError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
 
 
 class Augmenter:

@@ -37,8 +37,8 @@ class RvflnnModel(LinearReadout):
 
     DEFAULT_LR = 0.005
 
-    def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float | None = None):
-        super().__init__(augmenter, out_dim, lr)
+    def __init__(self, augmenter: Augmenter, lr: float | None = None):
+        super().__init__(augmenter, lr)
         self.adam_m = np.zeros_like(self.w_tilde)
         self.adam_v = np.zeros_like(self.w_tilde)
         self.adam_t = 0

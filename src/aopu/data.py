@@ -21,12 +21,12 @@ re-fitted on validation or test data.
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .augment import check_count
 from .errors import AopuError, InvalidInputError
 
 AR_COEFF = 0.8  # synthetic per-variable autoregression coefficient
@@ -224,13 +224,10 @@ class ColumnStats:
     std: np.ndarray
 
 
-def train_column_stats(
-    ds: Dataset, train_fraction: float = SPLIT_RATIOS[0]
-) -> ColumnStats:
-    """Mean/std per column over the chronologically first fraction of rows."""
-    if not (0.0 < train_fraction <= 1.0):
-        raise InvalidInputError(f"train_fraction must be in (0, 1], got {train_fraction}")
-    n_fit = int(ds.n_rows * train_fraction)
+def train_column_stats(ds: Dataset) -> ColumnStats:
+    """Mean/std per column over the chronologically first
+    ``SPLIT_RATIOS[0]`` of the rows."""
+    n_fit = int(ds.n_rows * SPLIT_RATIOS[0])
     if n_fit < 2:
         raise InvalidInputError("training fraction leaves fewer than 2 rows")
     head = ds.values[:n_fit]
@@ -283,7 +280,8 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
     floats, where a copy of every window would take seq times as many. The
     view shares no memory with ``ds.values``.
     """
-    if not 1 <= seq <= ds.n_rows:
+    check_count("seq", seq, 1)
+    if seq > ds.n_rows:
         raise InvalidInputError(f"seq must be in [1, {ds.n_rows}], got {seq}")
     x = np.array(ds.inputs(), order="C")
     d = ds.n_inputs
@@ -294,29 +292,28 @@ def window(ds: Dataset, seq: int) -> WindowedSet:
     return WindowedSet(features=features, targets=targets)
 
 
-def _partition_sizes(n: int, ratios=SPLIT_RATIOS) -> tuple:
-    """Sizes of the train/validation/test partitions of ``n`` windows: train
-    and validation are floored, and the remainder goes to test."""
-    r = tuple(float(x) for x in ratios)
-    if len(r) != 3 or any(x <= 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-        raise InvalidInputError(f"ratios must be 3 positive values summing to 1, got {ratios}")
-    n_train, n_val = int(n * r[0]), int(n * r[1])
+def _partition_sizes(n: int) -> tuple:
+    """Sizes of the ``SPLIT_RATIOS`` partitions of ``n`` windows: train and
+    validation are floored, and the remainder goes to test."""
+    n_train, n_val = int(n * SPLIT_RATIOS[0]), int(n * SPLIT_RATIOS[1])
     sizes = (n_train, n_val, n - n_train - n_val)
     if min(sizes) < 1:
         raise InvalidInputError(f"split of {n} windows leaves an empty partition")
     return sizes
 
 
-def split(ws: WindowedSet, ratios=SPLIT_RATIOS):
-    """Chronological, contiguous train/validation/test split.
+def split(ws: WindowedSet):
+    """Chronological, contiguous train/validation/test split at
+    ``SPLIT_RATIOS``.
 
-    Shuffled splits are rejected by construction - there is no option. Each
-    part's features are a column slice of ``ws.features``, so a split of a
-    :func:`window` view is a read-only view of the same private copy.
+    Other ratios and shuffled splits are rejected by construction - there is
+    no option. Each part's features are a column slice of ``ws.features``,
+    so a split of a :func:`window` view is a read-only view of the same
+    private copy.
     """
     parts = []
     start = 0
-    for size in _partition_sizes(ws.n_windows, ratios):
+    for size in _partition_sizes(ws.n_windows):
         sl = slice(start, start + size)
         parts.append(
             WindowedSet(features=ws.features[:, sl], targets=ws.targets[sl])
@@ -326,27 +323,29 @@ def split(ws: WindowedSet, ratios=SPLIT_RATIOS):
 
 
 def check_shape(n_rows: int, seq: int, bs: int) -> None:
-    """Check, by arithmetic alone, that length-``seq`` windows of ``n_rows``
-    raw rows split into non-empty partitions whose training split holds a
-    full batch of ``bs`` columns; nothing is windowed or drawn."""
-    if not 1 <= seq <= n_rows:
+    """Check, by arithmetic alone, that ``seq`` and ``bs`` are integers
+    (:func:`augment.check_count`) and that length-``seq`` windows of
+    ``n_rows`` raw rows split into non-empty partitions whose training split
+    holds a full batch of ``bs`` columns; nothing is windowed or drawn."""
+    check_count("seq", seq, 1)
+    check_count("batch size", bs, 1)
+    if seq > n_rows:
         raise InvalidInputError(f"seq must be in [1, {n_rows}], got {seq}")
-    if bs < 1:
-        raise InvalidInputError(f"batch size must be >= 1, got {bs}")
     if bs > _partition_sizes(n_rows - seq + 1)[0]:
         raise InvalidInputError(
             f"batch size {bs} leaves no full training batch at seq {seq}"
         )
 
 
-class Batches(Sequence):
+class Batches:
     """The full ``bs``-column mini-batches of a windowed set, in a fixed
     column order, each gathered only when it is indexed or iterated.
 
-    Batch ``i`` is ``(features[:, cols], targets[cols])`` for the ``i``-th
-    run of ``bs`` entries of the order; the short remainder is dropped. The
-    sequence holds the order alone, so iterating an epoch keeps at most the
-    batch in use and the one being gathered, never every batch at once.
+    Batch ``i``, ``0 <= i < len``, is ``(features[:, cols], targets[cols])``
+    for the ``i``-th run of ``bs`` entries of the order; the short remainder
+    is dropped. It holds the order alone, so iterating an epoch keeps at
+    most the batch in use and the one being gathered, never every batch at
+    once.
     Every gather is a fresh, writeable array, also from the read-only view
     of a :func:`window` set, whose columns it reads as contiguous runs of
     ``dim`` floats.
@@ -358,15 +357,14 @@ class Batches(Sequence):
     def __len__(self) -> int:
         return self._order.size // self.bs
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"batch {i} out of range for {n} batches")
-        start = (i % n) * self.bs
-        cols = self._order[start : start + self.bs]
+    def __getitem__(self, i: int):
+        if not 0 <= i < len(self):
+            raise IndexError(f"batch {i} out of range for {len(self)} batches")
+        cols = self._order[i * self.bs : (i + 1) * self.bs]
         return self._ws.features[:, cols], self._ws.targets[cols]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
     def columns(self, start: int, stop: int) -> np.ndarray:
         """A fresh copy of the features of entries ``start:stop`` of the
@@ -379,14 +377,13 @@ def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0) -> B
 
     Shuffling uses a seeded permutation. The final short batch is dropped so
     every batch has exactly ``bs`` columns (the rank-ratio semantics assume a
-    constant batch size). The batches come as a lazy :class:`Batches`
-    sequence: only the permutation is made here, and each batch is a fresh
-    copy gathered when it is indexed or iterated, with the values, order and
-    length of a list of them. The sequence holds no mutable state, so any
+    constant batch size). The batches come as a lazy :class:`Batches`: only
+    the permutation is made here, and each batch is a fresh copy gathered
+    when it is indexed or iterated. It has a length, indices from 0 up to
+    it and iteration in that order, and holds no mutable state, so any
     thread may index it.
     """
-    if bs < 1:
-        raise InvalidInputError(f"batch size must be >= 1, got {bs}")
+    check_count("batch size", bs, 1)
     n = ws.n_windows
     order = np.arange(n)
     if shuffle:

@@ -20,7 +20,6 @@ import numpy as np
 from .augment import AugmentConfig, Augmenter, check_count
 from .baselines import RvflnnModel
 from .data import (
-    SPLIT_RATIOS,
     Dataset,
     batches,
     check_shape,
@@ -127,7 +126,8 @@ class TrainConfig:
             raise InvalidInputError(f"strategy must be one of {STRATEGIES}")
         for name in ("bs", "seq", "epochs"):
             check_count(name, getattr(self, name), 1)
-        check_count("hidden", self.hidden, 0)
+        for name in ("hidden", "seed"):
+            check_count(name, getattr(self, name), 0)
         if self.lr is not None and not 0 < self.lr < np.inf:
             raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
 
@@ -185,8 +185,8 @@ class RunReport:
 def prepare_windows(ds: Dataset, seq: int, standardize_data: bool = True):
     """Standardize (train-fraction stats), window and chronologically split."""
     if standardize_data:
-        ds = standardize(ds, train_column_stats(ds, SPLIT_RATIOS[0]))
-    return split(window(ds, seq), SPLIT_RATIOS)
+        ds = standardize(ds, train_column_stats(ds))
+    return split(window(ds, seq))
 
 
 def _val_mse(w, x_eval, y_eval) -> float:
@@ -330,13 +330,10 @@ class RepeatReport:
             self.std[name] = float(finite.std()) if finite.size else float("nan")
         self.diverged_seeds = [s for s, r in zip(self.seeds, self.runs) if r.diverged]
 
-    def cell(self, name: str, digits: int = 4) -> str:
-        return format_mean_std(self.mean[name], self.std[name], digits)
-
-
-def format_mean_std(mean: float, std: float, digits: int = 4) -> str:
-    """Mean with the spread attached, e.g. ``0.6054±0.0094``."""
-    return f"{mean:.{digits}f}±{std:.{digits}f}"
+    def cell(self, name: str) -> str:
+        """The mean of ``name`` with the spread attached, e.g.
+        ``0.6054±0.0094``."""
+        return f"{self.mean[name]:.4f}±{self.std[name]:.4f}"
 
 
 def sweep(ds: Dataset, config: TrainConfig, grid: dict, seeds) -> list:

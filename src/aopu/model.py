@@ -1,6 +1,6 @@
 """The approximated-orthogonal-projection unit and its truncated-gradient update.
 
-The unit keeps a single trackable weight matrix ``w`` of shape (d+h, o) over
+The unit keeps a single trackable weight matrix ``w`` of shape (d+h, 1) over
 augmented features. Training never differentiates through ``w`` directly:
 the loss is expressed through the dual image ``D = x_tilde @ x_tilde.T @ w``,
 the gradient is taken with respect to ``D``, and that gradient is applied to
@@ -127,7 +127,7 @@ class StepReport:
 
 class LinearReadout:
     """One linear read-out of augmented features: the trackable weights
-    ``w_tilde`` of shape (d+h, o), sized by an augmenter and zero at the
+    ``w_tilde`` of shape (d+h, 1), sized by an augmenter and zero at the
     start, and the learning rate of their update (by default the subclass's
     ``DEFAULT_LR``).
 
@@ -139,18 +139,16 @@ class LinearReadout:
 
     DEFAULT_LR: float
 
-    def __init__(self, augmenter: Augmenter, out_dim: int = 1, lr: float | None = None):
+    def __init__(self, augmenter: Augmenter, lr: float | None = None):
         lr = self.DEFAULT_LR if lr is None else lr
         if not 0 < lr < np.inf:
             raise InvalidInputError(
                 f"learning rate must be positive and finite, got {lr}"
             )
-        if out_dim < 1:
-            raise InvalidInputError(f"output width must be >= 1, got {out_dim}")
         self.lr = float(lr)
         # zero init: the first update is a pure data-driven projection and no
         # extra randomness source is introduced
-        self.w_tilde = np.zeros((augmenter.output_dim, out_dim))
+        self.w_tilde = np.zeros((augmenter.output_dim, 1))
 
     def forward(self, x_tilde) -> np.ndarray:
         return forward(x_tilde, self.w_tilde)

@@ -242,32 +242,6 @@ class GaussianOutputSpec:
             )
 
 
-def check_fim_equals_grad_m(spec: GaussianOutputSpec, n_samples: int,
-                            seed: int = 0, tol: float = 0.05) -> CheckResult:
-    """Monte-Carlo Fisher information against the feature Gram matrix.
-
-    Samples outputs from the unit-covariance Gaussian around the model mean,
-    accumulates outer products of the score, and compares with the gradient
-    of the expected sufficient statistic, which is exactly x x.T.
-    """
-    xt = linalg.as_matrix(spec.x_tilde, "x_tilde")
-    rng = np.random.default_rng(seed)
-    # score of the Gaussian at a sample y: x @ (y - mean); the mean cancels
-    noise = rng.standard_normal((xt.shape[1], int(n_samples)))
-    scores = xt @ noise
-    fim_mc = scores @ scores.T / n_samples
-    fim_exact = linalg.row_gram(xt)
-    denom = np.linalg.norm(fim_exact)
-    diff = np.linalg.norm(fim_mc - fim_exact)
-    err = float(diff / denom) if denom > 0 else float(diff)
-    return CheckResult(
-        name="fisher_information_monte_carlo",
-        passed=err <= tol,
-        error=err,
-        details={"n_samples": int(n_samples), "tolerance": tol},
-    )
-
-
 def check_fim_convergence(spec: GaussianOutputSpec, n_samples: int = 100_000,
                           seed: int = 0, tol: float = 0.05,
                           replicates: int = 60) -> CheckResult:

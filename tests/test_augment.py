@@ -11,7 +11,6 @@ from aopu import linalg
 from aopu.augment import (
     ACTIVATION_SLACK,
     ACTIVATIONS,
-    ZERO_MEAN_ACTIVATIONS,
     AugmentConfig,
     Augmenter,
     _layer_norm,
@@ -54,6 +53,20 @@ class TestInitAugmenter:
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
             AugmentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, 1.0, np.float64(1.0), "1"],
+        ids=["true", "false", "float", "numpy-float", "str"],
+    )
+    def test_non_integer_seed_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            AugmentConfig(input_dim=2, hidden=4, seed=value)
+
+    def test_numpy_integer_seed_accepted(self):
+        aug = Augmenter(AugmentConfig(input_dim=2, hidden=4, seed=np.uint8(7)))
+        plain = Augmenter(AugmentConfig(input_dim=2, hidden=4, seed=7))
+        assert aug.g_hat.tobytes() == plain.g_hat.tobytes()
+
     def test_numpy_integer_shape_accepted(self):
         aug = Augmenter(AugmentConfig(input_dim=np.int32(3), hidden=np.int64(5)))
         assert aug.augment(np.ones((3, 2))).shape == (8, 2)
@@ -67,6 +80,8 @@ class TestInitAugmenter:
             AugmentConfig(input_dim=2, hidden=4, activation="nope")
         with pytest.raises(InvalidInputError):
             AugmentConfig(input_dim=2, hidden=1, layer_norm=True)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            AugmentConfig(input_dim=2, hidden=4, seed=-1)
 
 
 class TestAugment:
@@ -475,7 +490,8 @@ class TestActivations:
     def test_zero_mean_catalog(self):
         rng = np.random.default_rng(42)
         z = rng.standard_normal((1, 1_000_000))
-        for name in ZERO_MEAN_ACTIVATIONS:
+        # odd activations, whose expectation under a symmetric law is zero
+        for name in ("hardshrink", "tanh", "tanhshrink", "softsign", "softshrink"):
             assert abs(float(_act(name, z).mean())) < 0.01, name
         for name in ("sigmoid", "relu6", "rrelu"):
             assert abs(float(_act(name, z).mean())) > 0.1, name

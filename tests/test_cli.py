@@ -230,7 +230,7 @@ def test_target_col_applies_to_synth_data(tmp_path, capsys):
     "argv, message",
     [
         (["repeat", *SMALL, "--seeds", "0"], "need at least 2 seeds, got 1"),
-        (["train", *SMALL, "--seed", "-1"], "seed must be a non-negative integer"),
+        (["train", *SMALL, "--seed", "-1"], "seed must be >= 0, got -1"),
         (["train", *SMALL, "--lr", "nan"], "lr must be positive and finite"),
     ],
     ids=["one-seed", "negative-seed", "nan-lr"],

@@ -129,22 +129,26 @@ def _toy_dataset(values, n_inputs=None, target_col=None):
 
 class TestStandardize:
     def test_z_scores(self):
-        ds = _toy_dataset(np.column_stack([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]]))
-        stats = train_column_stats(ds, 1.0)
+        # the stats come from the first 3 of 5 rows: mean 2, std sqrt(2/3)
+        ds = _toy_dataset(np.column_stack([np.arange(1.0, 6.0), np.arange(5.0)]))
+        stats = train_column_stats(ds)
         out = standardize(ds, stats)
         np.testing.assert_allclose(
-            out.values[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4
+            out.values[:, 0], [-1.2247, 0.0, 1.2247, 2.4495, 3.6742], atol=1e-4
         )
         np.testing.assert_allclose(
-            out.values[:, 0], [-1.22474487, 0.0, 1.22474487], atol=1e-8
+            out.values[:, 0],
+            [-1.22474487, 0.0, 1.22474487, 2.44948974, 3.67423461],
+            atol=1e-8,
         )
 
     def test_already_standardized_unchanged(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal((40, 3))
-        v = (v - v.mean(axis=0)) / v.std(axis=0)  # exact unit stats
+        head = v[:24]  # the first 60% of the rows, which the stats come from
+        v = (v - head.mean(axis=0)) / head.std(axis=0)  # exact unit stats
         ds = _toy_dataset(v)
-        out = standardize(ds, train_column_stats(ds, 1.0))
+        out = standardize(ds, train_column_stats(ds))
         np.testing.assert_allclose(out.values, v, atol=1e-12)
 
     def test_validation_rows_keep_train_stats(self):
@@ -152,7 +156,7 @@ class TestStandardize:
         v = rng.standard_normal((100, 2))
         v[60:] += 5.0  # later rows drift
         ds = _toy_dataset(v)
-        stats = train_column_stats(ds, 0.6)
+        stats = train_column_stats(ds)
         out = standardize(ds, stats)
         # train part is centered, the drifted tail is not re-fitted
         np.testing.assert_allclose(out.values[:60].mean(axis=0), 0.0, atol=1e-12)
@@ -162,10 +166,10 @@ class TestStandardize:
         rng = np.random.default_rng(4)
         v = rng.standard_normal((50, 2))
         ds = _toy_dataset(v)
-        stats = train_column_stats(ds, 0.6)
+        stats = train_column_stats(ds)
         v2 = v.copy()
         v2[40:] += 123.0  # perturb rows outside the fitting range
-        stats2 = train_column_stats(_toy_dataset(v2), 0.6)
+        stats2 = train_column_stats(_toy_dataset(v2))
         np.testing.assert_array_equal(stats.mean, stats2.mean)
         np.testing.assert_array_equal(stats.std, stats2.std)
 
@@ -173,7 +177,7 @@ class TestStandardize:
         v = np.column_stack([np.ones(10), np.arange(10.0)])
         ds = _toy_dataset(v)
         with pytest.raises(ZeroVarianceError, match="c0"):
-            standardize(ds, train_column_stats(ds, 1.0))
+            standardize(ds, train_column_stats(ds))
 
 
 class TestWindow:
@@ -265,6 +269,9 @@ class TestWindow:
             window(ds, 0)
         with pytest.raises(InvalidInputError):
             window(ds, 6)
+        for seq in (2.0, True):
+            with pytest.raises(InvalidInputError, match="seq must be an integer"):
+                window(ds, seq)
 
 
 class TestSplit:
@@ -287,21 +294,14 @@ class TestSplit:
         np.testing.assert_array_equal(te.features[0], [8.0, 9.0])
 
     def test_empty_partition_rejected(self):
-        with pytest.raises(InvalidInputError):
-            split(self._ws(4), (0.9, 0.05, 0.05))
+        # 4 windows: 2 train, 0 validation, 2 test
+        with pytest.raises(InvalidInputError, match="empty partition"):
+            split(self._ws(4))
 
     def test_ratios_have_one_owner(self):
-        # the README names the data module's ratios as harness.SPLIT_RATIOS
-        assert harness.SPLIT_RATIOS is SPLIT_RATIOS == (0.6, 0.2, 0.2)
-
-    def test_invalid_ratios_rejected(self):
-        ws = self._ws(10)
-        with pytest.raises(InvalidInputError):
-            split(ws, (0.5, 0.5))
-        with pytest.raises(InvalidInputError):
-            split(ws, (0.8, 0.3, -0.1))
-        with pytest.raises(InvalidInputError):
-            split(ws, (0.5, 0.4, 0.2))
+        # the README names the data module's ratios as data.SPLIT_RATIOS
+        assert SPLIT_RATIOS == (0.6, 0.2, 0.2)
+        assert not hasattr(harness, "SPLIT_RATIOS")
 
 
 class TestCheckShape:
@@ -326,7 +326,7 @@ class TestCheckShape:
     @pytest.mark.parametrize(
         "seq, bs, message",
         [
-            (0, 8, r"seq must be in \[1, 100\], got 0"),
+            (0, 8, "seq must be >= 1, got 0"),
             (101, 8, r"seq must be in \[1, 100\], got 101"),
             (4, 0, "batch size must be >= 1, got 0"),
             (99, 1, "split of 2 windows leaves an empty partition"),
@@ -337,6 +337,22 @@ class TestCheckShape:
         with pytest.raises(InvalidInputError, match=message):
             check_shape(100, seq, bs)
         check_shape(100, 4, 58)  # 97 windows: 58 train, 19 validation, 20 test
+
+    @pytest.mark.parametrize(
+        "seq, bs, message",
+        [
+            (4.0, 8, "seq must be an integer, got 4.0"),
+            (True, 8, "seq must be an integer, got True"),
+            (4, 8.0, "batch size must be an integer, got 8.0"),
+            (4, True, "batch size must be an integer, got True"),
+            (4, "8", "batch size must be an integer, got '8'"),
+        ],
+        ids=["float-seq", "bool-seq", "float-bs", "bool-bs", "str-bs"],
+    )
+    def test_shapes_must_be_integers(self, seq, bs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            check_shape(100, seq, bs)
+        check_shape(100, np.int32(4), np.int64(8))
 
 
 class TestBatches:
@@ -368,6 +384,9 @@ class TestBatches:
     def test_bad_batch_size(self):
         with pytest.raises(InvalidInputError):
             batches(self._ws(10), 0)
+        for bs in (4.0, True):
+            with pytest.raises(InvalidInputError, match="batch size must be an integer"):
+                batches(self._ws(10), bs)
 
 
 def _eager_batches(ws, bs, shuffle=False, seed=0):
@@ -402,12 +421,17 @@ class TestLazyBatches:
         assert len(lazy) == ws.n_windows // bs
         _assert_same_batches(list(lazy), expected)
         _assert_same_batches(list(lazy), expected)
-        # positive and negative indices and slices
-        for i in range(-len(expected), len(expected)):
+        # every index from 0 up to the length, and none past the end
+        for i in range(len(expected)):
             _assert_same_batches([lazy[i]], [expected[i]])
-        _assert_same_batches(lazy[1::2], expected[1::2])
-        for i in (len(expected), -len(expected) - 1):
-            with pytest.raises(IndexError):
+        with pytest.raises(IndexError):
+            lazy[len(expected)]
+
+    def test_negative_index_out_of_range(self, ws):
+        # batches are cut forward only: batch i is counted from the start
+        lazy = batches(ws, 7)
+        for i in (-1, -len(lazy)):
+            with pytest.raises(IndexError, match=f"batch {i} out of range"):
                 lazy[i]
 
     def test_each_access_is_a_fresh_copy(self, ws):

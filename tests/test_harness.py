@@ -17,7 +17,6 @@ from aopu.harness import (
     RepeatReport,
     StabilityIndices,
     TrainConfig,
-    format_mean_std,
     make_model,
     metrics,
     prepare_windows,
@@ -129,6 +128,17 @@ class TestTrainConfig:
         # True once trained at bs 1
         with pytest.raises(InvalidInputError, match="bs must be an integer, got True"):
             _small_config(bs=True)
+
+    def test_bool_seed_does_not_train(self, monkeypatch):
+        # True once trained as seed 1
+        with pytest.raises(InvalidInputError, match="seed must be an integer, got True"):
+            _small_config(seed=True)
+        calls = []
+        monkeypatch.setattr("aopu.harness.train_run", lambda ds, c: calls.append(c))
+        ds = synth_generate(n=200, n_vars=3, seed=0)
+        with pytest.raises(InvalidInputError, match="seed must be an integer, got True"):
+            sweep(ds, _small_config(), {}, [0, True])
+        assert calls == []
 
     def test_numpy_integer_shape_accepted(self):
         ds = synth_generate(n=200, n_vars=3, seed=0)
@@ -285,8 +295,14 @@ class TestSweep:
         (rep,) = sweep(small_ds, _small_config(epochs=3), {}, [0, 1])
         assert rep.runs[0].r2 != rep.runs[1].r2  # feature map + order vary
 
-    def test_format_mean_std(self):
-        assert format_mean_std(0.6054, 0.0094) == "0.6054±0.0094"
+    def test_cell_is_mean_and_std_at_four_digits(self):
+        runs = [
+            SimpleNamespace(mse=mse, mape=1.0, r2=r2, diverged=False)
+            for mse, r2 in ((1.0, 0.6148), (2.0, 0.5960))
+        ]
+        rep = RepeatReport(_small_config(), [0, 1], runs)
+        assert rep.cell("r2") == "0.6054±0.0094"
+        assert rep.cell("mse") == "1.5000±0.5000"
 
     def test_aggregates_skip_non_finite_runs(self):
         runs = [
@@ -328,7 +344,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "config, grid, seeds, message",
         [
-            ({}, {}, [0, 1, -1], "seed must be a non-negative integer"),
+            ({}, {}, [0, 1, -1], "seed must be >= 0, got -1"),
             ({}, {"activation": ["tanh", "nosuch"]}, [0, 1], "unknown activation"),
             ({"hidden": 0}, {"layer_norm": [False, True]}, [0, 1],
              "layer_norm requires a hidden block"),
@@ -400,14 +416,51 @@ class TestRrSurvey:
         with pytest.raises(InvalidInputError, match=message):
             rr_survey(ar_ds, bs_grid=[16, bs], seq_grid=[2], hidden=0)
 
-    @pytest.mark.parametrize("seq", ["rows+1", 10**7, 0])
-    def test_bad_seq_rejected_before_the_draw(self, ar_ds, seq):
+    @pytest.mark.parametrize(
+        "bs_grid, seq_grid, seed, message",
+        [
+            ([16.0], [2], 0, "batch size must be an integer, got 16.0"),
+            ([16, True], [2], 0, "batch size must be an integer, got True"),
+            ([16], [2, 4.0], 0, "seq must be an integer, got 4.0"),
+            ([16], [False], 0, "seq must be an integer, got False"),
+            ([16], [2], True, "seed must be an integer, got True"),
+        ],
+        ids=["float-bs", "bool-bs", "float-seq", "bool-seq", "bool-seed"],
+    )
+    def test_non_integer_grid_rejected_before_the_draw(
+        self, ar_ds, monkeypatch, bs_grid, seq_grid, seed, message
+    ):
+        # nothing is surveyed and G, (5 * 4) x 2048 at most, is not drawn
+        calls = []
+        monkeypatch.setattr(
+            "aopu.harness._survey_ranks", lambda *args: calls.append(args)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=message):
+                rr_survey(ar_ds, bs_grid, seq_grid, hidden=2048, seed=seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 2**18
+
+    @pytest.mark.parametrize(
+        "seq, message",
+        [
+            ("rows+1", r"seq must be in \[1, 1500\], got 1501"),
+            (10**7, r"seq must be in \[1, 1500\], got 10000000"),
+            (0, "seq must be >= 1, got 0"),
+        ],
+        ids=["rows+1", "10000000", "0"],
+    )
+    def test_bad_seq_rejected_before_the_draw(self, ar_ds, seq, message):
         # the whole grid is checked before G is drawn for its longest
         # window, which here would be (5 * seq) x 2048
         seq = ar_ds.n_rows + 1 if seq == "rows+1" else seq
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidInputError, match="seq must be in"):
+            with pytest.raises(InvalidInputError, match=message):
                 rr_survey(ar_ds, bs_grid=[16], seq_grid=[2, seq], hidden=2048)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -339,7 +339,6 @@ READOUT_ERRORS = [
     ("lr-nan", lambda cls: cls(_aug5(), lr=np.nan), InvalidInputError, "learning rate"),
     ("lr-inf", lambda cls: cls(_aug5(), lr=np.inf), InvalidInputError, "learning rate"),
     ("lr-negative", lambda cls: cls(_aug5(), lr=-1.0), InvalidInputError, "learning rate"),
-    ("out-dim-zero", lambda cls: cls(_aug5(), out_dim=0), InvalidInputError, "width"),
     ("x-1d", lambda cls: _step(cls, x=np.ones(5)), InvalidInputError, "2-D"),
     ("x-nan", lambda cls: _step(cls, x=np.full((5, 3), np.nan)), InvalidInputError,
      "non-finite"),
@@ -369,6 +368,15 @@ def test_readouts_reject_bad_input_alike(cls, entry, error, match):
     # both models share construction, validation and the step's epilogue
     with pytest.raises(error, match=match):
         entry(cls)
+
+
+@pytest.mark.parametrize("cls", [AopuModel, RvflnnModel])
+def test_readout_is_one_column_and_lr_the_second_parameter(cls):
+    model = cls(_aug5(), 0.25)
+    assert model.lr == 0.25
+    assert model.w_tilde.shape == (5, 1) and not model.w_tilde.any()
+    with pytest.raises(TypeError):
+        cls(_aug5(), out_dim=1)
 
 
 @pytest.mark.parametrize(

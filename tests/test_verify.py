@@ -10,7 +10,6 @@ from aopu.verify import (
     GaussianOutputSpec,
     check_coherence,
     check_fim_convergence,
-    check_fim_equals_grad_m,
     check_gradient_oracles,
     check_mirror_map,
     check_mve_optimality,
@@ -101,20 +100,6 @@ class TestGradientOracleChecks:
 
 
 class TestFisherInformation:
-    def test_identity_features(self):
-        spec = GaussianOutputSpec(x_tilde=np.eye(3), w_tilde=np.zeros((3, 1)))
-        res = check_fim_equals_grad_m(spec, n_samples=100_000, seed=3)
-        assert res.passed
-        assert res.error < 0.05
-
-    def test_zero_features_exact(self):
-        spec = GaussianOutputSpec(
-            x_tilde=np.zeros((3, 2)), w_tilde=np.zeros((3, 1))
-        )
-        res = check_fim_equals_grad_m(spec, n_samples=1000, seed=4)
-        assert res.passed
-        assert res.error == 0.0
-
     def test_random_features_and_shrinkage(self):
         rng = np.random.default_rng(5)
         spec = GaussianOutputSpec(
