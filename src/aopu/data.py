@@ -401,8 +401,8 @@ def synth_generate(n: int, n_vars: int, noise: float = 0.0,
     units - an even component that no linear model can capture - plus
     Gaussian noise. Generating coefficients are echoed in ``meta``.
     """
-    if n < 1 or n_vars < 1:
-        raise InvalidInputError("n and n_vars must both be >= 1")
+    check_count("n", n, 1)
+    check_count("n_vars", n_vars, 1)
     if noise < 0:
         raise InvalidInputError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)

@@ -189,9 +189,92 @@ def prepare_windows(ds: Dataset, seq: int, standardize_data: bool = True):
     return split(window(ds, seq))
 
 
-def _val_mse(w, x_eval, y_eval) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.mean((y_eval - x_eval.T @ w) ** 2))
+def _predictions(augmenter: Augmenter, ws, bs: int, weights) -> np.ndarray:
+    """Row ``j`` holds the predictions of ``weights[j]`` on every window of
+    ``ws``: ``augment(block).T @ weights[j]`` over consecutive blocks of
+    ``bs`` columns (the last may be shorter), so no more than one augmented
+    block is held. Each block's product with each weight is one
+    matrix-vector product, whatever the other weights, so a weight's
+    predictions do not depend on how many are scored together."""
+    preds = np.empty((len(weights), ws.n_windows))
+    for start in range(0, ws.n_windows, bs):
+        block = augmenter.augment(ws.features[:, start : start + bs])
+        with np.errstate(over="ignore"):
+            for row, w in zip(preds, weights):
+                row[start : start + block.shape[1]] = (block.T @ w)[:, 0]
+        # dropped before the next block is augmented
+        del block
+    return preds
+
+
+class _Checkpoints:
+    """The validation side of a run: weights recorded during training, scored
+    later and folded in training order into the curve, the epoch log and the
+    best epoch.
+
+    A step replaces ``w_tilde`` and never mutates it, so a reference records
+    the weights. Pending weights are scored in one pass over the validation
+    split (:func:`_predictions`), by :meth:`score` at the end of the run, or
+    early once one more would make the pending weights and their predictions,
+    ``k * (d+h + n_val)`` floats, outgrow the ``(d+h) * n_val`` of the whole
+    augmented split.
+    """
+
+    def __init__(self, augmenter: Augmenter, val, bs: int):
+        self._augmenter, self._val, self._bs = augmenter, val, bs
+        dh, n = augmenter.output_dim, val.n_windows
+        self._capacity = max(1, dh * n // (dh + n))
+        self._pending = []  # (weights, curve iteration or None, epoch end)
+        self.curve = []
+        self.by_epoch = []
+        self.best_val, self.best_epoch, self.best_w = np.inf, -1, None
+        self.last = None  # validation MSE of the last weights recorded
+
+    def record(self, w, iteration=None, epoch_end=False) -> None:
+        if len(self._pending) == self._capacity:
+            self.score()
+        self._pending.append((w, iteration, epoch_end))
+
+    def score(self) -> None:
+        """Score the pending weights and fold them in, in recorded order."""
+        if not self._pending:
+            return
+        preds = _predictions(
+            self._augmenter, self._val, self._bs, [w for w, _, _ in self._pending]
+        )
+        for (w, iteration, epoch_end), pred in zip(self._pending, preds):
+            # an overflow reads inf
+            with np.errstate(over="ignore"):
+                self.last = float(np.mean((self._val.targets - pred[:, None]) ** 2))
+            if iteration is not None:
+                self.curve.append((iteration, self.last))
+            if epoch_end:
+                self.by_epoch.append(self.last)
+                if self.last < self.best_val:
+                    self.best_val, self.best_w = self.last, w
+                    self.best_epoch = len(self.by_epoch) - 1
+        self._pending = []
+
+
+def _steps(model, augmenter: Augmenter, cuts):
+    """``(StepReport, last)`` for each step of ``model`` over the batches of
+    ``cuts``, augmented by :func:`pipeline._augmented_batches`; ``last``
+    marks a cut's last batch. A :class:`DivergenceError` ends the stream: it
+    reaches the consumer, the weights unchanged, once the pipeline is closed.
+    """
+    with closing(_augmented_batches(augmenter, cuts)) as stream:
+        for x_tilde, targs, last in stream:
+            # the step reports the rank ratio off its own factorization, so
+            # no separate rank is taken here
+            try:
+                report = model.step(x_tilde, targs)
+            finally:
+                # dropped before the next batch is augmented: without the
+                # worker, a run then holds one augmented batch at a time (one
+                # held across the test split's augmentation grew the next
+                # call's peak RSS by about 10 MB at the paper shape)
+                del x_tilde
+            yield report, last
 
 
 def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
@@ -205,79 +288,69 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     The shape is checked before any windowing (:func:`data.check_shape`).
     Each epoch steps through one shuffled cut, ``batches(train, bs,
     shuffle=True, seed=s)`` with its own seed ``s`` drawn from the config's.
-    Every output is bit for bit that of augmenting each batch just before
-    its step; a worker thread augments batches ahead of the step only when
-    the map has a hidden block and a CPU is left beside BLAS's threads (see
-    :func:`pipeline._augmented_batches`), and no thread outlives the call.
+    Every training output is bit for bit that of augmenting each batch just
+    before its step; a worker thread augments batches ahead of the step only
+    when the map has a hidden block and a CPU is left beside BLAS's threads
+    (see :func:`pipeline._augmented_batches`), and no thread outlives the
+    call.
+
+    No augmented validation or test split is held. Training records the
+    weights at every ``CURVE_EVERY`` iterations, at every epoch end and at
+    the end (:class:`_Checkpoints`); they are scored on the validation split
+    augmented ``bs`` columns at a time, the checkpoint is selected, and the
+    test split streams through the same blocks with the selected weights
+    alone (:func:`_predictions`). The zero predictor's validation MSE is the
+    mean of the squared targets.
     """
     check_shape(ds.n_rows, config.seq, config.bs)
     train, val, test = prepare_windows(ds, config.seq, config.standardize)
     augmenter = Augmenter(config.augment_config(train.dim))
     model = make_model(config, augmenter)
 
-    x_val = augmenter.augment(val.features)
-
     rng = np.random.default_rng(config.seed)
     epoch_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.epochs)]
     cuts = [batches(train, config.bs, shuffle=True, seed=s) for s in epoch_seeds]
-    curve = []
-    val_by_epoch = []
+    checkpoints = _Checkpoints(augmenter, val, config.bs)
     epoch_hashes = []
     rr_seen = []
     iteration = 0
-    best_val = np.inf
-    best_epoch = -1
-    best_w = model.w_tilde.copy()
     diverged = False
     divergence_rr = None
-    val_zero = _val_mse(np.zeros_like(model.w_tilde), x_val, val.targets)
+    with np.errstate(over="ignore"):
+        val_zero = float(np.mean(val.targets**2))
 
-    with closing(_augmented_batches(augmenter, cuts)) as steps:
-        for x_tilde, targs, epoch_end in steps:
-            # the step reports the rank ratio off its own factorization, so no
-            # separate rank is taken here
-            try:
-                rr_seen.append(model.step(x_tilde, targs).rank_ratio)
-            except DivergenceError as exc:
-                diverged = True
-                divergence_rr = exc.rank_ratio
-                rr_seen.append(divergence_rr)
-                break
-            finally:
-                # dropped before the next batch is augmented: without the
-                # worker, a run then holds one augmented batch at a time (one
-                # held across the test split's augmentation grew the next
-                # call's peak RSS by about 10 MB at the paper shape)
-                del x_tilde
-            iteration += 1
-            if iteration % CURVE_EVERY == 0:
-                curve.append((iteration, _val_mse(model.w_tilde, x_val, val.targets)))
-            if epoch_end:
-                epoch_val = _val_mse(model.w_tilde, x_val, val.targets)
-                val_by_epoch.append(epoch_val)
-                epoch_hashes.append(_weights_hash(model.w_tilde))
-                if epoch_val < best_val:
-                    best_val = epoch_val
-                    best_epoch = len(val_by_epoch) - 1
-                    best_w = model.w_tilde.copy()
+    try:
+        with closing(_steps(model, augmenter, cuts)) as steps:
+            for report, epoch_end in steps:
+                rr_seen.append(report.rank_ratio)
+                iteration += 1
+                on_curve = iteration % CURVE_EVERY == 0
+                if epoch_end:
+                    epoch_hashes.append(_weights_hash(model.w_tilde))
+                if on_curve or epoch_end:
+                    checkpoints.record(
+                        model.w_tilde, iteration if on_curve else None, epoch_end
+                    )
+    except DivergenceError as exc:
+        diverged = True
+        divergence_rr = exc.rank_ratio
+        rr_seen.append(divergence_rr)
+    checkpoints.record(model.w_tilde)
+    checkpoints.score()
 
-    val_final = (
-        val_by_epoch[-1]
-        if val_by_epoch
-        else _val_mse(model.w_tilde, x_val, val.targets)
-    )
+    val_by_epoch = checkpoints.by_epoch
+    val_final = val_by_epoch[-1] if val_by_epoch else checkpoints.last
+    best_val, best_w = checkpoints.best_val, checkpoints.best_w
     if not np.isfinite(best_val):
-        best_val = val_final
-        best_w = model.w_tilde.copy()
-    # the test split is augmented only now, once the validation one is freed
-    del x_val
-    x_test = augmenter.augment(test.features)
+        best_val, best_w = val_final, model.w_tilde
     # selection property: the kept checkpoint can never validate worse than
     # the final one (test-set transfer is only a correlation, see the caveat)
     assert best_val <= val_final
     selected = best_w if config.strategy == "best" else model.w_tilde
-    test_metrics = metrics(test.targets[:, 0], (x_test.T @ selected)[:, 0])
+    test_pred = _predictions(augmenter, test, config.bs, [selected])[0]
+    test_metrics = metrics(test.targets[:, 0], test_pred)
 
+    curve = checkpoints.curve
     curve_values = [v for _, v in curve]
     stability = stability_report(curve_values) if len(curve_values) >= 4 else None
     mean_rr = float(np.mean(rr_seen)) if rr_seen else float("nan")
@@ -290,7 +363,7 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
         r2=test_metrics.r2,
         val_curve=curve,
         val_by_epoch=val_by_epoch,
-        best_epoch=best_epoch,
+        best_epoch=checkpoints.best_epoch,
         val_mse_best=float(best_val),
         val_mse_final=float(val_final),
         val_mse_zero=val_zero,

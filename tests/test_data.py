@@ -527,6 +527,18 @@ class TestSynthGenerate:
         with pytest.raises(InvalidInputError):
             synth_generate(n=10, n_vars=2, noise=-0.5)
 
+    @pytest.mark.parametrize("n,n_vars", [
+        (400.0, 4), (True, 4), ("400", 4), (400, 4.0), (400, False), (400, 0),
+    ])
+    def test_non_integer_counts_rejected(self, n, n_vars):
+        # a float or bool count reached numpy, which raised a bare TypeError
+        with pytest.raises(InvalidInputError, match="must be"):
+            synth_generate(n=n, n_vars=n_vars)
+
+    def test_numpy_integer_counts_accepted(self):
+        a = synth_generate(n=np.int64(50), n_vars=np.int32(3), seed=2)
+        np.testing.assert_array_equal(a.values, synth_generate(n=50, n_vars=3, seed=2).values)
+
 
 class TestDatasetValidation:
     def test_target_must_be_outside_inputs(self):

@@ -23,7 +23,6 @@ from aopu.pipeline import BLAS_THREAD_VARS, WINDOW_COLUMNS, _augmented_batches
 from aopu.harness import (
     CURVE_EVERY,
     TrainConfig,
-    _val_mse,
     _weights_hash,
     make_model,
     metrics,
@@ -69,9 +68,27 @@ def augment_threads(monkeypatch):
     return names
 
 
-def serial_run(ds, config: TrainConfig) -> dict:
+def block_predictions(augmenter, ws, cols, w) -> np.ndarray:
+    """``augment(block).T @ w`` stacked over consecutive ``cols``-column
+    blocks of ``ws``; ``cols >= ws.n_windows`` is the whole split at once."""
+    with np.errstate(over="ignore"):
+        return np.vstack([
+            augmenter.augment(ws.features[:, s : s + cols]).T @ w
+            for s in range(0, ws.n_windows, cols)
+        ])
+
+
+def block_mse(augmenter, ws, cols, w) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.mean((ws.targets - block_predictions(augmenter, ws, cols, w)) ** 2))
+
+
+def serial_run(ds, config: TrainConfig, cols=None) -> dict:
     """train_run's loop without look-ahead: ``model.step(augment(feats),
-    targs)`` over the same batches, with the same evaluations."""
+    targs)`` over the same batches. The weights at every curve point and
+    epoch end are kept and scored after training, all of them, one weight
+    at a time, on the validation split augmented ``cols`` columns at a
+    time (by default ``bs``, as train_run scores them)."""
     train, val, test = prepare_windows(ds, config.seq, config.standardize)
     augmenter = Augmenter(
         AugmentConfig(
@@ -79,10 +96,10 @@ def serial_run(ds, config: TrainConfig) -> dict:
             layer_norm=config.layer_norm, seed=config.seed,
         )
     )
+    cols = config.bs if cols is None else cols
     model = make_model(config, augmenter)
-    x_val = augmenter.augment(val.features)
     rng = np.random.default_rng(config.seed)
-    curve, val_by_epoch, hashes, rrs = [], [], [], []
+    curve_w, epoch_w, hashes, rrs = [], [], [], []
     iteration, divergence_rr = 0, None
     for _ in range(config.epochs):
         seed = int(rng.integers(0, 2**31 - 1))
@@ -95,16 +112,33 @@ def serial_run(ds, config: TrainConfig) -> dict:
                 break
             iteration += 1
             if iteration % CURVE_EVERY == 0:
-                curve.append((iteration, _val_mse(model.w_tilde, x_val, val.targets)))
+                curve_w.append((iteration, model.w_tilde))
         if divergence_rr is not None:
             break
-        val_by_epoch.append(_val_mse(model.w_tilde, x_val, val.targets))
+        epoch_w.append(model.w_tilde)
         hashes.append(_weights_hash(model.w_tilde))
-    assert config.strategy == "final"
-    x_test = augmenter.augment(test.features)
-    m = metrics(test.targets[:, 0], (x_test.T @ model.w_tilde)[:, 0])
+
+    def score(w):
+        return block_mse(augmenter, val, cols, w)
+
+    val_by_epoch = [score(w) for w in epoch_w]
+    val_final = val_by_epoch[-1] if val_by_epoch else score(model.w_tilde)
+    best_epoch, best_val, best_w = -1, np.inf, None
+    for epoch, value in enumerate(val_by_epoch):
+        if value < best_val:
+            best_epoch, best_val, best_w = epoch, value, epoch_w[epoch]
+    if not np.isfinite(best_val):
+        best_val, best_w = val_final, model.w_tilde
+    selected = best_w if config.strategy == "best" else model.w_tilde
+    pred = block_predictions(augmenter, test, cols, selected)
+    m = metrics(test.targets[:, 0], pred[:, 0])
     return {
-        "r2": m.r2, "mse": m.mse, "val_curve": curve, "val_by_epoch": val_by_epoch,
+        "r2": m.r2, "mse": m.mse, "mape": m.mape,
+        "val_curve": [(it, score(w)) for it, w in curve_w],
+        "val_by_epoch": val_by_epoch, "best_epoch": best_epoch,
+        "val_mse_best": best_val, "val_mse_final": val_final,
+        "val_mse_zero": score(np.zeros_like(model.w_tilde)),
+        "selected_weights": _weights_hash(selected),
         "epoch_weight_hashes": hashes, "mean_train_rr": float(np.mean(rrs)),
         "min_train_rr": float(np.min(rrs)), "divergence_rr": divergence_rr,
         "n_iterations": iteration,
@@ -112,10 +146,13 @@ def serial_run(ds, config: TrainConfig) -> dict:
 
 
 def report_fields(report) -> dict:
-    return {name: getattr(report, name) for name in (
-        "r2", "mse", "val_curve", "val_by_epoch", "epoch_weight_hashes",
+    fields = {name: getattr(report, name) for name in (
+        "r2", "mse", "mape", "val_curve", "val_by_epoch", "best_epoch",
+        "val_mse_best", "val_mse_final", "val_mse_zero", "epoch_weight_hashes",
         "mean_train_rr", "min_train_rr", "divergence_rr", "n_iterations",
     )}
+    fields["selected_weights"] = _weights_hash(report.selected_weights)
+    return fields
 
 
 def _config(**kw):
@@ -443,3 +480,80 @@ class TestFailurePaths:
         with pytest.raises(StepFailure):
             train_run(ds, _config())
         assert threading.active_count() == before
+
+
+def _relative_gap(a, b) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+class TestStreamedEvaluation:
+    """train_run scores the validation and test splits ``bs`` columns at a
+    time and never holds either split augmented whole."""
+
+    @pytest.mark.parametrize("bs,hidden,model,strategy", [
+        (16, 64, "aopu", "final"),
+        (48, 64, "rvflnn", "best"),
+        (200, 0, "aopu", "best"),
+        (32, 512, "aopu", "best"),
+    ])
+    def test_within_1e12_of_whole_split(self, ds, one_cpu, bs, hidden, model, strategy):
+        config = _config(bs=bs, hidden=hidden, model=model, strategy=strategy, epochs=4)
+        got = report_fields(train_run(ds, config))
+        whole = serial_run(ds, config, cols=N_ROWS)
+        values = lambda f: [
+            *(v for _, v in f["val_curve"]), *f["val_by_epoch"], f["val_mse_best"],
+            f["val_mse_final"], f["val_mse_zero"], f["mse"], f["mape"], f["r2"],
+        ]
+        assert [it for it, _ in got["val_curve"]] == [it for it, _ in whole["val_curve"]]
+        assert len(values(got)) == len(values(whole))
+        assert max(map(_relative_gap, values(got), values(whole))) <= 1e-12
+        for name in ("best_epoch", "selected_weights", "epoch_weight_hashes",
+                     "mean_train_rr", "min_train_rr", "n_iterations"):
+            assert got[name] == whole[name]
+
+    @pytest.mark.parametrize("cpus", ["two_cpus", "one_cpu"])
+    def test_peak_below_the_augmented_validation_split(self, request, cpus):
+        import tracemalloc
+
+        request.getfixturevalue(cpus)
+        big = synth_generate(n=2000, n_vars=3, noise=0.2, nonlinear=True, seed=3)
+        config = TrainConfig(bs=16, seq=4, hidden=2048, epochs=1, seed=1)
+        val = prepare_windows(big, config.seq)[1]
+        split_bytes = (config.hidden + config.seq * 3) * val.n_windows * 8
+        tracemalloc.start()
+        try:
+            train_run(big, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the worker's window of batches alone is 256 columns (4.2 MB)
+        assert peak < split_bytes
+
+    @pytest.mark.parametrize("strategy,model,lr,diverged", [
+        ("final", "aopu", None, False),
+        ("best", "aopu", None, False),
+        ("best", "rvflnn", 6.0, False),
+        ("best", "aopu", 12.0, True),
+        ("final", "aopu", 12.0, True),
+    ])
+    def test_early_scoring_equals_scoring_at_the_end(
+        self, monkeypatch, strategy, model, lr, diverged
+    ):
+        # 7 validation windows and d+h = 76 hold 6 pending weights
+        # (6 * 83 <= 76 * 7), and 60 epochs record 61 weights
+        tiny = synth_generate(n=40, n_vars=3, noise=0.2, nonlinear=True, seed=3)
+        config = TrainConfig(bs=4, seq=4, hidden=64, epochs=60, seed=2,
+                             model=model, strategy=strategy, lr=lr)
+        passes = []
+        predictions = harness._predictions
+
+        def counting(augmenter, ws, bs, weights):
+            passes.append(len(weights))
+            return predictions(augmenter, ws, bs, weights)
+
+        monkeypatch.setattr(harness, "_predictions", counting)
+        report = train_run(tiny, config)
+        assert report.diverged == diverged
+        *val_passes, test_pass = passes
+        assert len(val_passes) > 5 and max(val_passes) == 6 and test_pass == 1
+        assert report_fields(report) == serial_run(tiny, config)
