@@ -11,7 +11,9 @@ reads a C-ordered block whatever the strides of x (a batch gathered from a
 read-only window view, or a split of one). G is stored in Fortran order, so
 G.T is C-contiguous, and the product G.T @ x is written straight into the
 buffer's first h rows. The activation and the layer norm then overwrite
-those rows in place. No intermediate block of the batch's size is allocated.
+those rows in place. Without layer norm, no intermediate block of the
+batch's size is allocated; with it, ``np.std`` forms one block of the
+hidden rows' size.
 """
 
 from __future__ import annotations
@@ -88,63 +90,23 @@ ACTIVATIONS = {
 ACTIVATION_SLACK = 6.0
 
 
-# rows of the one scratch block _layer_norm works through, below its
-# running-sum row: about 1.4% of a 2048-unit hidden block
-NORM_BLOCK_ROWS = 32
-
-
 def _layer_norm(a: np.ndarray) -> np.ndarray:
     """Rescale each column (sample) of a float64 matrix with at least 2 rows
     to zero mean and unit variance over rows, in place.
 
     No learnable affine parameters. Columns with zero variance are left at
-    zero after centering rather than divided.
-
-    The bits are those of centering ``a`` on ``a.mean(axis=0)`` and dividing
-    it by ``a.std(axis=0)`` of the centered block, for a block of more than
-    one column (numpy sums a single column pairwise). The only scratch is
-    two rows of statistics and one ``NORM_BLOCK_ROWS + 1``-row block. Numpy
-    2.4 gives every broadcast ufunc call an iterator buffer of up to 8192
-    elements, so no row is broadcast against ``a``: the block first holds
-    copies of the row, and ``a`` is updated ``NORM_BLOCK_ROWS`` rows at a
-    time against it. The squared deviations from the centered block's mean
-    are formed in the block too, below a first row that holds their running
-    sum, so each column is summed row after row as ``np.std`` sums it.
+    zero after centering rather than divided. The bits are those of
+    centering ``a`` on ``a.mean(axis=0)`` and dividing it by the centered
+    block's ``std(axis=0)``; the one scratch of ``a``'s size is the squared
+    deviations ``np.std`` forms.
     """
-    h, b = a.shape
-    row = np.add.reduce(a, axis=0)
-    row /= h
-    buf = np.empty((min(h, NORM_BLOCK_ROWS) + 1, b))
-    rep = buf[1:]
-    rep[...] = row
-    _by_row_blocks(np.subtract, a, rep)
-    np.add.reduce(a, axis=0, out=row)
-    row /= h
-    std = np.zeros(b)
-    for start in range(0, h, NORM_BLOCK_ROWS):
-        part = a[start : start + NORM_BLOCK_ROWS]
-        dev = rep[: len(part)]
-        dev[...] = row
-        np.subtract(part, dev, out=dev)
-        dev *= dev
-        buf[0] = std
-        np.add.reduce(buf[: 1 + len(dev)], axis=0, out=std)
-    std /= h
-    np.sqrt(std, out=std)
+    a -= a.mean(axis=0)
+    std = a.std(axis=0)
     zero = ~(std > 0)
     std[zero] = 1.0
-    rep[...] = std
-    _by_row_blocks(np.divide, a, rep)
-    np.copyto(a, 0.0, where=zero)
+    a /= std
+    a[:, zero] = 0.0
     return a
-
-
-def _by_row_blocks(op, a: np.ndarray, rep: np.ndarray) -> None:
-    """``a = op(a, row)`` in place, ``NORM_BLOCK_ROWS`` rows at a time, with
-    the row given as a block ``rep`` of copies of it."""
-    for start in range(0, a.shape[0], NORM_BLOCK_ROWS):
-        part = a[start : start + NORM_BLOCK_ROWS]
-        op(part, rep[: len(part)], out=part)
 
 
 def check_count(name: str, value, low: int) -> None:

@@ -228,12 +228,14 @@ class _Checkpoints:
         self.curve = []
         self.by_epoch = []
         self.best_val, self.best_epoch, self.best_w = np.inf, -1, None
-        self.last = None  # validation MSE of the last weights recorded
+        self.last_w = None  # the last weights recorded
+        self.last = None  # and their validation MSE, once scored
 
     def record(self, w, iteration=None, epoch_end=False) -> None:
         if len(self._pending) == self._capacity:
             self.score()
         self._pending.append((w, iteration, epoch_end))
+        self.last_w = w
 
     def score(self) -> None:
         """Score the pending weights and fold them in, in recorded order."""
@@ -296,11 +298,11 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
 
     No augmented validation or test split is held. Training records the
     weights at every ``CURVE_EVERY`` iterations, at every epoch end and at
-    the end (:class:`_Checkpoints`); they are scored on the validation split
-    augmented ``bs`` columns at a time, the checkpoint is selected, and the
-    test split streams through the same blocks with the selected weights
-    alone (:func:`_predictions`). The zero predictor's validation MSE is the
-    mean of the squared targets.
+    the end unless they were the last recorded (:class:`_Checkpoints`);
+    they are scored on the validation split augmented ``bs`` columns at a
+    time, the checkpoint is selected, and the test split streams through
+    the same blocks with the selected weights alone (:func:`_predictions`).
+    The zero predictor's validation MSE is the mean of the squared targets.
     """
     check_shape(ds.n_rows, config.seq, config.bs)
     train, val, test = prepare_windows(ds, config.seq, config.standardize)
@@ -335,7 +337,8 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
         diverged = True
         divergence_rr = exc.rank_ratio
         rr_seen.append(divergence_rr)
-    checkpoints.record(model.w_tilde)
+    if model.w_tilde is not checkpoints.last_w:
+        checkpoints.record(model.w_tilde)
     checkpoints.score()
 
     val_by_epoch = checkpoints.by_epoch

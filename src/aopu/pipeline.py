@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -55,26 +56,25 @@ def _augmented_batches(augmenter, cuts):
 
     The worker runs only when the map has a hidden block (without one,
     augmentation is a copy) and the process may run on more CPUs than a
-    BLAS call uses threads, so that a CPU is left for it. Without it, each
-    cut's batches are gathered together, and a batch is augmented when the
-    caller asks for it. With it, a window of the next ``max(2,
-    WINDOW_COLUMNS // bs)`` batches, ``bs`` read off the first cut, is
-    queued in order across cut ends on a worker thread that this generator
-    owns; each job gathers one batch and augments it into a buffer that
-    this thread allocates when it queues the job, so the worker allocates
-    nothing of an augmented batch's size (when it allocated them, its own
-    malloc arena held about 4.6 MiB more at train-paper). When the caller
-    takes a batch the worker has not finished, it cancels the job and
-    augments the batch itself, into the same buffer, if the worker has not
-    started it; if the worker runs it, the caller augments the farthest
-    batch of the window the worker has not started (:meth:`Future.cancel`
-    succeeds only on those) and checks again, and waits only when none is
-    left. No cut's batches are gathered
-    all at once, and a batch is dropped once the caller moves past it, so
-    about a window of batches is alive. An exception in a batch reaches the
-    caller, with its own type, when it takes that batch, whichever thread
-    augmented it. The worker is shut down when the generator ends, raises
-    or is closed.
+    BLAS call uses threads, so that a CPU is left for it. Without it, a
+    batch is gathered and augmented only when the caller asks for it. With
+    it, a window of the next ``max(2, WINDOW_COLUMNS // bs)`` batches,
+    ``bs`` read off the first cut, is queued in order across cut ends on a
+    worker thread that this generator owns; each job gathers one batch and
+    augments it into a buffer that this thread allocates when it queues the
+    job, so the worker allocates nothing of an augmented batch's size (when
+    it allocated them, its own malloc arena held about 4.6 MiB more at
+    train-paper). When the caller takes a batch the worker has not
+    finished, it cancels the job and augments the batch itself, into the
+    same buffer, if the worker has not started it; if the worker runs it,
+    the caller augments the farthest batch of the window the worker has not
+    started (:meth:`Future.cancel` succeeds only on those) and checks again,
+    and waits only when none is left. A batch is dropped once the caller
+    moves past it, so about a window of batches is alive. Either way, no
+    cut's batches are gathered all at once. An exception in a batch reaches
+    the caller, with its own type, when it takes that batch, whichever
+    thread augmented it. The worker is shut down when the generator ends,
+    raises or is closed.
     """
     # the worker costs more than it saves where it is off: it made
     # train-lowrr (hidden 0) calls about 10% slower in perfbench pairs; on
@@ -83,22 +83,14 @@ def _augmented_batches(augmenter, cuts):
     # about 15% slower in process
     cpus = _cpu_count()
     if not (augmenter.config.hidden > 0 and cpus > _blas_threads(cpus)):
-        # each cut's batches are gathered together before its steps, as
-        # a serial loop gathers them (a gather before each step made a
-        # train-lowrr call about 3% slower), and the list is not named, so
-        # it is freed before the next cut's is gathered
         for cut in cuts:
-            for i, (feats, targs) in enumerate(list(cut)):
+            for i, (feats, targs) in enumerate(cut):
                 yield augmenter.augment(feats), targs, i == len(cut) - 1
         return
 
     def augmented(cut, i, out):
         feats, targs = cut[i]
         return augmenter.augment(feats, out=out), targs, i == len(cut) - 1
-
-    # imported only here: a process whose runs start no worker (no hidden
-    # block, or one CPU) does not load the module, about 75 KB from source
-    from concurrent.futures import Future, ThreadPoolExecutor
 
     def stolen(job):
         """A finished future of ``augmented(*job)``, computed on this thread."""

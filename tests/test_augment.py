@@ -271,10 +271,9 @@ class TestOneBuffer:
             tracemalloc.stop()
         assert peak <= 1.1 * out.nbytes
 
-    def test_warm_layer_norm_call_allocates_only_its_output(self):
-        # the standard deviation is summed through a few-row buffer, not a
-        # block-sized array of squared deviations, and no row is broadcast
-        # against the block, so numpy makes no ufunc buffer
+    def test_warm_layer_norm_call_allocates_its_output_and_one_block(self):
+        # np.std forms the squared deviations in one array of the hidden
+        # rows' size; a second such temporary would exceed the bound
         aug = Augmenter(
             AugmentConfig(input_dim=240, hidden=2048, layer_norm=True, seed=0)
         )
@@ -286,7 +285,7 @@ class TestOneBuffer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.02 * out.nbytes
+        assert peak <= out.nbytes + 1.1 * out[:2048].nbytes
 
     def test_construction_allocates_only_g_hat(self):
         tracemalloc.start()
@@ -520,14 +519,20 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-10)
 
-    @pytest.mark.parametrize("shape", [(2, 5), (130, 3), (2048, 64)])
+    @pytest.mark.parametrize(
+        "shape", [(2, 1), (130, 1), (2048, 1), (2, 5), (130, 3), (2048, 64)]
+    )
     def test_equals_numpy_std_reference(self, shape):
-        # the buffered sum reproduces np.std's bits on multi-column blocks
+        # the centered block divided by its std(axis=0), bit for bit, also
+        # for one column, which numpy sums pairwise; a constant column,
+        # whose inexact mean leaves a nonzero centered value, comes out zero
         m = np.tanh(np.random.default_rng(shape[0]).standard_normal(shape) * 3.0) + 0.1
-        ref = m - m.mean(axis=0, keepdims=True)
-        std = ref.std(axis=0, keepdims=True)
-        np.divide(ref, std, out=ref, where=std > 0)
-        np.testing.assert_array_equal(_bits(_norm(m)), _bits(ref))
+        for block in (m, np.hstack([m, np.full((shape[0], 1), 0.1)])):
+            ref = block - block.mean(axis=0)
+            std = ref.std(axis=0)
+            ref /= np.where(std > 0, std, 1.0)
+            ref[:, shape[1]:] = 0.0
+            np.testing.assert_array_equal(_bits(_norm(block)), _bits(ref))
 
 
 class TestNonlinearityBreaksTracking:

@@ -17,7 +17,7 @@ import pytest
 
 from aopu import harness, pipeline
 from aopu.augment import AugmentConfig, Augmenter
-from aopu.data import batches, synth_generate
+from aopu.data import Batches, batches, synth_generate
 from aopu.errors import DivergenceError
 from aopu.pipeline import BLAS_THREAD_VARS, WINDOW_COLUMNS, _augmented_batches
 from aopu.harness import (
@@ -413,6 +413,29 @@ class TestBuffers:
         assert all(out is None for out, _ in calls)
 
 
+class TestInlineGather:
+    """Without the worker, a batch is gathered only once the one before it
+    has been stepped, so no cut's raw features are held at once."""
+
+    @pytest.mark.parametrize("hidden", [0, 64])
+    def test_each_gather_follows_the_last_step(self, ds, one_cpu, monkeypatch, hidden):
+        events = []
+        getitem, step = Batches.__getitem__, harness.AopuModel.step
+
+        def gather(self, i):
+            events.append("gather")
+            return getitem(self, i)
+
+        def stepping(self, x_tilde, y):
+            events.append("step")
+            return step(self, x_tilde, y)
+
+        monkeypatch.setattr(Batches, "__getitem__", gather)
+        monkeypatch.setattr(harness.AopuModel, "step", stepping)
+        report = train_run(ds, _config(bs=48, hidden=hidden))
+        assert events == ["gather", "step"] * report.n_iterations
+
+
 class TestChronologicalCut:
     """One unshuffled cut, ``[batches(train, bs)]``: the single
     chronological pass that a test-then-train run steps through."""
@@ -540,7 +563,7 @@ class TestStreamedEvaluation:
         self, monkeypatch, strategy, model, lr, diverged
     ):
         # 7 validation windows and d+h = 76 hold 6 pending weights
-        # (6 * 83 <= 76 * 7), and 60 epochs record 61 weights
+        # (6 * 83 <= 76 * 7), and 60 epochs record 60 weights or more
         tiny = synth_generate(n=40, n_vars=3, noise=0.2, nonlinear=True, seed=3)
         config = TrainConfig(bs=4, seq=4, hidden=64, epochs=60, seed=2,
                              model=model, strategy=strategy, lr=lr)
@@ -557,3 +580,56 @@ class TestStreamedEvaluation:
         *val_passes, test_pass = passes
         assert len(val_passes) > 5 and max(val_passes) == 6 and test_pass == 1
         assert report_fields(report) == serial_run(tiny, config)
+
+
+class TestFinalWeights:
+    """The final weights are scored once: they are recorded at the end of a
+    run only when the last curve point or epoch end did not record them."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The weights of each ``_predictions`` call, in order."""
+        passes = []
+        predictions = harness._predictions
+
+        def spy(augmenter, ws, bs, weights):
+            passes.append(list(weights))
+            return predictions(augmenter, ws, bs, weights)
+
+        monkeypatch.setattr(harness, "_predictions", spy)
+        return passes
+
+    def test_paper_shape(self, passes, monkeypatch):
+        # train-paper's benchmark run: 37 batches an epoch put the curve
+        # points at 50, 100 and 150 and the epoch ends at 37, 74, 111, 148
+        # and 185, the last of which records the final weights
+        paper = synth_generate(n=4000, n_vars=5, noise=0.3, nonlinear=True, seed=0)
+        config = TrainConfig(bs=64, seq=48, hidden=2048, epochs=5, strategy="final")
+        report = train_run(paper, config)
+        assert report.n_iterations == 185
+        val_pass, test_pass = passes
+        assert len({id(w) for w in val_pass}) == len(val_pass) == 8
+        assert val_pass[-1] is test_pass[0] is report.selected_weights
+        # recording the final weights again, as if nothing had recorded
+        # them, scores 9 weights and gives the same report
+        record = harness._Checkpoints.record
+
+        def forgetting(self, *args):
+            record(self, *args)
+            self.last_w = None
+
+        monkeypatch.setattr(harness._Checkpoints, "record", forgetting)
+        passes.clear()
+        again = train_run(paper, config)
+        assert [len(p) for p in passes] == [9, 1]
+        assert report_fields(again) == report_fields(report)
+
+    def test_diverging_run_scores_its_final_weights(self, ds, passes):
+        config = _config(lr=24.0, epochs=40, seed=0)
+        report = train_run(ds, config)
+        assert report.diverged
+        *val_passes, _ = passes
+        recorded = [w for p in val_passes for w in p]
+        assert len({id(w) for w in recorded}) == len(recorded)
+        assert recorded[-1] is report.selected_weights
+        assert report_fields(report) == serial_run(ds, config)
