@@ -118,6 +118,17 @@ def check_count(name: str, value, low: int) -> None:
         raise InvalidInputError(f"{name} must be >= {low}, got {value}")
 
 
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Raise unless ``value`` is a Python or numpy integer or float, not a
+    bool, finite and positive or, by default, at least 0."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not real:
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    if not (0 < value < np.inf or value == 0 and not positive):
+        bound = "positive" if positive else ">= 0"
+        raise InvalidInputError(f"{name} must be {bound} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     """Shape, activation, normalization and seed of the augmentation block."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .augment import check_count
+from .augment import check_count, check_real
 from .errors import AopuError, InvalidInputError
 
 AR_COEFF = 0.8  # synthetic per-variable autoregression coefficient
@@ -154,7 +154,7 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
     generic table whose last column is the target. An optional single header
     row of column names is detected automatically: the first row is a header
     when none of its cells parses as a number. Parsing is locale-independent
-    (dot decimal separator only).
+    (dot decimal separator only); a leading UTF-8 byte-order mark is skipped.
     """
     if schema is not None:
         try:
@@ -165,7 +165,7 @@ def load_csv(path, schema=None, target_col=None) -> Dataset:
             ) from None
 
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
     except OSError as exc:
         raise CsvReadError(f"{path}: cannot read: {exc.strerror or exc}") from exc
@@ -403,8 +403,7 @@ def synth_generate(n: int, n_vars: int, noise: float = 0.0,
     """
     check_count("n", n, 1)
     check_count("n_vars", n_vars, 1)
-    if noise < 0:
-        raise InvalidInputError(f"noise must be >= 0, got {noise}")
+    check_real("noise", noise)
     rng = np.random.default_rng(seed)
     x = np.empty((n, n_vars))
     x[0] = rng.standard_normal(n_vars)

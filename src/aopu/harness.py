@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .augment import AugmentConfig, Augmenter, check_count
+from .augment import AugmentConfig, Augmenter, check_count, check_real
 from .baselines import RvflnnModel
 from .data import (
     Dataset,
@@ -128,8 +128,8 @@ class TrainConfig:
             check_count(name, getattr(self, name), 1)
         for name in ("hidden", "seed"):
             check_count(name, getattr(self, name), 0)
-        if self.lr is not None and not 0 < self.lr < np.inf:
-            raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
+        if self.lr is not None:
+            check_real("lr", self.lr, positive=True)
 
     def augment_config(self, input_dim: int) -> AugmentConfig:
         """The feature map of this run on ``input_dim``-row windows; building
@@ -161,9 +161,9 @@ class RunReport:
     r2: float
     val_curve: list  # (iteration, validation MSE) pairs, every CURVE_EVERY steps
     val_by_epoch: list
-    best_epoch: int
+    best_epoch: int  # -1: the final weights, strictly better than every epoch end
     val_mse_best: float
-    val_mse_final: float
+    val_mse_final: float  # validation MSE of the final weights
     val_mse_zero: float  # validation MSE of the all-zero predictor
     stability: StabilityIndices | None
     mean_train_rr: float
@@ -210,11 +210,12 @@ def _predictions(augmenter: Augmenter, ws, bs: int, weights) -> np.ndarray:
 class _Checkpoints:
     """The validation side of a run: weights recorded during training, scored
     later and folded in training order into the curve, the epoch log and the
-    best epoch.
+    best record.
 
     A step replaces ``w_tilde`` and never mutates it, so a reference records
-    the weights. Pending weights are scored in one pass over the validation
-    split (:func:`_predictions`), by :meth:`score` at the end of the run, or
+    the weights and recording the last array again is a no-op. Pending
+    weights are scored in one pass over the validation split
+    (:func:`_predictions`), by :meth:`select` at the end of the run, or
     early once one more would make the pending weights and their predictions,
     ``k * (d+h + n_val)`` floats, outgrow the ``(d+h) * n_val`` of the whole
     augmented split.
@@ -227,11 +228,13 @@ class _Checkpoints:
         self._pending = []  # (weights, curve iteration or None, epoch end)
         self.curve = []
         self.by_epoch = []
-        self.best_val, self.best_epoch, self.best_w = np.inf, -1, None
+        self.best = None  # (validation MSE, epoch, weights)
         self.last_w = None  # the last weights recorded
         self.last = None  # and their validation MSE, once scored
 
     def record(self, w, iteration=None, epoch_end=False) -> None:
+        if w is self.last_w:
+            return
         if len(self._pending) == self._capacity:
             self.score()
         self._pending.append((w, iteration, epoch_end))
@@ -239,23 +242,33 @@ class _Checkpoints:
 
     def score(self) -> None:
         """Score the pending weights and fold them in, in recorded order."""
-        if not self._pending:
-            return
         preds = _predictions(
             self._augmenter, self._val, self._bs, [w for w, _, _ in self._pending]
         )
         for (w, iteration, epoch_end), pred in zip(self._pending, preds):
-            # an overflow reads inf
             with np.errstate(over="ignore"):
-                self.last = float(np.mean((self._val.targets - pred[:, None]) ** 2))
+                mse = float(np.mean((self._val.targets - pred[:, None]) ** 2))
+            # an overflow reads inf, also one that left inf - inf (nan) in
+            # the predictions: the builtin min(inf, nan) is inf
+            self.last = min(np.inf, mse)
             if iteration is not None:
                 self.curve.append((iteration, self.last))
             if epoch_end:
                 self.by_epoch.append(self.last)
-                if self.last < self.best_val:
-                    self.best_val, self.best_w = self.last, w
-                    self.best_epoch = len(self.by_epoch) - 1
+                self._offer(self.last, len(self.by_epoch) - 1, w)
         self._pending = []
+
+    def _offer(self, mse, epoch, w):
+        # the earlier record wins a tie
+        if self.best is None or mse < self.best[0]:
+            self.best = (mse, epoch, w)
+
+    def select(self):
+        """Score what is pending; return the ``(validation MSE, epoch,
+        weights)`` of the best epoch end or, as epoch -1, the last record."""
+        self.score()
+        self._offer(self.last, -1, self.last_w)
+        return self.best
 
 
 def _steps(model, augmenter: Augmenter, cuts):
@@ -282,10 +295,10 @@ def _steps(model, augmenter: Augmenter, cuts):
 def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     """Train one model under ``config`` and evaluate per its strategy.
 
-    Strategy ``best`` keeps the epoch checkpoint with minimal validation MSE
-    and tests with it; ``final`` tests with the last-epoch weights. A
-    divergent batch aborts training but the partial curves, the last rank
-    ratio and the metrics of the last finite weights are all preserved.
+    Strategy ``final`` tests with the final weights, from before the step
+    that diverged if one did (the partial curves and its rank ratio are
+    kept); ``best`` with the minimum of validation MSE over the epoch ends
+    and then the final weights (epoch -1), the earlier on a tie.
 
     The shape is checked before any windowing (:func:`data.check_shape`).
     Each epoch steps through one shuffled cut, ``batches(train, bs,
@@ -298,10 +311,10 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
 
     No augmented validation or test split is held. Training records the
     weights at every ``CURVE_EVERY`` iterations, at every epoch end and at
-    the end unless they were the last recorded (:class:`_Checkpoints`);
-    they are scored on the validation split augmented ``bs`` columns at a
-    time, the checkpoint is selected, and the test split streams through
-    the same blocks with the selected weights alone (:func:`_predictions`).
+    the end, each array once (:class:`_Checkpoints`); they are scored on
+    the validation split augmented ``bs`` columns at a time, the checkpoint
+    is selected, and the test split streams through the same blocks with
+    the selected weights alone (:func:`_predictions`).
     The zero predictor's validation MSE is the mean of the squared targets.
     """
     check_shape(ds.n_rows, config.seq, config.bs)
@@ -316,7 +329,6 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     epoch_hashes = []
     rr_seen = []
     iteration = 0
-    diverged = False
     divergence_rr = None
     with np.errstate(over="ignore"):
         val_zero = float(np.mean(val.targets**2))
@@ -334,18 +346,11 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
                         model.w_tilde, iteration if on_curve else None, epoch_end
                     )
     except DivergenceError as exc:
-        diverged = True
         divergence_rr = exc.rank_ratio
         rr_seen.append(divergence_rr)
-    if model.w_tilde is not checkpoints.last_w:
-        checkpoints.record(model.w_tilde)
-    checkpoints.score()
-
-    val_by_epoch = checkpoints.by_epoch
-    val_final = val_by_epoch[-1] if val_by_epoch else checkpoints.last
-    best_val, best_w = checkpoints.best_val, checkpoints.best_w
-    if not np.isfinite(best_val):
-        best_val, best_w = val_final, model.w_tilde
+    checkpoints.record(model.w_tilde)
+    best_val, best_epoch, best_w = checkpoints.select()
+    val_final = checkpoints.last
     # selection property: the kept checkpoint can never validate worse than
     # the final one (test-set transfer is only a correlation, see the caveat)
     assert best_val <= val_final
@@ -353,28 +358,24 @@ def train_run(ds: Dataset, config: TrainConfig) -> RunReport:
     test_pred = _predictions(augmenter, test, config.bs, [selected])[0]
     test_metrics = metrics(test.targets[:, 0], test_pred)
 
-    curve = checkpoints.curve
-    curve_values = [v for _, v in curve]
+    curve_values = [v for _, v in checkpoints.curve]
     stability = stability_report(curve_values) if len(curve_values) >= 4 else None
-    mean_rr = float(np.mean(rr_seen)) if rr_seen else float("nan")
-    min_rr = float(np.min(rr_seen)) if rr_seen else float("nan")
+    mean_rr = float(np.mean(rr_seen))  # a run steps or diverges at least once
 
     return RunReport(
         config=config,
-        mse=test_metrics.mse,
-        mape=test_metrics.mape,
-        r2=test_metrics.r2,
-        val_curve=curve,
-        val_by_epoch=val_by_epoch,
-        best_epoch=checkpoints.best_epoch,
-        val_mse_best=float(best_val),
-        val_mse_final=float(val_final),
+        **asdict(test_metrics),
+        val_curve=checkpoints.curve,
+        val_by_epoch=checkpoints.by_epoch,
+        best_epoch=best_epoch,
+        val_mse_best=best_val,
+        val_mse_final=val_final,
         val_mse_zero=val_zero,
         stability=stability,
         mean_train_rr=mean_rr,
-        min_train_rr=min_rr,
-        low_rr_warning=bool(rr_seen) and mean_rr < LOW_RR_THRESHOLD,
-        diverged=diverged,
+        min_train_rr=float(np.min(rr_seen)),
+        low_rr_warning=mean_rr < LOW_RR_THRESHOLD,
+        diverged=divergence_rr is not None,
         divergence_rr=divergence_rr,
         n_iterations=iteration,
         epoch_weight_hashes=epoch_hashes,
@@ -560,34 +561,26 @@ def write_run_metrics_csv(path, reports) -> None:
         "val_mse_best", "val_mse_final", "fluctuation", "max_regression",
         "mean_train_rr", "low_rr_warning", "diverged", "divergence_rr",
     ]
-    rows = []
-    for r in reports:
-        stab = r.stability
-        rows.append([
-            r.config.seed, r.config.model, r.config.strategy, r.mse, r.mape, r.r2,
-            r.val_mse_best, r.val_mse_final,
-            None if stab is None else stab.fluctuation,
-            None if stab is None else stab.max_regression,
-            r.mean_train_rr, r.low_rr_warning, r.diverged, r.divergence_rr,
-        ])
+    rows = [[
+        r.config.seed, r.config.model, r.config.strategy, r.mse, r.mape, r.r2,
+        r.val_mse_best, r.val_mse_final,
+        None if r.stability is None else r.stability.fluctuation,
+        None if r.stability is None else r.stability.max_regression,
+        r.mean_train_rr, r.low_rr_warning, r.diverged, r.divergence_rr,
+    ] for r in reports]
     write_csv(path, header, rows)
 
 
 def write_curve_csv(path, reports) -> None:
-    rows = []
-    for r in reports:
-        for it, v in r.val_curve:
-            rows.append([r.config.seed, it, v])
+    rows = [[r.config.seed, it, v] for r in reports for it, v in r.val_curve]
     write_csv(path, ["seed", "iteration", "val_mse"], rows)
 
 
 def write_rr_hist_csv(path, summaries) -> None:
-    rows = []
-    for s in summaries:
-        for k, count in enumerate(s.hist):
-            rows.append(
-                [s.bs, s.seq, RR_HIST_EDGES[k], RR_HIST_EDGES[k + 1], count]
-            )
+    rows = [
+        [s.bs, s.seq, RR_HIST_EDGES[k], RR_HIST_EDGES[k + 1], count]
+        for s in summaries for k, count in enumerate(s.hist)
+    ]
     write_csv(path, ["bs", "seq", "bin_lo", "bin_hi", "count"], rows)
 
 
@@ -602,13 +595,11 @@ def write_ablation_csv(path, rows, columns) -> None:
     stats = [(name, agg) for name in AGGREGATE_FIELDS for agg in ("mean", "std")]
     header = [*columns, *(f"{name}_{agg}" for name, agg in stats),
               "n_seeds", "diverged_seeds"]
-    out = []
-    for row in rows:
-        out.append([
-            *(getattr(row.config, c) for c in columns),
-            *(getattr(row, agg)[name] for name, agg in stats),
-            len(row.seeds), ";".join(str(s) for s in row.diverged_seeds),
-        ])
+    out = [[
+        *(getattr(row.config, c) for c in columns),
+        *(getattr(row, agg)[name] for name, agg in stats),
+        len(row.seeds), ";".join(str(s) for s in row.diverged_seeds),
+    ] for row in rows]
     write_csv(path, header, out)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .augment import Augmenter
+from .augment import Augmenter, check_real
 from .errors import DivergenceError, InvalidInputError
 
 
@@ -141,10 +141,7 @@ class LinearReadout:
 
     def __init__(self, augmenter: Augmenter, lr: float | None = None):
         lr = self.DEFAULT_LR if lr is None else lr
-        if not 0 < lr < np.inf:
-            raise InvalidInputError(
-                f"learning rate must be positive and finite, got {lr}"
-            )
+        check_real("learning rate", lr, positive=True)
         self.lr = float(lr)
         # zero init: the first update is a pure data-driven projection and no
         # extra randomness source is introduced

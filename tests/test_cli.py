@@ -52,6 +52,23 @@ def test_train_writes_all_artifacts(tmp_path):
     assert manifest["content_hash"] == hashlib.sha1(b"".join(digests)).hexdigest()
 
 
+def test_diverged_train_manifest_reports_the_final_weights(tmp_path):
+    # the run diverges mid-epoch; its last epoch end validates at 4.1e305,
+    # while the final weights, which the test split scores, overflow
+    out = tmp_path / "diverged"
+    argv = [
+        "train", "--synth-n", "800", "--synth-vars", "3", "--synth-noise", "0.2",
+        "--synth-nonlinear", "--synth-seed", "3", "--hidden", "64", "--bs", "16",
+        "--seq", "4", "--epochs", "40", "--lr", "24", "--seed", "0",
+        "--out-dir", str(out),
+    ]
+    assert main(argv) == 0
+    report = json.loads((out / "manifest.json").read_text())["report"]
+    assert report["diverged"] and report["mse"] == float("inf")
+    assert report["val_mse_final"] == float("inf")
+    assert report["val_mse_best"] <= report["val_mse_final"]
+
+
 def test_train_rvflnn_checkpoint_kind(tmp_path):
     out = tmp_path / "rv"
     assert main(["train", *SMALL, "--model", "rvflnn", "--out-dir", str(out)]) == 0

@@ -45,6 +45,17 @@ class TestLoadCsv:
         assert ds.columns == ("temp", "pressure", "y")
         assert ds.n_rows == 2
 
+    @pytest.mark.parametrize("header", ["", "x0,x1,y\n"], ids=["data", "header"])
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path, header):
+        # spreadsheet programs' "CSV UTF-8" starts with one; it once made the
+        # first cell '\ufeff1.0' (unparsable) or the first column '\ufeffx0'
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}1.0,2,3\n4,5,6\n".encode())
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.values, [[1.0, 2, 3], [4, 5, 6]])
+        if header:
+            assert ds.columns == ("x0", "x1", "y")
+
     def test_mixed_first_row_is_data_not_header(self, tmp_path):
         # a first row with any numeric cell is data, so its text cell fails
         # to parse instead of the row being dropped as a header
@@ -526,6 +537,19 @@ class TestSynthGenerate:
             synth_generate(n=0, n_vars=2)
         with pytest.raises(InvalidInputError):
             synth_generate(n=10, n_vars=2, noise=-0.5)
+
+    @pytest.mark.parametrize("noise", [True, "0.1", None, np.nan, np.inf])
+    def test_noise_must_be_a_finite_real(self, noise):
+        # True once generated at noise 1.0, and "0.1" raised a bare TypeError
+        with pytest.raises(InvalidInputError, match="noise must be"):
+            synth_generate(n=10, n_vars=2, noise=noise)
+
+    @pytest.mark.parametrize("noise", [0, np.float32(0.25), np.int64(1)])
+    def test_noise_of_any_real_type(self, noise):
+        ds = synth_generate(n=10, n_vars=2, noise=noise, seed=1)
+        np.testing.assert_array_equal(
+            ds.values, synth_generate(n=10, n_vars=2, noise=float(noise), seed=1).values
+        )
 
     @pytest.mark.parametrize("n,n_vars", [
         (400.0, 4), (True, 4), ("400", 4), (400, 4.0), (400, False), (400, 0),

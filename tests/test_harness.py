@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aopu import linalg
+from aopu import harness, linalg
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.data import Dataset, WindowedSet, batches, synth_generate
 from aopu.errors import ConstantTargetError, InvalidInputError
@@ -118,6 +118,20 @@ class TestTrainConfig:
             with pytest.raises(InvalidInputError, match="lr must be positive"):
                 TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("lr", [True, "1", 1j])
+    def test_lr_must_be_a_real_number(self, lr):
+        # True once trained at lr 1.0 with the manifest echoing "lr": true,
+        # and "1" raised a bare TypeError
+        with pytest.raises(InvalidInputError, match="lr must be a real number"):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("lr", [None, 2, 0.5, np.float32(0.5), np.int64(2)])
+    def test_lr_of_any_real_type(self, lr):
+        aug = Augmenter(AugmentConfig(input_dim=2, hidden=0))
+        model = make_model(TrainConfig(lr=lr), aug)
+        assert model.lr == (1.0 if lr is None else float(lr))
+        assert type(model.lr) is float
+
     @pytest.mark.parametrize("field", ["bs", "seq", "hidden", "epochs"])
     @pytest.mark.parametrize("value", [16.0, 4.5, 2.5, True, np.float64(8.0), "16"])
     def test_non_integer_shape_rejected(self, field, value):
@@ -181,10 +195,12 @@ class TestTrainRun:
         assert a.epoch_weight_hashes == b.epoch_weight_hashes
 
     def test_validation_best_never_worse_than_final(self, small_ds):
+        # lr 32 diverges mid-epoch, after five epoch ends
         for seed in (0, 1, 2):
-            for model in ("aopu", "rvflnn"):
-                rep = train_run(small_ds, _small_config(seed=seed, model=model))
-                assert rep.val_mse_best <= rep.val_mse_final + 1e-15
+            for model, lr in (("aopu", None), ("rvflnn", None), ("aopu", 32.0)):
+                rep = train_run(small_ds, _small_config(seed=seed, model=model, lr=lr))
+                assert rep.diverged == (lr is not None)
+                assert rep.val_mse_best <= rep.val_mse_final
                 assert rep.caveat  # val/test transfer caveat is recorded
 
     def test_strategies_select_different_checkpoints(self, small_ds):
@@ -274,6 +290,82 @@ class TestTrainRun:
         with pytest.raises(InvalidInputError, match=message):
             train_run(small_ds, _small_config(**config))
         assert calls == []
+
+
+class TestCheckpoints:
+    """``_Checkpoints.select``: the minimum over the epoch ends and then the
+    last record (epoch -1), the earlier on a tie; a NaN MSE reads inf."""
+
+    @pytest.fixture
+    def checkpoints(self, small_ds):
+        val = prepare_windows(small_ds, 4)[1]
+        return harness._Checkpoints(
+            Augmenter(AugmentConfig(input_dim=16, hidden=0)), val, 8
+        )
+
+    @pytest.fixture
+    def fit(self, small_ds):
+        """Least-squares weights on the validation split, which every other
+        weight validates strictly worse than."""
+        val = prepare_windows(small_ds, 4)[1]
+        return np.linalg.lstsq(val.features.T, val.targets, rcond=None)[0]
+
+    ZERO = np.zeros((16, 1))
+    HUGE = np.full((16, 1), 1e300)  # the squared residuals overflow: inf
+    NAN = np.full((16, 1), np.nan)
+
+    def test_earlier_epoch_end_wins_a_tie(self, checkpoints):
+        first, again = self.ZERO.copy(), self.ZERO.copy()
+        for w in (first, again):
+            checkpoints.record(w, None, True)
+        checkpoints.record(self.HUGE)
+        mse, epoch, w = checkpoints.select()
+        assert checkpoints.by_epoch[0] == checkpoints.by_epoch[1] == mse
+        assert epoch == 0 and w is first
+
+    def test_final_copy_of_the_best_epoch_end_loses_the_tie(self, checkpoints, fit):
+        checkpoints.record(fit, None, True)
+        checkpoints.record(self.ZERO, None, True)
+        checkpoints.record(fit.copy())
+        mse, epoch, w = checkpoints.select()
+        assert mse == checkpoints.last and epoch == 0 and w is fit
+
+    def test_final_wins_when_strictly_better(self, checkpoints, fit):
+        checkpoints.record(self.ZERO, 50, True)
+        checkpoints.record(fit)
+        mse, epoch, w = checkpoints.select()
+        assert mse == checkpoints.last < checkpoints.by_epoch[0]
+        assert epoch == -1 and w is fit
+
+    def test_final_without_an_epoch_end(self, checkpoints):
+        checkpoints.record(self.ZERO, 50)
+        checkpoints.record(self.HUGE)
+        mse, epoch, w = checkpoints.select()
+        assert mse == np.inf and epoch == -1 and w is self.HUGE
+        assert checkpoints.by_epoch == [] and len(checkpoints.curve) == 1
+
+    def test_recording_the_last_array_again_is_a_no_op(self, checkpoints):
+        checkpoints.record(self.ZERO, 50, True)
+        checkpoints.record(self.ZERO)
+        assert len(checkpoints._pending) == 1
+        mse, epoch, w = checkpoints.select()
+        assert mse == checkpoints.last and epoch == 0 and w is self.ZERO
+        assert len(checkpoints.curve) == len(checkpoints.by_epoch) == 1
+
+    def test_nan_reads_inf(self, checkpoints):
+        # so a NaN final ties with an overflowing epoch end, which wins
+        checkpoints.record(self.HUGE, 50, True)
+        checkpoints.record(self.NAN)
+        mse, epoch, w = checkpoints.select()
+        assert mse == checkpoints.last == np.inf and epoch == 0 and w is self.HUGE
+        assert checkpoints.curve == [(50, np.inf)]
+
+    def test_a_number_beats_a_nan_epoch_end(self, checkpoints):
+        checkpoints.record(self.NAN, None, True)
+        checkpoints.record(self.ZERO)
+        mse, epoch, w = checkpoints.select()
+        assert checkpoints.by_epoch == [np.inf] and mse < np.inf
+        assert epoch == -1 and w is self.ZERO
 
 
 class TestSweep:

@@ -339,6 +339,10 @@ READOUT_ERRORS = [
     ("lr-nan", lambda cls: cls(_aug5(), lr=np.nan), InvalidInputError, "learning rate"),
     ("lr-inf", lambda cls: cls(_aug5(), lr=np.inf), InvalidInputError, "learning rate"),
     ("lr-negative", lambda cls: cls(_aug5(), lr=-1.0), InvalidInputError, "learning rate"),
+    ("lr-bool", lambda cls: cls(_aug5(), lr=True), InvalidInputError,
+     "learning rate must be a real number, got True"),
+    ("lr-str", lambda cls: cls(_aug5(), lr="1"), InvalidInputError,
+     "learning rate must be a real number, got '1'"),
     ("x-1d", lambda cls: _step(cls, x=np.ones(5)), InvalidInputError, "2-D"),
     ("x-nan", lambda cls: _step(cls, x=np.full((5, 3), np.nan)), InvalidInputError,
      "non-finite"),

@@ -86,9 +86,11 @@ def block_mse(augmenter, ws, cols, w) -> float:
 def serial_run(ds, config: TrainConfig, cols=None) -> dict:
     """train_run's loop without look-ahead: ``model.step(augment(feats),
     targs)`` over the same batches. The weights at every curve point and
-    epoch end are kept and scored after training, all of them, one weight
-    at a time, on the validation split augmented ``cols`` columns at a
-    time (by default ``bs``, as train_run scores them)."""
+    epoch end and the final weights are kept and scored after training,
+    all of them, one weight at a time, on the validation split augmented
+    ``cols`` columns at a time (by default ``bs``, as train_run scores
+    them), a NaN reading inf. ``best`` is the first minimum over the epoch
+    ends and then the final weights."""
     train, val, test = prepare_windows(ds, config.seq, config.standardize)
     augmenter = Augmenter(
         AugmentConfig(
@@ -119,16 +121,16 @@ def serial_run(ds, config: TrainConfig, cols=None) -> dict:
         hashes.append(_weights_hash(model.w_tilde))
 
     def score(w):
-        return block_mse(augmenter, val, cols, w)
+        mse = block_mse(augmenter, val, cols, w)
+        return np.inf if np.isnan(mse) else mse
 
     val_by_epoch = [score(w) for w in epoch_w]
-    val_final = val_by_epoch[-1] if val_by_epoch else score(model.w_tilde)
-    best_epoch, best_val, best_w = -1, np.inf, None
-    for epoch, value in enumerate(val_by_epoch):
-        if value < best_val:
-            best_epoch, best_val, best_w = epoch, value, epoch_w[epoch]
-    if not np.isfinite(best_val):
-        best_val, best_w = val_final, model.w_tilde
+    val_final = score(model.w_tilde)
+    candidates = [
+        *zip(val_by_epoch, range(len(epoch_w)), epoch_w),
+        (val_final, -1, model.w_tilde),
+    ]
+    best_val, best_epoch, best_w = min(candidates, key=lambda c: c[0])
     selected = best_w if config.strategy == "best" else model.w_tilde
     pred = block_predictions(augmenter, test, cols, selected)
     m = metrics(test.targets[:, 0], pred[:, 0])
@@ -584,7 +586,7 @@ class TestStreamedEvaluation:
 
 class TestFinalWeights:
     """The final weights are scored once: they are recorded at the end of a
-    run only when the last curve point or epoch end did not record them."""
+    run, and recording the array recorded last again records nothing."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -615,8 +617,8 @@ class TestFinalWeights:
         record = harness._Checkpoints.record
 
         def forgetting(self, *args):
-            record(self, *args)
             self.last_w = None
+            record(self, *args)
 
         monkeypatch.setattr(harness._Checkpoints, "record", forgetting)
         passes.clear()
@@ -633,3 +635,34 @@ class TestFinalWeights:
         assert len({id(w) for w in recorded}) == len(recorded)
         assert recorded[-1] is report.selected_weights
         assert report_fields(report) == serial_run(ds, config)
+
+    @pytest.mark.parametrize("strategy", ["final", "best"])
+    def test_diverged_run_reports_the_mse_of_the_weights_it_tests(
+        self, ds, monkeypatch, strategy
+    ):
+        # the run diverges mid-epoch at iteration 583; the last epoch end
+        # validates at 4.1e305 and the final weights overflow
+        calls = []
+        predictions = harness._predictions
+
+        def spy(augmenter, ws, bs, weights):
+            preds = predictions(augmenter, ws, bs, weights)
+            calls.append((ws, list(weights), preds))
+            return preds
+
+        monkeypatch.setattr(harness, "_predictions", spy)
+        report = train_run(ds, _config(lr=24.0, epochs=40, seed=0, strategy=strategy))
+        assert report.diverged and report.n_iterations == 583
+        *val_calls, (_, [tested], _) = calls
+        assert tested is report.selected_weights
+        with np.errstate(over="ignore"):
+            scored = {
+                id(w): float(np.mean((ws.targets - p[:, None]) ** 2))
+                for ws, weights, preds in val_calls for w, p in zip(weights, preds)
+            }
+        assert scored[id(report.selected_weights)] == (
+            report.val_mse_final if strategy == "final" else report.val_mse_best
+        )
+        assert report.val_mse_final == np.inf
+        assert np.isfinite(report.val_by_epoch[-1])
+        assert report.val_mse_best <= report.val_mse_final
