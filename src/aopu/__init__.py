@@ -21,6 +21,7 @@ from .data import (
     WindowedSet,
     batches,
     load_csv,
+    prepare_windows,
     split,
     standardize,
     synth_generate,
@@ -38,12 +39,10 @@ from .errors import (
 from .harness import (
     Metrics,
     RepeatReport,
-    RrSummary,
     RunReport,
     StabilityIndices,
     TrainConfig,
     metrics,
-    rr_survey,
     stability_report,
     sweep,
     train_run,
@@ -58,5 +57,6 @@ from .model import (
     reconstruct,
     truncated_gradient,
 )
+from .survey import RrSummary, rr_survey
 
 __version__ = "0.1.0"

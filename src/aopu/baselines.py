@@ -101,7 +101,7 @@ def linear_mve_fit(x, y) -> LinearMve:
     y_mean = ym.mean(axis=1, keepdims=True)
     xc = xm - x_mean
     yc = ym - y_mean
-    r_xx = linalg.symmetrize(xc @ xc.T / n)
+    r_xx = xc @ xc.T / n
     r_yx = yc @ xc.T / n
     weights = r_yx @ linalg.pinv(r_xx)
     offset = (y_mean - weights @ x_mean)[:, 0]

@@ -1,9 +1,18 @@
-"""Command-line interface: train, repeat, rr-survey, ablate, synth, verify."""
+"""Command-line interface: train, repeat, rr-survey, ablate, synth, verify.
+
+Every file a command writes is formatted here: the CSVs, whose floats are
+spelled by ``repr``, and the ``manifest.json`` of each run, which holds the
+config echo, a SHA-1 of each output and the wall time. The JSON files are
+strict: a non-finite float is the string the CSVs spell it as.
+"""
 
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -11,7 +20,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import data, harness, verify
+from . import data, harness, survey, verify
 from .checkpoint import save_checkpoint
 from .errors import AopuError, InvalidInputError
 
@@ -116,11 +125,82 @@ def _config_echo(args, config: harness.TrainConfig, ds: data.Dataset) -> dict:
     return {"dataset": args.dataset, **asdict(config), "target_col": ds.target_col}
 
 
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        # a numpy float64 is a float whose repr carries its type name
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _strict(value):
+    """``value`` with each non-finite float spelled as in the CSVs."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_strict(doc), fh, indent=1, sort_keys=True, default=str,
+                  allow_nan=False)
+        fh.write("\n")
+
+
+def _write_runs(out_dir, reports) -> list:
+    """Write ``metrics.csv``, one row per run, and ``curve.csv``, each run's
+    validation curve; return their paths."""
+    metrics_path = os.path.join(out_dir, "metrics.csv")
+    curve_path = os.path.join(out_dir, "curve.csv")
+    header = [
+        "seed", "model", "strategy", "mse", "mape", "r2",
+        "val_mse_best", "val_mse_final", "fluctuation", "max_regression",
+        "mean_train_rr", "low_rr_warning", "diverged", "divergence_rr",
+    ]
+    _write_csv(metrics_path, header, [[
+        r.config.seed, r.config.model, r.config.strategy, r.mse, r.mape, r.r2,
+        r.val_mse_best, r.val_mse_final,
+        None if r.stability is None else r.stability.fluctuation,
+        None if r.stability is None else r.stability.max_regression,
+        r.mean_train_rr, r.low_rr_warning, r.diverged, r.divergence_rr,
+    ] for r in reports])
+    _write_csv(curve_path, ["seed", "iteration", "val_mse"],
+               [[r.config.seed, it, v] for r in reports for it, v in r.val_curve])
+    return [metrics_path, curve_path]
+
+
 def _finish(out_dir, config_echo, written, t0, extra=None) -> None:
+    """Write ``manifest.json``: the config echo, each output's SHA-1, a
+    ``content_hash`` over those digests in path-sorted order, the wall time
+    and ``extra``; then print every path written."""
+    wall_time = time.perf_counter() - t0
+    digests = []
+    for path in sorted(written):
+        with open(path, "rb") as fh:
+            digests.append((os.path.basename(path), hashlib.sha1(fh.read()).digest()))
     manifest = os.path.join(out_dir, "manifest.json")
-    harness.write_manifest(
-        manifest, config_echo, written, time.perf_counter() - t0, extra=extra
-    )
+    _write_json(manifest, {
+        "config": config_echo,
+        "outputs": {name: digest.hex() for name, digest in digests},
+        "content_hash": hashlib.sha1(b"".join(d for _, d in digests)).hexdigest(),
+        "wall_time_s": wall_time,
+        **(extra or {}),
+    })
     for path in written + [manifest]:
         print(f"wrote {path}")
 
@@ -135,11 +215,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     echo = _config_echo(args, config, ds)
 
-    metrics_path = os.path.join(args.out_dir, "metrics.csv")
-    curve_path = os.path.join(args.out_dir, "curve.csv")
+    written = _write_runs(args.out_dir, [report])
     ckpt_path = os.path.join(args.out_dir, "checkpoint.json")
-    harness.write_run_metrics_csv(metrics_path, [report])
-    harness.write_curve_csv(curve_path, [report])
     save_checkpoint(ckpt_path, config.model, report.selected_weights, echo)
     print(
         f"{config.model} test: mse={report.mse:.6g} mape={report.mape:.4g} "
@@ -147,7 +224,7 @@ def cmd_train(args) -> int:
         f"{', LOW-RR WARNING' if report.low_rr_warning else ''}"
         f"{', DIVERGED' if report.diverged else ''})"
     )
-    _finish(args.out_dir, echo, [metrics_path, curve_path, ckpt_path], t0,
+    _finish(args.out_dir, echo, written + [ckpt_path], t0,
             extra={"report": report.to_dict()})
     return 0
 
@@ -160,16 +237,12 @@ def cmd_repeat(args) -> int:
     )
     (rep,) = harness.sweep(ds, config, {}, args.seeds)
     os.makedirs(args.out_dir, exist_ok=True)
-
-    metrics_path = os.path.join(args.out_dir, "metrics.csv")
-    curve_path = os.path.join(args.out_dir, "curve.csv")
-    harness.write_run_metrics_csv(metrics_path, rep.runs)
-    harness.write_curve_csv(curve_path, rep.runs)
+    written = _write_runs(args.out_dir, rep.runs)
     for name in ("mse", "mape", "r2"):
         print(f"{name}: {rep.cell(name)}")
     if rep.diverged_seeds:
         print(f"diverged seeds: {rep.diverged_seeds}")
-    _finish(args.out_dir, _config_echo(args, config, ds), [metrics_path, curve_path], t0,
+    _finish(args.out_dir, _config_echo(args, config, ds), written, t0,
             extra={"seeds": args.seeds,
                    "aggregate": {"mean": rep.mean, "std": rep.std},
                    "diverged_seeds": rep.diverged_seeds})
@@ -179,7 +252,7 @@ def cmd_repeat(args) -> int:
 def cmd_rr_survey(args) -> int:
     t0 = time.perf_counter()
     ds = _load_dataset(args)
-    summaries = harness.rr_survey(
+    summaries = survey.rr_survey(
         ds,
         bs_grid=args.bs_grid,
         seq_grid=args.seq_grid,
@@ -192,8 +265,13 @@ def cmd_rr_survey(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     hist_path = os.path.join(args.out_dir, "rr_hist.csv")
     summary_path = os.path.join(args.out_dir, "rr_summary.csv")
-    harness.write_rr_hist_csv(hist_path, summaries)
-    harness.write_rr_summary_csv(summary_path, summaries)
+    edges = survey.RR_HIST_EDGES
+    _write_csv(hist_path, ["bs", "seq", "bin_lo", "bin_hi", "count"], [
+        [s.bs, s.seq, edges[k], edges[k + 1], count]
+        for s in summaries for k, count in enumerate(s.hist)
+    ])
+    _write_csv(summary_path, ["bs", "seq", "count", "mean_rr", "std_rr"],
+               [[s.bs, s.seq, s.count, s.mean, s.std] for s in summaries])
     for s in summaries:
         print(f"bs={s.bs:4d} seq={s.seq:3d} mean RR={s.mean:.4f} (n={s.count})")
     # seed, standardize and target_col under the names the training echo uses
@@ -217,7 +295,17 @@ def cmd_ablate(args) -> int:
     rows = harness.sweep(ds, config, grid, args.seeds)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "ablation.csv")
-    harness.write_ablation_csv(path, rows, ("activation", "layer_norm"))
+    # per row: its activation and layer norm, the mean and std of each
+    # aggregate, the seed count and the diverged seeds
+    stats = [(name, agg) for name in harness.AGGREGATE_FIELDS for agg in ("mean", "std")]
+    _write_csv(path, [
+        "activation", "layer_norm", *(f"{name}_{agg}" for name, agg in stats),
+        "n_seeds", "diverged_seeds",
+    ], [[
+        row.config.activation, row.config.layer_norm,
+        *(getattr(row, agg)[name] for name, agg in stats),
+        len(row.seeds), ";".join(str(s) for s in row.diverged_seeds),
+    ] for row in rows])
     for row in rows:
         print(
             f"acti={row.config.activation:<11s} norm={int(row.config.layer_norm)} "
@@ -254,17 +342,10 @@ def cmd_verify(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "verify.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "results": [r.to_dict() for r in results],
-                    "wall_time_s": time.perf_counter() - t0,
-                },
-                fh,
-                indent=1,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(path, {
+            "results": [r.to_dict() for r in results],
+            "wall_time_s": time.perf_counter() - t0,
+        })
         print(f"wrote {path}")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0

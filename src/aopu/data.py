@@ -322,6 +322,13 @@ def split(ws: WindowedSet):
     return tuple(parts)
 
 
+def prepare_windows(ds: Dataset, seq: int, standardize_data: bool = True):
+    """Standardize (train-fraction stats), window and chronologically split."""
+    if standardize_data:
+        ds = standardize(ds, train_column_stats(ds))
+    return split(window(ds, seq))
+
+
 def check_shape(n_rows: int, seq: int, bs: int) -> None:
     """Check, by arithmetic alone, that ``seq`` and ``bs`` are integers
     (:func:`augment.check_count`) and that length-``seq`` windows of

@@ -1,15 +1,17 @@
-"""Training loops, metrics, rank-ratio surveys and seed-repeated sweeps.
+"""Training runs, their metrics and seed-repeated sweeps over config grids.
 
 Every run is fully determined by (dataset, config): the config seed drives
 the frozen feature map and the per-epoch shuffling jointly, weights start at
 zero, and the validation cadence is fixed (per epoch for checkpoint
 selection, every 50 iterations for curves). Reports therefore reproduce
 bit-identically for identical inputs.
+
+Nothing here writes a file: :mod:`aopu.cli` formats the reports, and the
+rank-ratio survey is :mod:`aopu.survey`.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -19,19 +21,13 @@ import numpy as np
 
 from .augment import AugmentConfig, Augmenter, check_count, check_real
 from .baselines import RvflnnModel
-from .data import (
-    Dataset,
-    batches,
-    check_shape,
-    split,
-    standardize,
-    train_column_stats,
-    window,
-)
+from .data import Dataset, batches, check_shape, prepare_windows
 from .errors import ConstantTargetError, DivergenceError, InvalidInputError
 from .model import AopuModel
 from .pipeline import _augmented_batches
-from .survey import _survey_ranks
+
+# the benchmark (perfbench/) looks the survey up on this module
+from .survey import RR_HIST_EDGES, rr_survey  # noqa: F401
 
 CURVE_EVERY = 50  # validation-curve sampling cadence, in training iterations
 LOW_RR_THRESHOLD = 0.5  # mean train RR below this flags the run as rank-starved
@@ -180,13 +176,6 @@ class RunReport:
         d = asdict(self)
         d["weights_sha256"] = _weights_hash(d.pop("selected_weights"))
         return d
-
-
-def prepare_windows(ds: Dataset, seq: int, standardize_data: bool = True):
-    """Standardize (train-fraction stats), window and chronologically split."""
-    if standardize_data:
-        ds = standardize(ds, train_column_stats(ds))
-    return split(window(ds, seq))
 
 
 def _predictions(augmenter: Augmenter, ws, bs: int, weights) -> np.ndarray:
@@ -449,180 +438,3 @@ def sweep(ds: Dataset, config: TrainConfig, grid: dict, seeds) -> list:
         RepeatReport(configs[0], seeds, [train_run(ds, c) for c in configs])
         for configs in cells
     ]
-
-
-RR_HIST_EDGES = np.linspace(0.0, 1.0, 21)
-
-
-@dataclass(frozen=True)
-class RrSummary:
-    """Rank-ratio distribution for one (batch size, sequence length) cell."""
-
-    bs: int
-    seq: int
-    count: int
-    mean: float
-    std: float
-    hist: tuple  # counts over RR_HIST_EDGES bins; total mass equals count
-
-
-def rr_survey(
-    ds: Dataset,
-    bs_grid,
-    seq_grid,
-    hidden: int = 2048,
-    activation: str = "tanh",
-    layer_norm: bool = False,
-    seed: int = 0,
-    standardize_data: bool = True,
-):
-    """Rank-ratio distributions of augmented training batches over a grid.
-
-    For every (bs, seq) pair the training split is cut into shuffled
-    fixed-size batches, as :func:`data.batches` with ``shuffle=True`` cuts
-    them, and each batch's rank ratio is recorded into a histogram. Every
-    batch size slices the same seeded permutation, so each seq walks the
-    shuffled split once, one block of the largest batch size at a time, and
-    augments each training window at most once, however many batch sizes
-    the grid holds; a smaller batch inside a block certified full rank has
-    full rank with no work of its own (see :func:`survey._survey_ranks`).
-    ``G`` is drawn once, for the longest window: the map of each seq is the
-    prefix of its first ``seq * n_inputs`` input rows, the same map an
-    ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`).
-    Every (bs, seq) pair is checked (:func:`data.check_shape`) before that
-    draw, so a bad shape anywhere in the grid raises before any seq is
-    surveyed. A batch size repeated in the grid gets its own, identical
-    cell.
-    """
-    bs_grid = list(bs_grid)
-    seq_grid = list(seq_grid)
-    if not bs_grid or not seq_grid:
-        raise InvalidInputError("bs and seq grids must be non-empty")
-    for seq, bs in product(seq_grid, bs_grid):
-        check_shape(ds.n_rows, seq, bs)
-    augmenter = Augmenter(
-        AugmentConfig(
-            input_dim=max(seq_grid) * ds.n_inputs,
-            hidden=hidden,
-            activation=activation,
-            layer_norm=layer_norm,
-            seed=seed,
-        )
-    )
-    summaries = []
-    for seq in seq_grid:
-        train, _, _ = prepare_windows(ds, seq, standardize_data)
-        ranks = _survey_ranks(train, augmenter, set(bs_grid), seed)
-        # freed before the next window length builds its own
-        del train
-        for bs in bs_grid:
-            arr = np.asarray(ranks[bs]) / bs
-            counts, _ = np.histogram(arr, bins=RR_HIST_EDGES)
-            summaries.append(
-                RrSummary(
-                    bs=bs,
-                    seq=seq,
-                    count=arr.size,
-                    mean=float(arr.mean()),
-                    std=float(arr.std()),
-                    hist=tuple(int(c) for c in counts),
-                )
-            )
-    return summaries
-
-
-# ---------------------------------------------------------------------------
-# report writers
-# ---------------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        # a numpy float64 is a float whose repr carries its type name
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def write_run_metrics_csv(path, reports) -> None:
-    header = [
-        "seed", "model", "strategy", "mse", "mape", "r2",
-        "val_mse_best", "val_mse_final", "fluctuation", "max_regression",
-        "mean_train_rr", "low_rr_warning", "diverged", "divergence_rr",
-    ]
-    rows = [[
-        r.config.seed, r.config.model, r.config.strategy, r.mse, r.mape, r.r2,
-        r.val_mse_best, r.val_mse_final,
-        None if r.stability is None else r.stability.fluctuation,
-        None if r.stability is None else r.stability.max_regression,
-        r.mean_train_rr, r.low_rr_warning, r.diverged, r.divergence_rr,
-    ] for r in reports]
-    write_csv(path, header, rows)
-
-
-def write_curve_csv(path, reports) -> None:
-    rows = [[r.config.seed, it, v] for r in reports for it, v in r.val_curve]
-    write_csv(path, ["seed", "iteration", "val_mse"], rows)
-
-
-def write_rr_hist_csv(path, summaries) -> None:
-    rows = [
-        [s.bs, s.seq, RR_HIST_EDGES[k], RR_HIST_EDGES[k + 1], count]
-        for s in summaries for k, count in enumerate(s.hist)
-    ]
-    write_csv(path, ["bs", "seq", "bin_lo", "bin_hi", "count"], rows)
-
-
-def write_rr_summary_csv(path, summaries) -> None:
-    rows = [[s.bs, s.seq, s.count, s.mean, s.std] for s in summaries]
-    write_csv(path, ["bs", "seq", "count", "mean_rr", "std_rr"], rows)
-
-
-def write_ablation_csv(path, rows, columns) -> None:
-    """One line per sweep row: the swept ``columns`` of its config, then the
-    mean and std of each aggregate, the seed count and the diverged seeds."""
-    stats = [(name, agg) for name in AGGREGATE_FIELDS for agg in ("mean", "std")]
-    header = [*columns, *(f"{name}_{agg}" for name, agg in stats),
-              "n_seeds", "diverged_seeds"]
-    out = [[
-        *(getattr(row.config, c) for c in columns),
-        *(getattr(row, agg)[name] for name, agg in stats),
-        len(row.seeds), ";".join(str(s) for s in row.diverged_seeds),
-    ] for row in rows]
-    write_csv(path, header, out)
-
-
-def write_manifest(path, config_echo: dict, output_paths, wall_time: float,
-                   extra: dict | None = None) -> None:
-    """Write ``manifest.json``: the config echo, each output's SHA-1, a
-    ``content_hash`` over those digests in path-sorted order, and the wall
-    time."""
-    import json
-    import os
-
-    digests = []
-    for p in sorted(str(p) for p in output_paths):
-        with open(p, "rb") as fh:
-            digests.append((os.path.basename(p), hashlib.sha1(fh.read()).digest()))
-    doc = {
-        "config": config_echo,
-        "outputs": {name: digest.hex() for name, digest in digests},
-        "content_hash": hashlib.sha1(b"".join(d for _, d in digests)).hexdigest(),
-        "wall_time_s": wall_time,
-    }
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")

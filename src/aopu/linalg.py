@@ -292,23 +292,3 @@ def rank_ratio(x_tilde) -> float:
     if m.shape[1] == 0:
         raise InvalidInputError("x_tilde has no columns: batch size must be positive")
     return _rank(m) / m.shape[1]
-
-
-def symmetrize(m) -> np.ndarray:
-    """(M + M.T) / 2 - suppresses round-off asymmetry in Gram matrices."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"cannot symmetrize non-square shape {a.shape}")
-    return (a + a.T) / 2.0
-
-
-def column_gram(x) -> np.ndarray:
-    """Symmetrized ``x.T @ x`` (batch-by-batch Gram of the columns)."""
-    m = as_matrix(x)
-    return symmetrize(m.T @ m)
-
-
-def row_gram(x) -> np.ndarray:
-    """Symmetrized ``x @ x.T`` (feature-by-feature Gram of the rows)."""
-    m = as_matrix(x)
-    return symmetrize(m @ m.T)

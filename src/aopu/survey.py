@@ -1,5 +1,5 @@
-"""Ranks of every shuffled training batch of several sizes, for the
-rank-ratio survey (``harness.rr_survey``).
+"""The rank-ratio survey: the distribution of batch rank ratios over a
+(batch size, window length) grid (:func:`rr_survey`).
 
 The shuffled split is walked one block of the largest batch size at a time.
 Each block is augmented once and certified full rank by one shifted
@@ -10,11 +10,94 @@ it certifies.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import product
+
 import numpy as np
 
 from . import linalg
-from .augment import ACTIVATION_SLACK, Augmenter
-from .data import batches
+from .augment import ACTIVATION_SLACK, AugmentConfig, Augmenter
+from .data import Dataset, batches, check_shape, prepare_windows
+from .errors import InvalidInputError
+
+RR_HIST_EDGES = np.linspace(0.0, 1.0, 21)
+
+
+@dataclass(frozen=True)
+class RrSummary:
+    """Rank-ratio distribution for one (batch size, sequence length) cell."""
+
+    bs: int
+    seq: int
+    count: int
+    mean: float
+    std: float
+    hist: tuple  # counts over RR_HIST_EDGES bins; total mass equals count
+
+
+def rr_survey(
+    ds: Dataset,
+    bs_grid,
+    seq_grid,
+    hidden: int = 2048,
+    activation: str = "tanh",
+    layer_norm: bool = False,
+    seed: int = 0,
+    standardize_data: bool = True,
+):
+    """Rank-ratio distributions of augmented training batches over a grid.
+
+    For every (bs, seq) pair the training split is cut into shuffled
+    fixed-size batches, as :func:`data.batches` with ``shuffle=True`` cuts
+    them, and each batch's rank ratio is recorded into a histogram. Every
+    batch size slices the same seeded permutation, so each seq walks the
+    shuffled split once, one block of the largest batch size at a time, and
+    augments each training window at most once, however many batch sizes
+    the grid holds; a smaller batch inside a block certified full rank has
+    full rank with no work of its own (see :func:`_survey_ranks`).
+    ``G`` is drawn once, for the longest window: the map of each seq is the
+    prefix of its first ``seq * n_inputs`` input rows, the same map an
+    ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`).
+    Every (bs, seq) pair is checked (:func:`data.check_shape`) before that
+    draw, so a bad shape anywhere in the grid raises before any seq is
+    surveyed. A batch size repeated in the grid gets its own, identical
+    cell.
+    """
+    bs_grid = list(bs_grid)
+    seq_grid = list(seq_grid)
+    if not bs_grid or not seq_grid:
+        raise InvalidInputError("bs and seq grids must be non-empty")
+    for seq, bs in product(seq_grid, bs_grid):
+        check_shape(ds.n_rows, seq, bs)
+    augmenter = Augmenter(
+        AugmentConfig(
+            input_dim=max(seq_grid) * ds.n_inputs,
+            hidden=hidden,
+            activation=activation,
+            layer_norm=layer_norm,
+            seed=seed,
+        )
+    )
+    summaries = []
+    for seq in seq_grid:
+        train, _, _ = prepare_windows(ds, seq, standardize_data)
+        ranks = _survey_ranks(train, augmenter, set(bs_grid), seed)
+        # freed before the next window length builds its own
+        del train
+        for bs in bs_grid:
+            arr = np.asarray(ranks[bs]) / bs
+            counts, _ = np.histogram(arr, bins=RR_HIST_EDGES)
+            summaries.append(
+                RrSummary(
+                    bs=bs,
+                    seq=seq,
+                    count=arr.size,
+                    mean=float(arr.mean()),
+                    std=float(arr.std()),
+                    hist=tuple(int(c) for c in counts),
+                )
+            )
+    return summaries
 
 
 def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:

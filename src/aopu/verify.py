@@ -89,7 +89,7 @@ def reconstruct_reference(x_tilde, dual_matrix) -> np.ndarray:
     """
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     dm = linalg.as_matrix(dual_matrix, "dual")
-    return linalg.pinv(linalg.column_gram(xt)) @ (xt.T @ dm)
+    return linalg.pinv(xt.T @ xt) @ (xt.T @ dm)
 
 
 def truncated_gradient_reference(x_tilde, y, dual_matrix) -> np.ndarray:
@@ -101,7 +101,7 @@ def truncated_gradient_reference(x_tilde, y, dual_matrix) -> np.ndarray:
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     ym = linalg.as_matrix(y, "y")
     dm = linalg.as_matrix(dual_matrix, "dual")
-    gram_inv = linalg.pinv(linalg.column_gram(xt))
+    gram_inv = linalg.pinv(xt.T @ xt)
     resid = ym - gram_inv @ (xt.T @ dm)
     return -(2.0 / xt.shape[1]) * xt @ (gram_inv @ resid)
 
@@ -115,7 +115,8 @@ def natural_gradient_reference(x_tilde, y, w) -> np.ndarray:
     :func:`aopu.model.truncated_gradient` approximates. It materializes the
     (d+h)-square Gram, so it is meant for small verification instances.
     """
-    return linalg.pinv(linalg.row_gram(x_tilde)) @ mse_gradient(x_tilde, y, w)
+    xt = linalg.as_matrix(x_tilde, "x_tilde")
+    return linalg.pinv(xt @ xt.T) @ mse_gradient(xt, y, w)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +195,8 @@ def check_natural_gradient_identity(n_instances: int = 200, seed: int = 0,
             if r
             else np.zeros((dh, b))
         )
-        left = xr @ linalg.pinv(linalg.column_gram(xr))
-        right = linalg.pinv(linalg.row_gram(xr)) @ xr
+        left = xr @ linalg.pinv(xr.T @ xr)
+        right = linalg.pinv(xr @ xr.T) @ xr
         denom = max(np.linalg.norm(right), 1.0)
         worst_commutation = max(
             worst_commutation, float(np.linalg.norm(left - right) / denom)
@@ -253,7 +254,7 @@ def check_fim_convergence(spec: GaussianOutputSpec, n_samples: int = 100_000,
     """
     xt = linalg.as_matrix(spec.x_tilde, "x_tilde")
     rng = np.random.default_rng(seed)
-    fim_exact = linalg.row_gram(xt)
+    fim_exact = xt @ xt.T
     denom = max(np.linalg.norm(fim_exact), np.finfo(float).tiny)
 
     def err_at(n):
@@ -292,7 +293,7 @@ def check_mirror_map(x_tilde, w, n_perturbations: int = 100, seed: int = 0,
         raise InvalidInputError(
             "mirror-map check needs full row rank (use at least d+h samples)"
         )
-    gram_inv = linalg.pinv(linalg.row_gram(xt))
+    gram_inv = linalg.pinv(xt @ xt.T)
     d_star = dual(xt, wm)
     residual = float(np.linalg.norm(wm - gram_inv @ d_star))
 

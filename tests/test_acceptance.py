@@ -14,15 +14,10 @@ import numpy as np
 import pytest
 
 from aopu.baselines import linear_mve_fit
-from aopu.data import load_csv, synth_generate
-from aopu.harness import (
-    TrainConfig,
-    prepare_windows,
-    rr_survey,
-    sweep,
-    train_run,
-)
+from aopu.data import load_csv, prepare_windows, synth_generate
+from aopu.harness import TrainConfig, sweep, train_run
 from aopu.model import dual
+from aopu.survey import rr_survey
 from aopu.verify import (
     CoherenceInstance,
     GaussianOutputSpec,

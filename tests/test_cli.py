@@ -10,6 +10,7 @@ import pytest
 from aopu.checkpoint import load_checkpoint
 from aopu.cli import build_parser, main
 from aopu.data import load_csv
+from aopu.survey import RR_HIST_EDGES
 
 SMALL = [
     "--dataset", "synth", "--synth-n", "400", "--synth-vars", "4",
@@ -63,10 +64,16 @@ def test_diverged_train_manifest_reports_the_final_weights(tmp_path):
         "--out-dir", str(out),
     ]
     assert main(argv) == 0
-    report = json.loads((out / "manifest.json").read_text())["report"]
-    assert report["diverged"] and report["mse"] == float("inf")
-    assert report["val_mse_final"] == float("inf")
-    assert report["val_mse_best"] <= report["val_mse_final"]
+
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    report = manifest["report"]
+    # a non-finite value is spelled as metrics.csv spells it
+    assert report["diverged"] and float(report["mse"]) == float("inf")
+    assert float(report["val_mse_final"]) == float("inf")
+    assert float(report["val_mse_best"]) <= float(report["val_mse_final"])
 
 
 def test_train_rvflnn_checkpoint_kind(tmp_path):
@@ -104,6 +111,18 @@ def test_rr_survey_outputs(tmp_path):
             if h["bs"] == s["bs"] and h["seq"] == s["seq"]
         )
         assert mass == int(s["count"])
+
+
+def test_rr_hist_bins_parse_as_floats(tmp_path):
+    out = tmp_path / "rr"
+    code = main([
+        "rr-survey", "--synth-n", "1500", "--synth-noise", "0.2", "--synth-seed", "8",
+        "--hidden", "0", "--bs-grid", "16", "--seq-grid", "2", "--out-dir", str(out),
+    ])
+    assert code == 0
+    rows = _read_csv(out / "rr_hist.csv")
+    assert [float(r["bin_lo"]) for r in rows] == list(RR_HIST_EDGES[:-1])
+    assert [float(r["bin_hi"]) for r in rows] == list(RR_HIST_EDGES[1:])
 
 
 def test_ablate_table(tmp_path):

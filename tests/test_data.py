@@ -20,6 +20,7 @@ from aopu.data import (
     batches,
     check_shape,
     load_csv,
+    prepare_windows,
     split,
     standardize,
     synth_generate,
@@ -267,7 +268,7 @@ class TestWindow:
         ds = synth_generate(n=4000, n_vars=5, seed=0)
         tracemalloc.start()
         try:
-            train, val, test = harness.prepare_windows(ds, 48)
+            train, val, test = prepare_windows(ds, 48)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

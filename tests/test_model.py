@@ -10,9 +10,8 @@ import pytest
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import RvflnnModel, mse_gradient
-from aopu.data import batches, synth_generate
+from aopu.data import batches, prepare_windows, synth_generate
 from aopu.errors import DivergenceError, InvalidInputError
-from aopu.harness import prepare_windows
 from aopu.model import (
     AopuModel,
     dual,

@@ -17,7 +17,7 @@ import pytest
 
 from aopu import harness, pipeline
 from aopu.augment import AugmentConfig, Augmenter
-from aopu.data import Batches, batches, synth_generate
+from aopu.data import Batches, batches, prepare_windows, synth_generate
 from aopu.errors import DivergenceError
 from aopu.pipeline import BLAS_THREAD_VARS, WINDOW_COLUMNS, _augmented_batches
 from aopu.harness import (
@@ -26,7 +26,6 @@ from aopu.harness import (
     _weights_hash,
     make_model,
     metrics,
-    prepare_windows,
     train_run,
 )
 
