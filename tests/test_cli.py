@@ -76,6 +76,26 @@ def test_diverged_train_manifest_reports_the_final_weights(tmp_path):
     assert float(report["val_mse_best"]) <= float(report["val_mse_final"])
 
 
+def test_write_json_spells_non_finite_floats_as_the_csvs(tmp_path):
+    from aopu.cli import _write_json
+
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    path = tmp_path / "doc.json"
+    _write_json(path, {
+        "inf": float("inf"),
+        "nested": {"neg": [1.5, float("-inf")], "pair": (float("nan"), 2)},
+        "plain": 0.25,
+    })
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc == {
+        "inf": "inf",
+        "nested": {"neg": [1.5, "-inf"], "pair": ["nan", 2]},
+        "plain": 0.25,
+    }
+
+
 def test_train_rvflnn_checkpoint_kind(tmp_path):
     out = tmp_path / "rv"
     assert main(["train", *SMALL, "--model", "rvflnn", "--out-dir", str(out)]) == 0

@@ -532,6 +532,17 @@ class TestRankRatio:
 
 
 class TestGramHelpers:
+    def test_self_products_are_exactly_symmetric(self):
+        # verify's oracles take x.T @ x and x @ x.T as symmetric with no
+        # (M + M.T) / 2 pass, so the products must be symmetric to the bit
+        rng = np.random.default_rng(23)
+        for m, n in [(1, 1), (3, 7), (16, 5), (33, 64), (80, 288)]:
+            for scale in (1e-5, 1.0, 1e4):
+                base = scale * rng.standard_normal((m, n))
+                for x in (base, np.asfortranarray(base)):
+                    for gram in (x.T @ x, x @ x.T):
+                        np.testing.assert_array_equal(gram, gram.T)
+
     def test_commutation_identity_any_rank(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
