@@ -1,9 +1,11 @@
 """Command-line interface: train, repeat, rr-survey, ablate, synth, verify.
 
 Every file a command writes is formatted here: the CSVs, whose floats are
-spelled by ``repr``, and the ``manifest.json`` of each run, which holds the
-config echo, a SHA-1 of each output and the wall time. The JSON files are
-strict: a non-finite float is the string the CSVs spell it as.
+spelled by ``repr``, the ``manifest.json`` of each run, which holds the
+config echo, a SHA-1 of each output and the wall time, and ``verify.json``,
+the verification suite's results. The JSON files are strict: numpy scalars
+and arrays become plain numbers and lists, a non-finite float is the string
+the CSVs spell it as, and any other value JSON cannot hold raises.
 """
 
 from __future__ import annotations
@@ -145,7 +147,10 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _strict(value):
-    """``value`` with each non-finite float spelled as in the CSVs."""
+    """``value`` with numpy scalars and arrays as Python numbers and lists,
+    and each non-finite float spelled as in the CSVs."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return _strict(value.tolist())
     if isinstance(value, float) and not math.isfinite(value):
         return _fmt(value)
     if isinstance(value, dict):
@@ -157,8 +162,7 @@ def _strict(value):
 
 def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_strict(doc), fh, indent=1, sort_keys=True, default=str,
-                  allow_nan=False)
+        json.dump(_strict(doc), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -343,7 +347,7 @@ def cmd_verify(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "verify.json")
         _write_json(path, {
-            "results": [r.to_dict() for r in results],
+            "results": [asdict(r) for r in results],
             "wall_time_s": time.perf_counter() - t0,
         })
         print(f"wrote {path}")

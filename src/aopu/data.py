@@ -391,6 +391,7 @@ def batches(ws: WindowedSet, bs: int, shuffle: bool = False, seed: int = 0) -> B
     thread may index it.
     """
     check_count("batch size", bs, 1)
+    check_count("seed", seed, 0)
     n = ws.n_windows
     order = np.arange(n)
     if shuffle:
@@ -411,6 +412,7 @@ def synth_generate(n: int, n_vars: int, noise: float = 0.0,
     check_count("n", n, 1)
     check_count("n_vars", n_vars, 1)
     check_real("noise", noise)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x = np.empty((n, n_vars))
     x[0] = rng.standard_normal(n_vars)

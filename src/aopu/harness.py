@@ -122,8 +122,8 @@ class TrainConfig:
             raise InvalidInputError(f"strategy must be one of {STRATEGIES}")
         for name in ("bs", "seq", "epochs"):
             check_count(name, getattr(self, name), 1)
-        for name in ("hidden", "seed"):
-            check_count(name, getattr(self, name), 0)
+        # the feature map checks hidden, seed, activation and layer norm
+        self.augment_config(1)
         if self.lr is not None:
             check_real("lr", self.lr, positive=True)
 
@@ -410,9 +410,9 @@ def sweep(ds: Dataset, config: TrainConfig, grid: dict, seeds) -> list:
     cell. Returns one :class:`RepeatReport` per cell. Seeds vary the frozen
     feature map and the shuffling order jointly (the weights always start at
     zero). Divergent seeds stay in the table and are listed explicitly,
-    never silently dropped. Every cell's shape (:func:`data.check_shape`),
-    config and feature map is checked under every seed before the first run
-    trains.
+    never silently dropped. Every cell's shape (:func:`data.check_shape`)
+    and config, feature map included, is checked under every seed before
+    the first run trains.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
@@ -433,7 +433,6 @@ def sweep(ds: Dataset, config: TrainConfig, grid: dict, seeds) -> list:
     for configs in cells:
         for c in configs:
             check_shape(ds.n_rows, c.seq, c.bs)
-            c.augment_config(c.seq * ds.n_inputs)
     return [
         RepeatReport(configs[0], seeds, [train_run(ds, c) for c in configs])
         for configs in cells

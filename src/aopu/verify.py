@@ -1,10 +1,11 @@
 """Numerical certificates for the mathematical claims behind the unit.
 
-Each check builds an explicit instance, measures the relevant residual with
-an independent oracle (finite differences, Monte-Carlo sampling, exhaustive
-grid search, perturbation sweeps) and returns a machine-readable pass/fail
-record, so the suite doubles as a regression gate via the ``verify`` CLI
-subcommand.
+Each check takes its instance as plain arrays or draws it from its seed,
+measures the relevant residual with an independent oracle (finite
+differences, Monte-Carlo sampling, exhaustive grid search, perturbation
+sweeps) and returns a pass/fail :class:`CheckResult` of plain data. The
+``verify`` CLI subcommand runs :func:`run_default_suite` as a regression
+gate, and :mod:`aopu.cli` writes its results to ``verify.json``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .augment import check_count, check_real
 from .baselines import conditional_mean_mve, linear_mve_fit, mse_gradient
 from .errors import InvalidInputError
 from .model import (
@@ -33,24 +35,6 @@ class CheckResult:
     passed: bool
     error: float  # headline residual for quick scanning
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "error": float(self.error),
-            "details": {k: _jsonable(v) for k, v in self.details.items()},
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def finite_diff_gradient(f, point, eps: float = 1e-6) -> np.ndarray:
@@ -227,32 +211,23 @@ def check_natural_gradient_identity(n_instances: int = 200, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianOutputSpec:
-    """Unit-covariance Gaussian output model around x.T @ w."""
-
-    x_tilde: np.ndarray
-    w_tilde: np.ndarray
-
-    def __post_init__(self):
-        xt = linalg.as_matrix(self.x_tilde, "x_tilde")
-        if xt.shape[0] > 4 or xt.shape[1] > 3:
-            raise InvalidInputError(
-                "Monte-Carlo Fisher check is restricted to <=4 feature rows "
-                f"and <=3 samples, got {xt.shape}"
-            )
-
-
-def check_fim_convergence(spec: GaussianOutputSpec, n_samples: int = 100_000,
-                          seed: int = 0, tol: float = 0.05,
-                          replicates: int = 60) -> CheckResult:
+def check_fim_convergence(x_tilde, n_samples: int = 100_000, seed: int = 0,
+                          tol: float = 0.05, replicates: int = 60) -> CheckResult:
     """Fisher MC error at n samples, and shrinkage when n is doubled.
 
-    The error at each sample count is the RMS over several disjoint streams,
-    which tracks the 1/sqrt(n) law closely enough that doubling the samples
-    shrinks it; everything is deterministic for a fixed seed.
+    The output model is the unit-covariance Gaussian around x.T @ w, whose
+    Fisher information x x.T does not depend on w; ``x_tilde`` has at most
+    4 feature rows and 3 samples. The error at each sample count is the RMS
+    over several disjoint streams, which tracks the 1/sqrt(n) law closely
+    enough that doubling the samples shrinks it; everything is deterministic
+    for a fixed seed.
     """
-    xt = linalg.as_matrix(spec.x_tilde, "x_tilde")
+    xt = linalg.as_matrix(x_tilde, "x_tilde")
+    if xt.shape[0] > 4 or xt.shape[1] > 3:
+        raise InvalidInputError(
+            "Monte-Carlo Fisher check is restricted to <=4 feature rows "
+            f"and <=3 samples, got {xt.shape}"
+        )
     rng = np.random.default_rng(seed)
     fim_exact = xt @ xt.T
     denom = max(np.linalg.norm(fim_exact), np.finfo(float).tiny)
@@ -320,40 +295,26 @@ def check_mirror_map(x_tilde, w, n_perturbations: int = 100, seed: int = 0,
     )
 
 
-@dataclass(frozen=True)
-class CoherenceInstance:
-    """Targets generated by a ground-truth dual image plus optional noise."""
-
-    x_tilde: np.ndarray
-    d_star: np.ndarray
-    noise: float = 0.0
-
-    def targets(self, rng=None) -> np.ndarray:
-        y = reconstruct(self.x_tilde, self.d_star)
-        if self.noise > 0.0:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            y = y + self.noise * rng.standard_normal(y.shape)
-        return y
-
-
-def check_coherence(inst: CoherenceInstance, n_samples: int = 1000,
+def check_coherence(x_tilde, d_star, noise: float = 0.0, n_samples: int = 1000,
                     seed: int = 0, tol: float = -1e-10,
                     noise_samples: int = 10_000) -> CheckResult:
     """Sign of <grad L(D), D - D*> over random duals.
 
+    The targets are ``reconstruct(x_tilde, d_star)``, the outputs of the
+    ground-truth dual image, plus ``noise`` times a standard normal draw.
     With exact targets every inner product must be non-negative (within
     round-off), with equality exactly when the reconstructions coincide; a
     direction from the null space of x.T exercises the equality case. With
     noisy targets the inequality only holds in expectation, so it is checked
     on a noise-averaged estimate with a 3-sigma allowance.
     """
-    xt = linalg.as_matrix(inst.x_tilde, "x_tilde")
-    d_star = linalg.as_matrix(inst.d_star, "d_star")
+    xt = linalg.as_matrix(x_tilde, "x_tilde")
+    d_star = linalg.as_matrix(d_star, "d_star")
+    check_real("noise", noise)
     rng = np.random.default_rng(seed)
+    y = reconstruct(xt, d_star)
 
-    if inst.noise == 0.0:
-        y = inst.targets()
+    if noise == 0.0:
         min_inner = np.inf
         for _ in range(int(n_samples)):
             d = d_star + rng.standard_normal(d_star.shape) * (
@@ -396,8 +357,7 @@ def check_coherence(inst: CoherenceInstance, n_samples: int = 1000,
     d = d_star + rng.standard_normal(d_star.shape) * (1.0 + np.linalg.norm(d_star))
     inners = np.empty(int(noise_samples))
     for k in range(int(noise_samples)):
-        y = inst.targets(rng)
-        g = truncated_gradient(xt, y, d)
+        g = truncated_gradient(xt, y + noise * rng.standard_normal(y.shape), d)
         inners[k] = float(np.sum(g * (d - d_star)))
     mean = float(inners.mean())
     sem = float(inners.std() / np.sqrt(inners.size))
@@ -518,28 +478,24 @@ def check_mve_optimality(seed: int = 0, n_pmfs: int = 20,
 
 def run_default_suite(seed: int = 0, fim_samples: int = 100_000):
     """The full verification battery on canonical small instances."""
+    check_count("seed", seed, 0)
+    check_count("fim_samples", fim_samples, 1)
     rng = np.random.default_rng(seed)
     xt_small = rng.standard_normal((3, 2))
-    w_small = rng.standard_normal((3, 1))
-    spec = GaussianOutputSpec(x_tilde=xt_small, w_tilde=w_small)
+    rng.standard_normal((3, 1))  # the Fisher check's unused w; keeps later draws
 
     xt_wide = rng.standard_normal((3, 8))  # full row rank for the mirror map
     w_wide = rng.standard_normal((3, 1))
 
     xt_tall = rng.standard_normal((6, 4))  # feature rows exceed batch size
-    w_tall = rng.standard_normal((6, 1))
-    inst = CoherenceInstance(x_tilde=xt_tall, d_star=dual(xt_tall, w_tall))
+    d_tall = dual(xt_tall, rng.standard_normal((6, 1)))
 
     return [
         check_gradient_oracles(seed=seed),
         check_natural_gradient_identity(seed=seed),
-        check_fim_convergence(spec, n_samples=fim_samples, seed=seed),
+        check_fim_convergence(xt_small, n_samples=fim_samples, seed=seed),
         check_mirror_map(xt_wide, w_wide, seed=seed),
-        check_coherence(inst, n_samples=1000, seed=seed),
-        check_coherence(
-            CoherenceInstance(x_tilde=xt_tall, d_star=dual(xt_tall, w_tall), noise=0.1),
-            seed=seed,
-            noise_samples=10_000,
-        ),
+        check_coherence(xt_tall, d_tall, n_samples=1000, seed=seed),
+        check_coherence(xt_tall, d_tall, noise=0.1, seed=seed, noise_samples=10_000),
         check_mve_optimality(seed=seed),
     ]

@@ -19,8 +19,6 @@ from aopu.harness import TrainConfig, sweep, train_run
 from aopu.model import dual
 from aopu.survey import rr_survey
 from aopu.verify import (
-    CoherenceInstance,
-    GaussianOutputSpec,
     check_coherence,
     check_fim_convergence,
     check_gradient_oracles,
@@ -78,10 +76,9 @@ def test_criterion_02_natural_gradient_identity():
 def test_criterion_03_fisher_information_monte_carlo():
     t0 = time.time()
     rng = np.random.default_rng(0)
-    spec = GaussianOutputSpec(
-        x_tilde=rng.standard_normal((3, 2)), w_tilde=rng.standard_normal((3, 1))
+    res = check_fim_convergence(
+        rng.standard_normal((3, 2)), n_samples=100_000, seed=0, tol=0.05
     )
-    res = check_fim_convergence(spec, n_samples=100_000, seed=0, tol=0.05)
     d = res.details
     _report(
         3,
@@ -99,9 +96,7 @@ def test_criterion_04_mirror_map_and_coherence():
     )
     xt = rng.standard_normal((6, 4))
     w = rng.standard_normal((6, 1))
-    coh = check_coherence(
-        CoherenceInstance(x_tilde=xt, d_star=dual(xt, w)), n_samples=1000, seed=0
-    )
+    coh = check_coherence(xt, dual(xt, w), n_samples=1000, seed=0)
     ok = (
         mirror.passed
         and mirror.details["stationarity_residual"] < 1e-8

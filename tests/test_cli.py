@@ -96,6 +96,29 @@ def test_write_json_spells_non_finite_floats_as_the_csvs(tmp_path):
     }
 
 
+def test_write_json_converts_numpy_values(tmp_path):
+    from aopu.cli import _write_json
+
+    path = tmp_path / "doc.json"
+    _write_json(path, {
+        "flag": np.bool_(True),
+        "count": np.int64(7),
+        "bound": np.float64("inf"),
+        "rows": np.array([[1.5, 2.0], [np.nan, -0.25]]),
+    })
+    # these were once written through str(): "True", "7" and a printed array
+    assert json.loads(path.read_text()) == {
+        "flag": True, "count": 7, "bound": "inf", "rows": [[1.5, 2.0], ["nan", -0.25]],
+    }
+
+
+def test_write_json_rejects_what_json_cannot_hold(tmp_path):
+    from aopu.cli import _write_json
+
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "doc.json", {"value": object()})
+
+
 def test_train_rvflnn_checkpoint_kind(tmp_path):
     out = tmp_path / "rv"
     assert main(["train", *SMALL, "--model", "rvflnn", "--out-dir", str(out)]) == 0
@@ -288,14 +311,40 @@ def test_target_col_applies_to_synth_data(tmp_path, capsys):
         (["repeat", *SMALL, "--seeds", "0"], "need at least 2 seeds, got 1"),
         (["train", *SMALL, "--seed", "-1"], "seed must be >= 0, got -1"),
         (["train", *SMALL, "--lr", "nan"], "lr must be positive and finite"),
+        (["train", *SMALL, "--synth-seed", "-1"], "seed must be >= 0, got -1"),
     ],
-    ids=["one-seed", "negative-seed", "nan-lr"],
+    ids=["one-seed", "negative-seed", "nan-lr", "negative-synth-seed"],
 )
 def test_typed_input_errors_exit_2_without_traceback(tmp_path, capsys, argv, message):
     assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"aopu: error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--out", "x.csv", "--synth-seed", "-1"], "seed must be >= 0, got -1"),
+        (["verify", "--out-dir", "v", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["verify", "--out-dir", "v", "--fim-samples", "-3"],
+         "fim_samples must be >= 1, got -3"),
+        (["verify", "--out-dir", "v", "--fim-samples", "0"],
+         "fim_samples must be >= 1, got 0"),
+    ],
+    ids=["synth-seed", "verify-seed", "negative-fim-samples", "zero-fim-samples"],
+)
+def test_synth_and_verify_input_errors_exit_2_and_write_nothing(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # each once exited 1 with a traceback, and --fim-samples 0 with a nan
+    # Fisher error after running the other checks
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aopu: error: {message}")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_csv_exits_2_naming_row_and_column(tmp_path, capsys):

@@ -400,6 +400,17 @@ class TestBatches:
             with pytest.raises(InvalidInputError, match="batch size must be an integer"):
                 batches(self._ws(10), bs)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "bool", "float"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        # -1 raised numpy's bare ValueError, True shuffled as seed 1 and 1.5
+        # raised a bare TypeError
+        with pytest.raises(InvalidInputError, match=message):
+            batches(self._ws(10), 2, shuffle=True, seed=seed)
+
 
 def _eager_batches(ws, bs, shuffle=False, seed=0):
     """The list that batches() returned before it became lazy."""
@@ -559,6 +570,17 @@ class TestSynthGenerate:
         # a float or bool count reached numpy, which raised a bare TypeError
         with pytest.raises(InvalidInputError, match="must be"):
             synth_generate(n=n, n_vars=n_vars)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "bool", "float"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        # -1 raised numpy's bare ValueError, True generated as seed 1 and 1.5
+        # raised a bare TypeError
+        with pytest.raises(InvalidInputError, match=message):
+            synth_generate(n=10, n_vars=2, seed=seed)
 
     def test_numpy_integer_counts_accepted(self):
         a = synth_generate(n=np.int64(50), n_vars=np.int32(3), seed=2)

@@ -113,6 +113,17 @@ class TestTrainConfig:
             with pytest.raises(InvalidInputError, match="lr must be positive"):
                 TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"activation": "nosuch"}, "unknown activation 'nosuch'"),
+        ({"hidden": 0, "layer_norm": True}, "layer_norm requires a hidden block"),
+        ({"hidden": -1}, "hidden must be >= 0, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["activation", "layer-norm", "hidden", "seed"])
+    def test_feature_map_checked_at_construction(self, kw, message):
+        # an unknown activation once passed until train_run built the map
+        with pytest.raises(InvalidInputError, match=message):
+            TrainConfig(**kw)
+
     @pytest.mark.parametrize("lr", [True, "1", 1j])
     def test_lr_must_be_a_real_number(self, lr):
         # True once trained at lr 1.0 with the manifest echoing "lr": true,

@@ -1,13 +1,15 @@
 """Tests for the numerical verification checks themselves."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from aopu.cli import main
 from aopu.errors import InvalidInputError
 from aopu.model import dual, forward, loss_value, reconstruct, truncated_gradient
 from aopu.verify import (
-    CoherenceInstance,
-    GaussianOutputSpec,
     check_coherence,
     check_fim_convergence,
     check_gradient_oracles,
@@ -102,18 +104,14 @@ class TestGradientOracleChecks:
 class TestFisherInformation:
     def test_random_features_and_shrinkage(self):
         rng = np.random.default_rng(5)
-        spec = GaussianOutputSpec(
-            x_tilde=rng.standard_normal((4, 3)), w_tilde=rng.standard_normal((4, 1))
-        )
-        res = check_fim_convergence(spec, n_samples=100_000, seed=5)
+        res = check_fim_convergence(rng.standard_normal((4, 3)), n_samples=100_000, seed=5)
         assert res.passed
         assert res.details["error_at_2n"] < res.details["error_at_n"] < 0.05
 
     def test_dimension_guard(self):
-        with pytest.raises(InvalidInputError):
-            GaussianOutputSpec(
-                x_tilde=np.ones((5, 2)), w_tilde=np.ones((5, 1))
-            )
+        for shape in ((5, 2), (4, 4)):
+            with pytest.raises(InvalidInputError, match="<=4 feature rows"):
+                check_fim_convergence(np.ones(shape))
 
 
 class TestMirrorMap:
@@ -152,32 +150,35 @@ class TestCoherence:
         rng = np.random.default_rng(10)
         xt = rng.standard_normal((6, 4))
         w = rng.standard_normal((6, 1))
-        return CoherenceInstance(x_tilde=xt, d_star=dual(xt, w))
+        return xt, dual(xt, w)
 
     def test_exact_targets_are_coherent(self, instance):
-        res = check_coherence(instance, n_samples=500, seed=11)
+        res = check_coherence(*instance, n_samples=500, seed=11)
         assert res.passed
         assert res.details["min_inner_product"] >= -1e-10
 
     def test_gradient_vanishes_at_ground_truth(self, instance):
-        y = instance.targets()
-        g = truncated_gradient(instance.x_tilde, y, instance.d_star)
-        inner = float(np.sum(g * (instance.d_star - instance.d_star)))
+        xt, d_star = instance
+        g = truncated_gradient(xt, reconstruct(xt, d_star), d_star)
+        inner = float(np.sum(g * (d_star - d_star)))
         assert inner == 0.0
         assert np.max(np.abs(g)) < 1e-10
 
     def test_null_direction_equality_case(self, instance):
-        res = check_coherence(instance, n_samples=50, seed=12)
+        res = check_coherence(*instance, n_samples=50, seed=12)
         assert res.details["null_direction_inner"] is not None
         assert abs(res.details["null_direction_inner"]) <= 1e-8
         assert res.details["null_direction_loss_change"] <= 1e-8
 
     def test_noisy_targets_coherent_in_expectation(self, instance):
-        noisy = CoherenceInstance(
-            x_tilde=instance.x_tilde, d_star=instance.d_star, noise=0.2
-        )
-        res = check_coherence(noisy, seed=13, noise_samples=4000)
+        res = check_coherence(*instance, noise=0.2, seed=13, noise_samples=4000)
         assert res.passed
+        assert res.name == "coherence_inner_products_noisy"
+
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_noise_must_be_finite_and_non_negative(self, instance, noise):
+        with pytest.raises(InvalidInputError, match="noise"):
+            check_coherence(*instance, noise=noise)
 
 
 class TestMveOptimality:
@@ -205,10 +206,34 @@ class TestMveOptimality:
 
 
 class TestDefaultSuite:
-    def test_everything_passes_and_serializes(self):
+    def test_everything_passes_and_serializes(self, tmp_path):
         results = run_default_suite(seed=0, fim_samples=20_000)
         assert len(results) == 7
         for res in results:
             assert res.passed, res.name
-            doc = res.to_dict()
-            assert set(doc) == {"name", "passed", "error", "details"}
+        argv = ["verify", "--fim-samples", "20000", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        doc = json.loads((tmp_path / "verify.json").read_text(), parse_constant=reject)
+        assert set(doc) == {"results", "wall_time_s"}
+        # every value the checks return is finite, so the file holds them as is
+        assert doc["results"] == [asdict(res) for res in results]
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"fim_samples": 0}, "fim_samples must be >= 1, got 0"),
+        ({"fim_samples": -3}, "fim_samples must be >= 1, got -3"),
+    ], ids=["negative-seed", "float-seed", "zero-fim-samples", "negative-fim-samples"])
+    def test_bad_arguments_rejected_before_any_check(self, monkeypatch, kw, message):
+        # fim_samples 0 once ran the Fisher check on no samples and reported nan
+        calls = []
+        monkeypatch.setattr(
+            "aopu.verify.check_gradient_oracles", lambda **k: calls.append(k)
+        )
+        with pytest.raises(InvalidInputError, match=message):
+            run_default_suite(**kw)
+        assert calls == []
