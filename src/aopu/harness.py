@@ -101,7 +101,9 @@ def stability_report(curve) -> StabilityIndices:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a single training run."""
+    """Everything that determines a single training run. An AOPU step has
+    step size ``mu = 2 * lr / bs`` (an affine projection), and training is
+    stable only for ``mu < 2``, that is ``lr < bs``."""
 
     model: str = "aopu"
     bs: int = 64

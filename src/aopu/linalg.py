@@ -12,28 +12,22 @@ the largest singular value are treated as zero.
 
 A matrix whose columns (if tall) or rows (if wide) are clearly independent
 does not need an SVD to be counted: :func:`_certified_gram` forms the Gram
-of the short side, and :func:`_certifies_full_rank` runs one Cholesky
-factorization of that Gram shifted down by a multiple of its trace. If that
-factorization succeeds in floating point, every singular value lies above
-the cutoff, so the rank is the short side (Rump, "Verification of positive
-definiteness", BIT 46, 2006). The certificate acts on a given Gram and
-row count: its rounding bound holds for each length-``rows`` dot product of
-the Gram, whatever kernel computed it, so a Gram assembled from products of
-column blocks (as ``survey._survey_ranks`` builds them) is certified just
-as rigorously. It may also be the Gram of a subset of the rows, given a bound
-on the squared norm of the others: dropping rows can only lower the
-singular values, so the subset's full rank proves the whole matrix's.
-Its kernel makes one copy of the Gram, subtracts the shift from the
-copy's diagonal in place, and has LAPACK's Cholesky factor it in place
-(``scipy.linalg.cholesky`` of its transpose, which is the same symmetric
-matrix in Fortran order). :func:`_certified_gram` makes that route choice
-once, for :func:`rank` and :func:`gram_solver`; a matrix it cannot certify
-takes the exact SVD route.
-A certified batch is solved with the LU factorization of its certified
-Gram, the column Gram of a tall batch or the row Gram of a wide one, so it
-needs neither eigenvectors nor singular vectors. Any other batch is solved with the truncated
-pseudo-inverses of ``m`` and ``m.T`` read off its thin SVD; no Gram is
-formed, so the maps scale with the batch rather than with its square.
+of the short side, and :func:`_certificate` runs one Cholesky factorization
+of that Gram shifted down by a multiple of its trace. If that factorization
+succeeds in floating point, every singular value lies above the cutoff, so
+the rank is the short side (Rump, "Verification of positive definiteness",
+BIT 46, 2006). The certificate also holds for a Gram assembled from column
+blocks, or for the Gram of a subset of the rows given a bound on the squared
+norm of the others, as ``survey._survey_ranks`` uses it; its docstring has
+the derivation. :func:`_certified_gram` makes that route choice once, for
+:func:`rank` and :func:`gram_solver`. A certified batch is solved with its
+certified Gram by iterative refinement that the certificate's Cholesky
+factor preconditions, so the step takes that one factorization and needs
+neither eigenvectors nor singular vectors; a right-hand side whose
+refinement stalls is solved by an LU factorization instead. Any other batch
+is solved with the truncated pseudo-inverses of ``m`` and ``m.T`` read off
+its thin SVD; no Gram is formed, so the maps scale with the batch rather
+than with its square.
 """
 
 from __future__ import annotations
@@ -92,15 +86,16 @@ def _lapack_svd(m: np.ndarray, compute_uv: bool = True):
             raise NumericalError(f"SVD did not converge for shape {m.shape}") from exc
 
 
-def _certifies_full_rank(
+def _certificate(
     gram: np.ndarray,
     rows: int,
     n: int | None = None,
     rest: float = 0.0,
     overwrite: bool = False,
-) -> bool:
-    """Whether ``gram``, the column Gram of some rows of a matrix, proves
-    that the matrix has full column rank.
+):
+    """The lower Cholesky factor ``L`` (Fortran order) that proves, from
+    ``gram``, the column Gram of some rows of a matrix, that the matrix has
+    full column rank, or None.
 
     ``m`` is an ``n x b`` matrix and ``m_S`` any ``rows`` of its rows.
     ``gram`` is the computed ``b x b`` column Gram of ``m_S``, each entry a
@@ -148,25 +143,25 @@ def _certifies_full_rank(
     and its rank is ``b``. The bound assumes no overflow or underflow, so
     a non-finite trace (the Gram overflowed, and Cholesky does not reliably
     reject inf or NaN) or one below ``b * tiny / eps`` (underflow error could
-    exceed the shift) returns ``False``, as do a non-finite shift (an
+    exceed the shift) returns None, as do a non-finite shift (an
     infinite or nan ``rest``), ``rows <= b`` and a failed factorization. A
     non-finite entry of ``m_S`` makes the trace non-finite, so it never
     certifies; the caller's bound must be infinite if ``m_R`` holds one. The
     shift is derived, not tunable.
     With ``overwrite``, a C-contiguous ``gram`` is factored in place of the
-    copy, and its contents are lost.
+    copy, and its contents are lost; ``L`` overwrites the copy.
     """
     cols = gram.shape[0]
     if not rows > cols > 0:
-        return False
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
         tr = float(np.trace(gram))
     if not (np.isfinite(tr) and tr >= cols * TINY / EPS):
-        return False
+        return None
     n = rows if n is None else n
     shift = 2.0 * (rows + cols + 2) * EPS * tr + 2.0 * (n * EPS) ** 2 * rest
     if not np.isfinite(shift):
-        return False
+        return None
     # gram - shift*I, bit for bit, in one copy (or in gram itself with
     # overwrite); the Gram is symmetric, so its transpose is the same matrix
     # in Fortran order and LAPACK factors it in place (it reads one
@@ -174,12 +169,11 @@ def _certifies_full_rank(
     shifted = gram if overwrite else gram.copy()
     shifted.flat[:: cols + 1] -= shift
     try:
-        scipy.linalg.cholesky(
+        return scipy.linalg.cholesky(
             shifted.T, lower=True, overwrite_a=True, check_finite=False
         )
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
 def _cutoff(s: np.ndarray, shape) -> float:
@@ -212,20 +206,20 @@ def count_rank(s: np.ndarray, shape) -> int:
 
 
 def _certified_gram(m: np.ndarray):
-    """The route of ``m``: its certified Gram and whether that is the row Gram.
+    """The route of ``m``: its certified Gram, row-Gram flag and factor.
 
     A tall matrix can only be certified by its column Gram ``m.T @ m`` and a
     wide one only by its row Gram ``m @ m.T``, so one Gram is formed and
-    passed to :func:`_certifies_full_rank`. Returns ``(gram, wide)``;
-    ``gram`` is ``None`` when the certificate fails (or ``m`` is square), and
-    then the matrix takes the SVD route. Success proves the rank is
-    ``min(m.shape)``. ``m`` must already be a validated float64 matrix (see
-    :func:`as_matrix`).
+    passed to :func:`_certificate`. Returns ``(gram, wide, factor)``; ``gram``
+    and ``factor`` are ``None`` when the certificate fails (or ``m`` is
+    square), and then the matrix takes the SVD route. Success proves the rank
+    is ``min(m.shape)``. ``m`` must already be validated (:func:`as_matrix`).
     """
     wide = m.shape[0] < m.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m @ m.T if wide else m.T @ m
-    return (gram if _certifies_full_rank(gram, max(m.shape)) else None), wide
+    factor = _certificate(gram, max(m.shape))
+    return (None if factor is None else gram), wide, factor
 
 
 def gram_solver(m: np.ndarray):
@@ -235,9 +229,17 @@ def gram_solver(m: np.ndarray):
     - ``lift(r) = m @ pinv(G) @ r``, a residual lifted to the dual space.
 
     A matrix certified by :func:`_certified_gram` has full rank and is solved
-    with an LU factorization of its certified Gram, taken once. The tall
-    route LU-solves with ``G``. The wide route LU-solves with the row Gram
-    ``H = m @ m.T``, through the commutation identity
+    with its certified Gram ``A`` and no factorization of its own: the
+    certificate's ``L @ L.T = A - c*I`` preconditions fixed-precision
+    iterative refinement, ``x <- x + solve(L @ L.T, r - A @ x)`` by LAPACK
+    ``potrs``, which contracts by about ``c / (lam_min(A) - c)`` per
+    correction (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 12). It stops at a correction with ``max|dx| <= n * eps * max|x|``.
+    A correction that fails to halve the last (or is NaN), or five without
+    that, means too slow a rate or a rounding floor ``eps * cond(A)`` above
+    the rule, and that right-hand side is solved by an LU factorization of
+    ``A``. The tall route solves with ``A = G``, the wide one with the row
+    Gram ``A = H = m @ m.T``, through the commutation identity
     ``m @ pinv(G) = pinv(H) @ m``: ``recover(d) = m.T @ solve(H, d)`` and
     ``lift(r) = solve(H, m @ r)``. Any other matrix takes one thin SVD
     ``m = U S V.T``: the rank counts its singular values above
@@ -247,15 +249,27 @@ def gram_solver(m: np.ndarray):
     ``recover(d) = V (U.T d / s)`` and ``lift(r) = U (V.T r / s)``. They keep
     the pairs with ``s_i > sqrt(cols * eps) * s_max``, the cutoff
     ``cols * eps * lam_max`` that :func:`pinv` applies to the cols-by-cols
-    Gram, written on ``s`` so that it cannot overflow. ``m``
-    must already be a validated float64 matrix (see :func:`as_matrix`).
+    Gram, written on ``s`` so that it cannot overflow. ``m`` must already be
+    a validated float64 matrix (see :func:`as_matrix`).
     """
     rows, cols = m.shape
-    gram, wide = _certified_gram(m)
+    gram, wide, factor = _certified_gram(m)
     if gram is not None:
-        lu = scipy.linalg.lu_factor(gram, check_finite=False)
+        potrs = scipy.linalg.lapack.dpotrs
 
         def solve(r):
+            x, last = potrs(factor, r, lower=1)[0], np.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(5):
+                    dx = potrs(factor, r - gram @ x, lower=1)[0]
+                    x += dx
+                    size = np.abs(dx).max()
+                    if size <= len(gram) * EPS * np.abs(x).max():
+                        return x
+                    if not size <= last / 2:
+                        break
+                    last = size
+            lu = scipy.linalg.lu_factor(gram, check_finite=False)
             return scipy.linalg.lu_solve(lu, r, check_finite=False)
 
         if wide:

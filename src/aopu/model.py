@@ -64,14 +64,14 @@ def _validated(x_tilde, y, name: str, m):
     return xt, y, m
 
 
-def _update(xt, y, d):
+def _update(xt, y, d=None, recon=None):
     """Reconstruction, truncated gradient and rank of one batch.
 
-    The single kernel behind :func:`reconstruct`, :func:`truncated_gradient`
-    and :meth:`AopuModel.step`; it takes validated arrays.
+    The kernel of :func:`truncated_gradient` and :meth:`AopuModel.step`, on
+    validated arrays and a dual image ``d`` or the outputs ``recon``.
     """
     rank, recover, lift = linalg.gram_solver(xt)
-    recon = recover(d)
+    recon = recover(d) if recon is None else recon
     grad = -(2.0 / xt.shape[1]) * lift(y - recon)
     return recon, grad, rank
 
@@ -180,16 +180,18 @@ class AopuModel(LinearReadout):
         """Apply one truncated-gradient update ``w <- w - lr * grad``.
 
         Validates ``x_tilde``, ``y`` and the weights once, then factors
-        ``x_tilde`` once for the loss, the gradient and the reported rank
-        ratio. A non-finite loss, gradient or new weight aborts the step
-        before any weight change and surfaces a :class:`DivergenceError`
-        carrying that rank ratio.
+        ``x_tilde`` once for the gradient and the reported rank ratio. The
+        loss and gradient read :func:`forward`'s ``x_tilde.T @ w``, which the
+        dual round trip of :func:`truncated_gradient` recovers in exact
+        arithmetic (on the SVD route, up to what the lift annihilates). A
+        non-finite loss, gradient or new weight aborts the step before any
+        weight change and surfaces a :class:`DivergenceError` carrying that
+        rank ratio.
         """
         xt, y, w = _validated(x_tilde, y, "w", self.w_tilde)
-        # the dual image, associated as in dual(), so the update equals
-        # lr * truncated_gradient(x, y, dual(x, w)) bit for bit
-        recon, grad, rank = _update(xt, y, xt @ (xt.T @ w))
-        # w is finite, so the new weights are finite only if the gradient is
-        with np.errstate(over="ignore"):
+        # an overflow is what divergence detection sees: w is finite, so the
+        # new weights are finite only if the outputs and the gradient are
+        with np.errstate(over="ignore", invalid="ignore"):
+            recon, grad, rank = _update(xt, y, recon=xt.T @ w)
             new_w = w - self.lr * grad
         return self._apply(rank, xt.shape[1], _squared_error(y, recon), grad, new_w)

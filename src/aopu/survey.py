@@ -116,7 +116,7 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     with it ``k = h``. A full block is a batch of size ``B``. The column
     Gram of each block that holds a batch and has more Gram rows than
     columns is formed once and certified by
-    :func:`linalg._certifies_full_rank`:
+    :func:`linalg._certificate`:
 
     - if ``k < h``, the Gram is that of the ``k`` hidden rows alone, and the
       certificate's ``rest`` bounds the squared norm of every row left out.
@@ -177,9 +177,8 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):
             raw = sum(float(part.sum()) for part in x2)
             rest = 0.0 if k == h else raw * per_x2 + per_col * len(gram)
-            return linalg._certifies_full_rank(
-                gram, used, full.output_dim, rest, overwrite
-            )
+            factor = linalg._certificate(gram, used, full.output_dim, rest, overwrite)
+            return factor is not None
 
     def exact(first, stop, *parts) -> int:
         if k < h:

@@ -223,6 +223,7 @@ def check_fim_convergence(x_tilde, n_samples: int = 100_000, seed: int = 0,
     for a fixed seed.
     """
     xt = linalg.as_matrix(x_tilde, "x_tilde")
+    check_count("n_samples", n_samples, 1)
     if xt.shape[0] > 4 or xt.shape[1] > 3:
         raise InvalidInputError(
             "Monte-Carlo Fisher check is restricted to <=4 feature rows "
@@ -311,6 +312,8 @@ def check_coherence(x_tilde, d_star, noise: float = 0.0, n_samples: int = 1000,
     xt = linalg.as_matrix(x_tilde, "x_tilde")
     d_star = linalg.as_matrix(d_star, "d_star")
     check_real("noise", noise)
+    check_count("n_samples", n_samples, 1)
+    check_count("noise_samples", noise_samples, 1)
     rng = np.random.default_rng(seed)
     y = reconstruct(xt, d_star)
 
@@ -343,7 +346,7 @@ def check_coherence(x_tilde, d_star, noise: float = 0.0, n_samples: int = 1000,
         return CheckResult(
             name="coherence_inner_products",
             passed=passed,
-            error=float(-min(min_inner, 0.0)),
+            error=max(0.0, -min_inner),
             details={
                 "min_inner_product": min_inner,
                 "n_samples": int(n_samples),
@@ -365,7 +368,7 @@ def check_coherence(x_tilde, d_star, noise: float = 0.0, n_samples: int = 1000,
     return CheckResult(
         name="coherence_inner_products_noisy",
         passed=passed,
-        error=float(-min(mean, 0.0)),
+        error=max(0.0, -mean),
         details={"mean_inner": mean, "sem": sem, "noise_samples": int(noise_samples)},
     )
 

@@ -737,7 +737,7 @@ class TestSurveyRanks:
         train, aug = self._setup(ar_ds, hidden)
         sizes = (16, 24, 40)
         certified = []
-        original = linalg._certifies_full_rank
+        original = linalg._certificate
 
         def recording(gram, rows, *bound):
             certified.append(gram.shape)
@@ -746,7 +746,7 @@ class TestSurveyRanks:
         def refuse(*args, **kwargs):
             raise AssertionError("np.hstack called")
 
-        monkeypatch.setattr(linalg, "_certifies_full_rank", recording)
+        monkeypatch.setattr(linalg, "_certificate", recording)
         monkeypatch.setattr(np, "hstack", refuse)
         got = _survey_ranks(train, aug, set(sizes), 3)
         n = train.n_windows
@@ -775,13 +775,13 @@ class TestSurveyRanks:
         sizes = (8, 12, 96)
         want = _per_batch_ranks(train, aug, sizes, 3)
         certified = []
-        original = linalg._certifies_full_rank
+        original = linalg._certificate
 
         def recording(gram, rows, *bound):
             certified.append(gram.shape)
             return original(gram, rows, *bound)
 
-        monkeypatch.setattr(linalg, "_certifies_full_rank", recording)
+        monkeypatch.setattr(linalg, "_certificate", recording)
         assert _survey_ranks(train, aug, set(sizes), 3) == want
         n = train.n_windows
         blocks = n // 96
@@ -803,13 +803,13 @@ class TestSurveyRanks:
         n = train.n_windows
         assert max(n - n % bs for bs in sizes) % 40 == 8
         certified = []
-        original = linalg._certifies_full_rank
+        original = linalg._certificate
 
         def recording(gram, rows, *bound):
             certified.append(len(gram))
             return original(gram, rows, *bound)
 
-        monkeypatch.setattr(linalg, "_certifies_full_rank", recording)
+        monkeypatch.setattr(linalg, "_certificate", recording)
         assert _survey_ranks(train, aug, set(sizes), 3) == want
         assert min(certified) == 24
 

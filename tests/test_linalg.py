@@ -8,7 +8,9 @@ import scipy.linalg
 from aopu import linalg
 from aopu.augment import AugmentConfig, Augmenter
 from aopu.baselines import RvflnnModel
-from aopu.errors import InvalidInputError
+from aopu.data import synth_generate
+from aopu.errors import DivergenceError, InvalidInputError
+from aopu.harness import TrainConfig, train_run
 from aopu.model import AopuModel, dual, reconstruct, truncated_gradient
 from aopu.verify import reconstruct_reference, truncated_gradient_reference
 
@@ -263,9 +265,13 @@ class TestFullRankCertificate:
     def test_certified_gram_is_the_column_gram(self):
         for shape in ((50, 6),) + TALL_SHAPES:
             m = np.random.default_rng(2).standard_normal(shape)
-            gram, wide = linalg._certified_gram(m)
+            gram, wide, factor = linalg._certified_gram(m)
             assert not wide
             np.testing.assert_array_equal(gram, m.T @ m)
+            # the certificate's lower factor of the Gram shifted down by c
+            c = 2.0 * (shape[0] + shape[1] + 2) * linalg.EPS * np.trace(gram)
+            assert not np.any(np.triu(factor, 1))
+            assert _rel(factor @ factor.T + c * np.eye(shape[1]), gram) <= 1e-14
 
     @pytest.mark.parametrize("shape,kind,scale", _block_certificate_cases())
     def test_certificate_on_block_gram_agrees(self, shape, kind, scale):
@@ -286,7 +292,7 @@ class TestFullRankCertificate:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = np.block([[a.T @ b for b in parts] for a in parts])
         want = linalg._certified_gram(m)[0] is not None
-        assert linalg._certifies_full_rank(gram, shape[0]) == want
+        assert (linalg._certificate(gram, shape[0]) is not None) == want
         if kind == "full" and scale == 1.0 or kind == 1e-1:
             assert want
         if kind in ("dup", "inf", "nan", 0.0) or scale in (1e-160, 1e300):
@@ -296,7 +302,7 @@ class TestFullRankCertificate:
     def test_wide_matrix_is_certified_by_its_row_gram(self, shape):
         # a square or empty matrix has no short side to certify
         m = np.random.default_rng(3).standard_normal(shape)
-        gram, wide = linalg._certified_gram(m)
+        gram, wide, _ = linalg._certified_gram(m)
         if shape == (4, 9):
             assert wide
             np.testing.assert_array_equal(gram, m @ m.T)
@@ -346,7 +352,7 @@ class TestLeadingRowCertificate:
         m = self._matrix(shape, ratio, scale)
         lead = m[:rows]
         rest = linalg.frobenius_norm(m[rows:]) ** 2
-        certified = linalg._certifies_full_rank(lead.T @ lead, rows, n, rest)
+        certified = linalg._certificate(lead.T @ lead, rows, n, rest) is not None
         if certified:
             assert linalg.rank(m) == b
         if ratio == 1e-1 and scale <= 1e4:
@@ -362,8 +368,8 @@ class TestLeadingRowCertificate:
         n, rows, b = LEADING_SHAPES[1]
         lead = _spectrum_matrix((rows, b), 1e-1)
         gram = lead.T @ lead
-        assert linalg._certifies_full_rank(gram, rows, n, 0.0)
-        assert not linalg._certifies_full_rank(gram, rows, n, rest)
+        assert linalg._certificate(gram, rows, n, 0.0) is not None
+        assert linalg._certificate(gram, rows, n, rest) is None
 
     @pytest.mark.parametrize("ratio", [1e-1, 0.0])
     def test_overwrite_keeps_the_verdict(self, ratio):
@@ -373,10 +379,11 @@ class TestLeadingRowCertificate:
         lead = _spectrum_matrix((rows, b), ratio)
         gram = lead.T @ lead
         before = gram.tobytes()
-        want = linalg._certifies_full_rank(gram, rows, n, 1.0)
+        want = linalg._certificate(gram, rows, n, 1.0) is not None
         assert want == (ratio == 1e-1)
         assert gram.tobytes() == before
-        assert linalg._certifies_full_rank(gram, rows, n, 1.0, overwrite=True) == want
+        got = linalg._certificate(gram, rows, n, 1.0, overwrite=True)
+        assert (got is not None) == want
 
     def test_whole_matrix_runs_the_default_shift(self, monkeypatch):
         # rows = n and rest = 0 shift the Gram by exactly the whole-matrix
@@ -392,8 +399,8 @@ class TestLeadingRowCertificate:
         for shape in TALL_SHAPES:
             m = np.random.default_rng(5).standard_normal(shape)
             gram = m.T @ m
-            assert linalg._certifies_full_rank(gram, shape[0])
-            assert linalg._certifies_full_rank(gram, shape[0], shape[0], 0.0)
+            assert linalg._certificate(gram, shape[0]) is not None
+            assert linalg._certificate(gram, shape[0], shape[0], 0.0) is not None
             default, explicit = seen[-2:]
             np.testing.assert_array_equal(default.view(np.uint64), explicit.view(np.uint64))
 
@@ -467,6 +474,101 @@ class TestCertifiedRoute:
         report = model.step(m, np.ones((288, 1)))
         assert report.rank == linalg.rank(m) == 80
         assert np.all(np.isfinite(model.w_tilde)) and np.any(model.w_tilde)
+
+
+def _count_lu_factor(monkeypatch):
+    """A list that grows by one each time ``scipy.linalg.lu_factor`` runs."""
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    return calls
+
+
+class TestRefinedSolve:
+    """A certified Gram is solved by refinement with the certificate's
+    Cholesky factor; an LU factorization is taken only when that stalls."""
+
+    @staticmethod
+    def _gradient(m):
+        rng = np.random.default_rng(4)
+        d = dual(m, rng.standard_normal((m.shape[0], 1)))
+        return truncated_gradient(m, rng.standard_normal((m.shape[1], 1)), d)
+
+    @pytest.mark.parametrize(
+        "shape,ratio",
+        [((40, 8), 1e-4), ((40, 8), 1e-6), ((8, 40), 1e-4), ((8, 40), 1e-6),
+         ((2288, 64), 1e-4)],
+    )
+    def test_ill_conditioned_spectra_fall_back_to_lu(self, monkeypatch, shape, ratio):
+        # cond(gram) = ratio**-2 puts the corrections' rounding floor,
+        # about eps * cond(gram) * max|x|, far above the stopping rule's
+        # n * eps * max|x|, so they stop halving before they reach it
+        m = _spectrum_matrix(shape, ratio)
+        assert linalg._certified_gram(m)[0] is not None
+        calls = _count_lu_factor(monkeypatch)
+        self._gradient(m)
+        assert calls and set(calls) == {(min(shape), min(shape))}
+
+    @pytest.mark.parametrize("shape", [(2288, 64), (300, 64), (64, 300), (64, 2288)])
+    def test_well_conditioned_spectra_take_no_lu(self, monkeypatch, shape):
+        m = _spectrum_matrix(shape, 1e-1)
+        calls = _count_lu_factor(monkeypatch)
+        self._gradient(m)
+        assert not calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_steps_take_no_lu(self, monkeypatch, seed):
+        # the benchmark's inputs and shapes: train-paper (bs 64, seq 48,
+        # hidden 2048; 2288 x 64 batches, 2 of its 5 epochs) and train-lowrr
+        # (bs 288, seq 16, hidden 0; 80 x 288 batches)
+        ds = synth_generate(n=4000, n_vars=5, noise=0.3, nonlinear=True, seed=seed)
+        calls = _count_lu_factor(monkeypatch)
+        for bs, seq, hidden, epochs in ((64, 48, 2048, 2), (288, 16, 0, 8)):
+            report = train_run(
+                ds, TrainConfig(bs=bs, seq=seq, hidden=hidden, epochs=epochs, seed=seed)
+            )
+            assert report.n_iterations > 0
+            assert report.min_train_rr == min(5 * seq + hidden, bs) / bs
+        assert not calls
+
+    @pytest.mark.parametrize("shape,target", [((40, 8), 1e30), ((8, 40), 1e170)])
+    def test_overflowed_solve_diverges_with_its_rank_ratio(
+        self, monkeypatch, shape, target
+    ):
+        # a certified Gram of tiny entries: the solve of the residual
+        # overflows, its corrections are NaN, and the LU fallback's solve is
+        # not finite either, so the step stores nothing and reports the RR
+        m = np.random.default_rng(6).standard_normal(shape) * 1e-145
+        assert linalg._certified_gram(m)[0] is not None
+        model = AopuModel(Augmenter(AugmentConfig(input_dim=shape[0], hidden=0)))
+        calls = _count_lu_factor(monkeypatch)
+        with pytest.raises(DivergenceError) as err:
+            model.step(m, np.full((shape[1], 1), target))
+        assert err.value.rank_ratio == min(shape) / shape[1]
+        assert len(calls) == 1
+        np.testing.assert_array_equal(model.w_tilde, np.zeros((shape[0], 1)))
+
+    def test_overflowing_corrections_raise_no_warning(self, monkeypatch):
+        # columns near a common one give a Gram of entries near 40, so a
+        # residual along its least eigenvector solves to entries whose
+        # products with the Gram overflow: the corrections are NaN without
+        # a warning and the LU fallback is not finite either; a step whose
+        # lift overflows too still diverges with its RR
+        m = 1.0 + 0.1 * np.random.default_rng(7).standard_normal((40, 8))
+        least = np.linalg.eigh(m.T @ m)[1][:, :1]
+        calls = _count_lu_factor(monkeypatch)
+        assert not np.all(np.isfinite(linalg.gram_solver(m)[2](3e306 * least)))
+        assert len(calls) == 1
+        model = AopuModel(Augmenter(AugmentConfig(input_dim=40, hidden=0)))
+        with pytest.raises(DivergenceError) as err:
+            model.step(m, 4e307 * least)
+        assert err.value.rank_ratio == 1.0 and len(calls) == 2
+        np.testing.assert_array_equal(model.w_tilde, np.zeros((40, 1)))
 
 
 class TestRankRatio:

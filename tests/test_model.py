@@ -213,19 +213,44 @@ class TestStep:
         model.step(xt, y)
         np.testing.assert_allclose(model.w_tilde, before, atol=1e-12)
 
-    def test_update_is_exactly_lr_times_dual_gradient(self):
-        # the step must consume the dual-image gradient and nothing else
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (300, 64), (80, 288)])
+    def test_update_is_lr_times_dual_gradient(self, shape):
+        # the step reads forward's x.T @ w where the dual gradient recovers
+        # it from dual(x, w), so the two agree within the forward-error scale
+        # min(rows, cols) * eps * cond(gram) of the certified route
         rng = np.random.default_rng(13)
-        xt = rng.standard_normal((5, 3))
-        y = rng.standard_normal((3, 1))
-        model = self._model(5)
-        model.w_tilde = rng.standard_normal((5, 1))
+        xt = rng.standard_normal(shape)
+        y = rng.standard_normal((shape[1], 1))
+        model = self._model(shape[0], lr=0.5)
+        model.w_tilde = rng.standard_normal((shape[0], 1))
         w_before = model.w_tilde.copy()
         expected = w_before - model.lr * truncated_gradient(
             xt, y, dual(xt, w_before)
         )
+        report = model.step(xt, y)
+        gram = linalg._certified_gram(xt)[0]
+        bound = min(shape) * linalg.EPS * np.linalg.cond(gram)
+        err = linalg.frobenius_norm(model.w_tilde - expected)
+        assert err <= bound * linalg.frobenius_norm(expected)
+        assert report.loss == loss_value(y, forward(xt, w_before))
+
+    @pytest.mark.parametrize("lr", [0.25, 1.0, 4.0, 7.5])
+    def test_step_scales_the_batch_residual(self, lr):
+        # on a batch of full column rank (b < d+h) the step is the affine
+        # projection w + mu x pinv(x.T x) (y - x.T w), mu = 2 lr / b, so it
+        # leaves the batch's own residual at (1 - mu) times its value
+        rng = np.random.default_rng(17)
+        xt = rng.standard_normal((40, 8))
+        y = rng.standard_normal((8, 1))
+        model = self._model(40, lr=lr)
+        model.w_tilde = rng.standard_normal((40, 1))
+        before = y - forward(xt, model.w_tilde)
+        assert linalg._certified_gram(xt)[0] is not None
         model.step(xt, y)
-        np.testing.assert_array_equal(model.w_tilde, expected)  # bit-for-bit
+        after = y - forward(xt, model.w_tilde)
+        mu = 2.0 * lr / 8
+        err = linalg.frobenius_norm(after - (1.0 - mu) * before)
+        assert err <= 1e-14 * linalg.frobenius_norm(before)
 
     def test_noise_free_linear_descent(self):
         rng = np.random.default_rng(14)

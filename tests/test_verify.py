@@ -113,6 +113,10 @@ class TestFisherInformation:
             with pytest.raises(InvalidInputError, match="<=4 feature rows"):
                 check_fim_convergence(np.ones(shape))
 
+    def test_sample_count_must_be_positive(self):
+        with pytest.raises(InvalidInputError, match="n_samples"):
+            check_fim_convergence(np.ones((2, 2)), n_samples=0)
+
 
 class TestMirrorMap:
     def test_identity_features_fixed_point(self):
@@ -179,6 +183,23 @@ class TestCoherence:
     def test_noise_must_be_finite_and_non_negative(self, instance, noise):
         with pytest.raises(InvalidInputError, match="noise"):
             check_coherence(*instance, noise=noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_sample_counts_must_be_positive(self, instance, noise):
+        for counts in ({"n_samples": 0}, {"noise_samples": 0}):
+            with pytest.raises(InvalidInputError, match=next(iter(counts))):
+                check_coherence(*instance, noise=noise, **counts)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_error_of_a_coherent_instance_is_positive_zero(self, instance, noise):
+        # the inner products (or their mean) are positive here, so the
+        # error is +0.0, never -0.0
+        res = check_coherence(*instance, noise=noise, n_samples=20,
+                              noise_samples=200, seed=14)
+        assert res.passed
+        assert min(res.details.get("min_inner_product", 1.0),
+                   res.details.get("mean_inner", 1.0)) > 0.0
+        assert res.error == 0.0 and not np.signbit(res.error)
 
 
 class TestMveOptimality:
