@@ -24,10 +24,10 @@ the derivation. :func:`_certified_gram` makes that route choice once, for
 certified Gram by iterative refinement that the certificate's Cholesky
 factor preconditions, so the step takes that one factorization and needs
 neither eigenvectors nor singular vectors; a right-hand side whose
-refinement stalls is solved by an LU factorization instead. Any other batch
-is solved with the truncated pseudo-inverses of ``m`` and ``m.T`` read off
-its thin SVD; no Gram is formed, so the maps scale with the batch rather
-than with its square.
+refinement stalls above ``FLOOR`` is solved by an LU factorization
+instead. Any other batch is solved with the truncated pseudo-inverses of
+``m`` and ``m.T`` read off its thin SVD; no Gram is formed, so the maps
+scale with the batch rather than with its square.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from .errors import InvalidInputError, NumericalError
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
+# a refinement whose corrections stall at or below FLOOR * max|x| keeps its
+# solution (see gram_solver)
+FLOOR = float(np.sqrt(EPS))
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -234,14 +237,21 @@ def gram_solver(m: np.ndarray):
     iterative refinement, ``x <- x + solve(L @ L.T, r - A @ x)`` by LAPACK
     ``potrs``, which contracts by about ``c / (lam_min(A) - c)`` per
     correction (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 12). It stops at a correction with ``max|dx| <= n * eps * max|x|``.
-    A correction that fails to halve the last (or is NaN), or five without
-    that, means too slow a rate or a rounding floor ``eps * cond(A)`` above
-    the rule, and that right-hand side is solved by an LU factorization of
-    ``A``. The tall route solves with ``A = G``, the wide one with the row
-    Gram ``A = H = m @ m.T``, through the commutation identity
-    ``m @ pinv(G) = pinv(H) @ m``: ``recover(d) = m.T @ solve(H, d)`` and
-    ``lift(r) = solve(H, m @ r)``. Any other matrix takes one thin SVD
+    ch. 12). It stops at a correction with ``max|dx| <= n * eps * max|x|``,
+    at one that fails to halve the last (or is NaN), or after five. In exact
+    arithmetic a correction maps the error ``e`` to ``-c (A - c*I)^-1 e``,
+    so along each eigenvector of ``A`` the error it leaves is below the
+    correction itself, whatever the rate. After a last correction of at
+    most ``FLOOR * max|x|``, ``FLOOR = sqrt(eps)``, the error is below
+    ``sqrt(n * eps) * max|x|`` plus the rounding floor
+    ``eps * cond(A) * max|x|``, which bounds an LU solve's forward error
+    too, so that ``x`` is kept. A last correction above that, or NaN, means
+    too slow a rate or too high a floor, and that right-hand side is solved
+    by an LU factorization of ``A``. The tall route solves with ``A = G``,
+    the wide one with the row Gram ``A = H = m @ m.T``, through the
+    commutation identity ``m @ pinv(G) = pinv(H) @ m``:
+    ``recover(d) = m.T @ solve(H, d)`` and ``lift(r) = solve(H, m @ r)``.
+    Any other matrix takes one thin SVD
     ``m = U S V.T``: the rank counts its singular values above
     ``max(rows, cols) * eps * s_max``, and since ``pinv(G) @ m.T`` and
     ``m @ pinv(G)`` are the truncated pseudo-inverses of ``m`` and ``m.T``
@@ -263,12 +273,14 @@ def gram_solver(m: np.ndarray):
                 for _ in range(5):
                     dx = potrs(factor, r - gram @ x, lower=1)[0]
                     x += dx
-                    size = np.abs(dx).max()
-                    if size <= len(gram) * EPS * np.abs(x).max():
+                    size, top = np.abs(dx).max(), np.abs(x).max()
+                    if size <= len(gram) * EPS * top:
                         return x
                     if not size <= last / 2:
                         break
                     last = size
+                if size <= FLOOR * top:
+                    return x
             lu = scipy.linalg.lu_factor(gram, check_finite=False)
             return scipy.linalg.lu_solve(lu, r, check_finite=False)
 

@@ -1,11 +1,14 @@
 """The rank-ratio survey: the distribution of batch rank ratios over a
 (batch size, window length) grid (:func:`rr_survey`).
 
-The shuffled split is walked one block of the largest batch size at a time.
-Each block is augmented once and certified full rank by one shifted
-Cholesky of its Gram; a smaller batch that lies inside a certified block
-has full rank with no work of its own, so a survey takes no SVD on a batch
-it certifies.
+The shuffled split is walked one block of the largest batch size ``B`` at a
+time. Each block is augmented once, with only as many leading hidden units
+as its ``d`` raw rows leave room for in ``B + 8`` rows, and certified full
+rank by one shifted Cholesky of the Gram of every row it computed; a
+smaller batch that lies inside a certified block has full rank with no
+work of its own, so a survey takes no SVD on a batch it certifies. A
+window length whose first block that map cannot certify is walked again
+from the first ``B + 8`` hidden units alone.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ def rr_survey(
     batch size slices the same seeded permutation, so each seq walks the
     shuffled split once, one block of the largest batch size at a time, and
     augments each training window at most once, however many batch sizes
-    the grid holds; a smaller batch inside a block certified full rank has
-    full rank with no work of its own (see :func:`_survey_ranks`).
+    the grid holds, or twice for the first block of a window length that
+    falls back to a wider map; a smaller batch inside a block certified
+    full rank has full rank with no work of its own (see
+    :func:`_survey_ranks`).
     ``G`` is drawn once, for the longest window: the map of each seq is the
     prefix of its first ``seq * n_inputs`` input rows, the same map an
     ``Augmenter`` of that input dim draws (:meth:`Augmenter.prefix`).
@@ -111,24 +116,32 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     With ``B = max(sizes)``, the shuffled split is cut into blocks of ``B``
     columns, up to the end of the last full batch of any size, so the last
     block (the tail) may be narrower. Each block is gathered and augmented
-    once with the first ``k = min(h, B + 8)`` hidden units and the raw
-    rows (:meth:`Augmenter.prefix`); layer norm couples all hidden rows, so
-    with it ``k = h``. A full block is a batch of size ``B``. The column
-    Gram of each block that holds a batch and has more Gram rows than
-    columns is formed once and certified by
-    :func:`linalg._certificate`:
+    once with the first ``k = min(h, max(0, B + 8 - d))`` hidden units and
+    the ``d`` raw rows (:meth:`Augmenter.prefix`), ``max(B + 8, d)`` rows
+    if ``k < h``; layer norm couples all hidden rows, so with it ``k = h``.
+    A full block is a batch of size ``B``. For each block that holds a
+    batch and has more rows than columns, the column Gram of all its rows
+    is formed once and certified by :func:`linalg._certificate`. Its
+    ``rest`` bounds the squared norm of the ``h - k`` hidden units never
+    computed, 0 if ``k = h``: every activation has ``|f(z)| <= |z| + 6`` and
+    a computed product has ``|fl(g.x)| <= (1 + gamma_d) ||g|| ||x||``, so by
+    Cauchy-Schwarz they add at most
+    ``2 (1 + gamma_d)**2 ||G_R||_F**2 ||x||_F**2 + 72 (h - k) b`` for the
+    skipped columns ``G_R`` of ``G``, whose norm is taken over all the
+    inputs of ``augmenter`` (a superset of the entries can only raise it).
+    ``||x||_F**2`` sums the raw rows' squared column norms, rounded up, so
+    an overflow is infinite and fails the certificate.
 
-    - if ``k < h``, the Gram is that of the ``k`` hidden rows alone, and the
-      certificate's ``rest`` bounds the squared norm of every row left out.
-      The raw rows add ``||x||_F**2``, their squared column norms summed and
-      rounded up, so an overflow is infinite and fails the certificate.
-      Every activation has ``|f(z)| <= |z| + 6`` and a computed product has
-      ``|fl(g.x)| <= (1 + gamma_d) ||g|| ||x||``, so by Cauchy-Schwarz the
-      ``h - k`` hidden units never computed add at most
-      ``2 (1 + gamma_d)**2 ||G_R||_F**2 ||x||_F**2 + 72 (h - k) b`` for the
-      skipped columns ``G_R`` of ``G``, whose norm is taken over all the
-      inputs of ``augmenter`` (a superset of the entries can only raise it);
-    - if ``k = h``, the Gram is that of every row, and ``rest`` is 0.
+    The first block decides the map of the window length. The blocks are
+    column runs of one shuffled permutation, so each is an exchangeable
+    sample of the split, and a map that fails the first block is likely to
+    fail the rest: exactly collinear inputs leave the raw rows too few
+    independent rows to carry a block. So if ``k < min(h, B + 8)`` and the
+    first block is not certified, the walk starts again with the Grams of
+    the first ``k = min(h, B + 8)`` hidden rows alone; their ``rest`` adds
+    the raw rows' ``||x||_F**2``, and with ``k = h`` the Grams span every
+    row. A window length then augments its first block twice. Either map
+    gives every rank exactly; the rule chooses only how much is computed.
 
     A smaller batch is a column slice of the blocks. The singular values of
     a subset of a matrix's columns interlace its own, ``s_min`` no lower and
@@ -153,30 +166,47 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
     n = train.n_windows
     shuffled = batches(train, n, shuffle=True, seed=seed)
     ends = {bs: n - n % bs for bs in sizes}  # end of each size's last full batch
+    d, h, big = train.dim, augmenter.config.hidden, max(sizes)
+    # 8 rows past the largest batch give every Gram room to show its full
+    # rank: with 1, surveys of smoothed random walks fell back to the SVD on
+    # some batches
+    if augmenter.config.layer_norm:
+        short = wide = h
+    else:
+        short, wide = min(h, max(0, big + 8 - d)), min(h, big + 8)
+    if short < wide:
+        ranks = _walk(shuffled, ends, augmenter, d, short, True, trial=True)
+        if ranks is not None:
+            return ranks
+    return _walk(shuffled, ends, augmenter, d, wide, wide == h)
+
+
+def _walk(shuffled, ends, augmenter, d, k, raw, trial=False):
+    """:func:`_survey_ranks` from the first ``k`` hidden units, with the raw
+    rows in every Gram if ``raw``; with ``trial``, None if the first block
+    is not certified."""
+    sizes = sorted(ends)
     top = max(ends.values())
-    big = max(sizes)
-    d = train.dim
+    big = sizes[-1]
     h = augmenter.config.hidden
-    # 8 hidden units past the largest batch give the hidden rows alone room
-    # to show its full rank: with 1, surveys of smoothed random walks fell
-    # back to the SVD on some batches
-    k = h if augmenter.config.layer_norm else min(h, big + 8)
     full = augmenter.prefix(d, h)
     lead = augmenter.prefix(d, k)
-    used = k if k < h else lead.output_dim  # rows of every Gram
+    used = lead.output_dim if raw else k  # rows of every Gram
     # rest = x2 * per_x2 + per_col * b for b columns whose raw rows have
     # squared norm x2, which is rounded up: each column's sum of d squares
     # and the sum of b <= big of them each lose less than gamma of their count
     g_rest = (1.0 + d * linalg.EPS / (1.0 - d * linalg.EPS)) * linalg.frobenius_norm(
         augmenter.g_hat.T[k:]
     )
-    per_x2 = (1.0 + 2.0 * g_rest * g_rest) * (1.0 + 2.0 * (d + big) * linalg.EPS)
+    per_x2 = (2.0 * g_rest * g_rest + (0.0 if raw else 1.0)) * (
+        1.0 + 2.0 * (d + big) * linalg.EPS
+    )
     per_col = 2.0 * ACTIVATION_SLACK**2 * (h - k)
 
     def certified(gram, *x2, overwrite=False) -> bool:
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = sum(float(part.sum()) for part in x2)
-            rest = 0.0 if k == h else raw * per_x2 + per_col * len(gram)
+            norm2 = sum(float(part.sum()) for part in x2)
+            rest = 0.0 if k == h else norm2 * per_x2 + per_col * len(gram)
             factor = linalg._certificate(gram, used, full.output_dim, rest, overwrite)
             return factor is not None
 
@@ -197,12 +227,12 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
         stop = min(start + big, top)
         aug = lead.augment(shuffled.columns(start, stop))
         rows = aug[:used]
-        gram = gram_of(rows) if used > min(sizes) else None
+        gram = gram_of(rows) if used > sizes[0] else None
         with np.errstate(over="ignore"):
             x2 = np.einsum("ij,ij->j", aug[k:], aug[k:]) if k < h else np.zeros(0)
         ending = [
             (bs, end - bs, end)
-            for bs in sorted(sizes)
+            for bs in sizes
             for end in range(start - start % bs + bs, min(stop, ends[bs]) + 1, bs)
         ]
         # first, the batches that began in the last block
@@ -233,10 +263,12 @@ def _survey_ranks(train, augmenter: Augmenter, sizes, seed: int) -> dict:
             kept_gram = gram[kept - start :, kept - start :].copy()
         # a block that holds a batch is certified in its own Gram, which is
         # formed again only if the certificate fails
-        block_ok = False
-        if used > stop - start >= min(sizes):
-            block_ok = certified(gram, x2, overwrite=True)
-            if not block_ok:
+        holds = used > stop - start >= sizes[0]
+        block_ok = holds and certified(gram, x2, overwrite=True)
+        if not block_ok:
+            if trial and start == 0:
+                return None
+            if holds:
                 gram = gram_of(rows)
         for bs, first, end in ending:
             if first >= start:

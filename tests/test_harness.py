@@ -830,10 +830,10 @@ class TestSurveyRanks:
     def test_leading_rows_equal_per_batch_reference(
         self, ar_ds, monkeypatch, activation, case
     ):
-        # hidden 64 > max(sizes) + 8 = 48: each block is augmented with its
-        # first 48 hidden units only, and a batch its hidden rows cannot
-        # certify (a repeated window, or a 1e200 one whose raw rows' norm
-        # overflows) is augmented whole and ranked by the SVD
+        # hidden 64 > max(sizes) + 8 - d = 38: each block is augmented with
+        # its first 38 hidden units and its 10 raw rows, and a batch those
+        # rows cannot certify (a repeated window, or a 1e200 one whose raw
+        # rows overflow the Gram) is augmented whole and ranked by the SVD
         train, aug = self._setup(ar_ds, 64, activation)
         features = train.features.copy()
         if case == "duplicated":
@@ -854,9 +854,9 @@ class TestSurveyRanks:
         monkeypatch.setattr(Augmenter, "augment", recording)
         assert _survey_ranks(train, aug, set(sizes), 3) == want
         if case == "plain":
-            assert set(hidden_units) == {48}
+            assert set(hidden_units) == {38}
         else:
-            assert set(hidden_units) == {48, 64}
+            assert set(hidden_units) == {38, 64}
         if case == "duplicated":
             for bs in sizes:
                 assert min(want[bs]) < bs == max(want[bs])
@@ -1000,7 +1000,8 @@ class TestSurveyRanks:
     def test_correlated_inputs_take_no_fallback(self, ar_ds, monkeypatch, inputs):
         # windows of a smoothed random walk are nearly collinear, and a
         # duplicated input variable makes the raw rows rank deficient; the
-        # hidden rows still certify every batch, so nothing is augmented
+        # first 48 - d hidden rows and the raw rows still certify every
+        # batch, so the first block keeps that map and nothing is augmented
         # whole
         values = ar_ds.values.copy()
         if inputs == "smoothed-walk":
@@ -1019,4 +1020,63 @@ class TestSurveyRanks:
             with monkeypatch.context() as patch:
                 calls = self._record_augments(patch)
                 assert _survey_ranks(train, aug, set(sizes), 3) == want
-            assert calls and all(units == 48 for units, _ in calls)
+            assert calls and all(units == 48 - train.dim for units, _ in calls)
+
+    @staticmethod
+    def _latent_sensors(noise, seed):
+        """1500 rows of five sensors that mix two random-walk latent
+        states, plus Gaussian sensor noise of scale ``noise``."""
+        rng = np.random.default_rng(seed)
+        states = np.cumsum(rng.standard_normal((1500, 2)), 0)
+        x = states @ rng.standard_normal((2, 5))
+        x += noise * rng.standard_normal((1500, 5))
+        y = x @ rng.standard_normal(5) * 0.2 + 0.3 * rng.standard_normal(1500)
+        columns = tuple(f"x{j}" for j in range(5)) + ("y",)
+        return Dataset(np.column_stack([x, y]), columns, 5, 5)
+
+    def _hidden_rows_alone(self, train, aug, sizes, monkeypatch):
+        """Units of the augment calls of a walk that certifies from the
+        first max(sizes) + 8 hidden rows alone."""
+        n = train.n_windows
+        shuffled = batches(train, n, shuffle=True, seed=3)
+        ends = {bs: n - n % bs for bs in sizes}
+        with monkeypatch.context() as patch:
+            calls = self._record_augments(patch)
+            survey._walk(shuffled, ends, aug, train.dim, max(sizes) + 8, False)
+        return [units for units, _ in calls]
+
+    def test_random_walk_inputs_take_no_fallback(self, monkeypatch):
+        # sensors that drift with two random-walk states: from the first
+        # 104 hidden rows alone, some batches fail their certificates and
+        # are augmented whole; with the raw rows in every Gram none is
+        ds = self._latent_sensors(0.05, 5)
+        sizes = (32, 64, 96)
+        for seq in (8, 16):
+            train, _, _ = prepare_windows(ds, seq)
+            aug = Augmenter(AugmentConfig(input_dim=train.dim, hidden=256, seed=3))
+            assert 256 in self._hidden_rows_alone(train, aug, sizes, monkeypatch)
+            want = _per_batch_ranks(train, aug, sizes, 3)
+            with monkeypatch.context() as patch:
+                calls = self._record_augments(patch)
+                assert _survey_ranks(train, aug, set(sizes), 3) == want
+            assert calls and all(units == 104 - train.dim for units, _ in calls)
+
+    def test_collinear_inputs_fall_back_on_the_first_block(self, monkeypatch):
+        # noise-free sensors of two latent states leave the 5 * seq raw rows
+        # of rank 2 * seq, so the first 104 - 5 * seq hidden rows and the
+        # raw rows have rank below 96 and cannot certify the first block;
+        # the walk starts again from the first 104 hidden rows alone, which
+        # augment nothing whole, and the short map cost one block
+        ds = self._latent_sensors(0.0, 0)
+        sizes = (32, 64, 96)
+        for seq in (8, 16):
+            train, _, _ = prepare_windows(ds, seq)
+            aug = Augmenter(AugmentConfig(input_dim=train.dim, hidden=256, seed=3))
+            alone = self._hidden_rows_alone(train, aug, sizes, monkeypatch)
+            assert set(alone) == {104}
+            want = _per_batch_ranks(train, aug, sizes, 3)
+            with monkeypatch.context() as patch:
+                calls = self._record_augments(patch)
+                assert _survey_ranks(train, aug, set(sizes), 3) == want
+            assert calls[0] == (104 - train.dim, 96)
+            assert [units for units, _ in calls[1:]] == alone

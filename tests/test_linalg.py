@@ -502,17 +502,58 @@ class TestRefinedSolve:
     @pytest.mark.parametrize(
         "shape,ratio",
         [((40, 8), 1e-4), ((40, 8), 1e-6), ((8, 40), 1e-4), ((8, 40), 1e-6),
-         ((2288, 64), 1e-4)],
+         ((2288, 64), 1e-4), ((40, 8), 1e-5), ((8, 40), 1e-5), ((2288, 64), 1e-5)],
     )
     def test_ill_conditioned_spectra_fall_back_to_lu(self, monkeypatch, shape, ratio):
-        # cond(gram) = ratio**-2 puts the corrections' rounding floor,
-        # about eps * cond(gram) * max|x|, far above the stopping rule's
-        # n * eps * max|x|, so they stop halving before they reach it
+        # cond(gram) = ratio**-2 puts the corrections' rounding floor, about
+        # eps * cond(gram) * max|x|, above the stopping rule's
+        # n * eps * max|x|, so none reaches it. At 1e-4 they end near 1e-9
+        # relative, below linalg.FLOOR (1.5e-8), and the refined solution is
+        # kept; from 1e-5 they end above it (1e-7 or more), and the LU solves
         m = _spectrum_matrix(shape, ratio)
         assert linalg._certified_gram(m)[0] is not None
         calls = _count_lu_factor(monkeypatch)
         self._gradient(m)
-        assert calls and set(calls) == {(min(shape), min(shape))}
+        if ratio < 1e-4:
+            assert calls and set(calls) == {(min(shape), min(shape))}
+        else:
+            assert not calls
+
+    @pytest.mark.parametrize("shape", [(40, 8), (8, 40)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_moderate_condition_keeps_the_refined_solution(
+        self, monkeypatch, shape, seed
+    ):
+        # cond(gram) = 100 at s_min / s_max = 0.1: the corrections stop
+        # halving near 1e-15 relative, above n * eps but far below
+        # linalg.FLOOR, so no LU is taken, and the step's maps still match
+        # the pseudo-inverse references
+        m = _spectrum_matrix(shape, 1e-1, seed)
+        rng = np.random.default_rng(4)
+        d = dual(m, rng.standard_normal((shape[0], 1)))
+        y = rng.standard_normal((shape[1], 1))
+        calls = _count_lu_factor(monkeypatch)
+        recon, grad = reconstruct(m, d), truncated_gradient(m, y, d)
+        assert not calls
+        want_recon, want_grad = _pinv_references(m, y, d)
+        gram = linalg._certified_gram(m)[0]
+        bound = min(shape) * linalg.EPS * np.linalg.cond(gram)
+        assert _rel(recon, want_recon) <= bound
+        assert _rel(grad, want_grad) <= bound
+
+    def test_huge_finite_solution_is_kept(self, monkeypatch):
+        # the least eigenvector of a Gram of entries near 40, times 1e306,
+        # solves to entries near 4e306: its corrections stall near 1e-14
+        # relative, so the refined solution is kept with no LU, whose solve
+        # overflowed there, and it is the unit solution scaled
+        m = 1.0 + 0.1 * np.random.default_rng(7).standard_normal((40, 8))
+        least = np.linalg.eigh(m.T @ m)[1][:, :1]
+        lift = linalg.gram_solver(m)[2]
+        calls = _count_lu_factor(monkeypatch)
+        got = lift(1e306 * least)
+        assert not calls
+        assert np.all(np.isfinite(got))
+        assert _rel(got / 1e306, lift(least)) < 1e-13
 
     @pytest.mark.parametrize("shape", [(2288, 64), (300, 64), (64, 300), (64, 2288)])
     def test_well_conditioned_spectra_take_no_lu(self, monkeypatch, shape):
